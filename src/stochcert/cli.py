@@ -198,10 +198,33 @@ def load_scenario(path) -> Scenario:
     grid_block = need("grid")
     mc_block = need("mc")
     check_block = need("check")
-    thresholds = raw.get("thresholds", {}) or {}
+    thresholds = raw.get("thresholds") or {}
+    if not isinstance(thresholds, dict):
+        errors.append("malformed block: thresholds")
+        thresholds = {}
 
-    n = int(sys_block.get("n", 0) or 0)
-    m = int(sys_block.get("m", 0) or 0)
+    def _int(block, key, default, desc):
+        val = block.get(key, default)
+        try:
+            if int(val) == float(val):
+                return int(val)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        errors.append(f"{desc} must be an integer")
+        return default
+
+    def _float(block, key, default, lo, hi, desc):
+        try:
+            val = float(block.get(key, default))
+        except (TypeError, ValueError):
+            errors.append(f"{desc} must be a number")
+            return default
+        if not lo <= val <= hi:
+            errors.append(f"{desc} must lie in [{lo}, {hi}]")
+        return val
+
+    n = _int(sys_block, "n", 0, "system.n")
+    m = _int(sys_block, "m", 0, "system.m")
     if n < 1:
         errors.append("system.n must be a positive integer")
 
@@ -256,22 +279,13 @@ def load_scenario(path) -> Scenario:
     except (KeyError, TypeError, ValueError) as exc:
         errors.append(f"grid: {exc}")
 
-    if "initial_states" in raw:
-        x0s = np.atleast_2d(np.asarray(raw["initial_states"], dtype=float))
-    else:
-        x0s = np.atleast_2d(np.asarray(raw.get("initial_state", []), dtype=float))
+    try:
+        x0s = np.atleast_2d(np.asarray(
+            raw.get("initial_states", raw.get("initial_state", [])), dtype=float))
+    except (TypeError, ValueError):
+        x0s = np.empty((0, 0))
     if x0s.size == 0 or x0s.shape[1] != max(n, 1):
         errors.append("initial_state must give one (or more) length-n state(s)")
-
-    def _float(block, key, default, lo, hi, desc):
-        try:
-            val = float(block.get(key, default))
-        except (TypeError, ValueError):
-            errors.append(f"{desc} must be a number")
-            return default
-        if not lo <= val <= hi:
-            errors.append(f"{desc} must lie in [{lo}, {hi}]")
-        return val
 
     epsilon1 = _float(thresholds, "epsilon1", 0.0, 0.0, 1.0, "thresholds.epsilon1")
     epsilon2 = _float(thresholds, "epsilon2", 0.0, 0.0, 1.0, "thresholds.epsilon2")
@@ -279,10 +293,10 @@ def load_scenario(path) -> Scenario:
     if gamma >= 1.0:
         errors.append("gamma must be < 1")
 
-    mc_horizon = int(mc_block.get("horizon", 0) or 0)
-    mc_trials = int(mc_block.get("trials", 0) or 0)
+    mc_horizon = _int(mc_block, "horizon", 0, "mc.horizon")
+    mc_trials = _int(mc_block, "trials", 0, "mc.trials")
     mc_delta = _float(mc_block, "delta", 0.05, 0.0, 1.0, "mc.delta")
-    mc_seed = int(mc_block.get("seed", 0) or 0)
+    mc_seed = _int(mc_block, "seed", 0, "mc.seed")
     if mc_horizon < 1:
         errors.append("mc.horizon must be >= 1")
     if mc_trials < 1:
@@ -291,8 +305,8 @@ def load_scenario(path) -> Scenario:
         errors.append("mc.delta must lie in (0, 1)")
 
     tolerance = _float(check_block, "tolerance", 1e-6, 0.0, 1.0, "check.tolerance")
-    extra_points = int(check_block.get("extra_points", 200))
-    point_seed = int(check_block.get("point_seed", 1))
+    extra_points = _int(check_block, "extra_points", 200, "check.extra_points")
+    point_seed = _int(check_block, "point_seed", 1, "check.point_seed")
     if tolerance <= 0:
         errors.append("check.tolerance must be positive")
     if extra_points < 0:
@@ -362,37 +376,12 @@ def _solve_fields(sc: Scenario, reach_kernel, safety_kernel) -> dict:
     return fields
 
 
-def _omega_samples(sc: Scenario) -> np.ndarray:
+def _omega(sc: Scenario, transient_only: bool) -> regions_mod.Box:
+    """The sampled reachable-superset box; see regions.compute_omega."""
     rng = np.random.default_rng(sc.point_seed)
-    return np.vstack([sc.grid.nodes(), sc.grid.box.sample(2000, rng)])
-
-
-def _default_omega(sc: Scenario) -> regions_mod.Box:
-    return regions_mod.compute_omega(sc.system, sc.grid.box, sc.regions, _omega_samples(sc))
-
-
-def _check_points(sc: Scenario, cert) -> np.ndarray:
-    interior = not isinstance(cert, GridCert)
-    return cert_mod.build_check_points(
-        sc.grid, _default_omega(sc), sc.extra_points, sc.point_seed,
-        interior_random=interior,
-    )
-
-
-def _stay_prob_after(kernel, x0, horizon: int) -> float:
-    """P(chain not yet absorbed after `horizon` steps from x0): the truncation
-    slack separating a finite-K Monte Carlo estimate from its limit."""
-    sweeps = min(horizon, 100_000)
-    Ptt = kernel.P[:, kernel.transient]
-    s = np.ones(kernel.n_transient)
-    for _ in range(sweeps):
-        if s.size == 0 or s.max() < 1e-15:
-            break
-        s = Ptt.dot(s)
-    values = np.zeros(kernel.grid.n_nodes)
-    values[kernel.transient] = s
-    fld = dp.ValueField(values, kernel.grid, outside_default=0.0)
-    return float(np.clip(dp.eval_field(fld, x0), 0.0, 1.0))
+    samples = np.vstack([sc.grid.nodes(), sc.grid.box.sample(2000, rng)])
+    return regions_mod.compute_omega(sc.system, sc.grid.box, sc.regions, samples,
+                                     transient_only=transient_only)
 
 
 def _threshold_verdicts(sc: Scenario, fields: dict) -> dict:
@@ -442,7 +431,7 @@ def _cmd_solve(sc: Scenario, out_dir: Path | None) -> Report:
         f"[{sc.grid.lower.tolist()}, {sc.grid.upper.tolist()}]; values are for "
         "the discretized chain, fidelity is empirical"
     ]
-    exact_ok = reach_kernel.n_transient <= 5000
+    exact_ok = reach_kernel.n_transient <= dp.EXACT_NODE_LIMIT
     per_x0 = []
     for x0 in sc.x0s:
         entry = {
@@ -516,60 +505,62 @@ def _cmd_assumption1(sc: Scenario) -> Report:
     return Report("assumption1", sc.name, {"assumption1": section})
 
 
-def _extract_all(sc: Scenario, fields: dict, omega) -> dict[str, tuple[Condition, object]]:
-    """Extract a certificate per condition kind at its tight threshold.
+# kind -> (field read at x0, tight threshold from that value): the value
+# function meets its condition with equality, so its own initial-state value
+# (complemented for the safety lower bound) is the best bound it supports.
+# Kinds read from a discounted field carry the scenario's gamma.
+_THRESHOLDS = {
+    KIND_SAFETY_LOWER: ("safety_exit", lambda v: min(1.0, 1.0 - v)),
+    KIND_UNSAFE_REACH_UPPER: ("reach_avoid", lambda v: min(1.0, v)),
+    KIND_RA_LOWER_A1: ("reach_avoid", lambda v: max(0.0, v)),
+    KIND_RA_LOWER_DISCOUNTED: ("discounted", lambda v: max(0.0, v)),
+    KIND_LIVENESS_UPPER_DISCOUNTED: ("discounted_exit", lambda v: max(0.0, v)),
+    KIND_RA_LOWER_PAIR: ("discounted", lambda v: max(0.0, v)),
+}
 
-    Thresholds are the extracted function's own initial-state value (or its
-    complement for the safety lower bound), i.e. the best bound the field
-    supports; the undiscounted reach-avoid kind is skipped when the
-    finite-time-exit check fails.
+
+def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
+                       only_kind: str | None) -> dict:
+    """Extract a certificate per condition kind at its tight threshold, check
+    it pointwise and, with ``out_dir``, save it.
+
+    The undiscounted reach-avoid kind is skipped when the finite-time-exit
+    check fails.  Omega and the check points are built once: every extracted
+    certificate is a GridCert, so all share the node-plus-exterior point set.
+    Returns kind -> (condition, check report, saved path or None).
     """
-    x0 = sc.x0s[0]
-    out: dict[str, tuple[Condition, object]] = {}
-
-    exit_v = dp.eval_field(fields["safety_exit"], x0)
-    cert = cert_mod.extract_certificate(fields, KIND_SAFETY_LOWER)
-    out[KIND_SAFETY_LOWER] = (Condition(KIND_SAFETY_LOWER, min(1.0, 1.0 - exit_v)), cert)
-
-    reach_v = dp.eval_field(fields["reach_avoid"], x0)
-    cert = cert_mod.extract_certificate(fields, KIND_UNSAFE_REACH_UPPER)
-    out[KIND_UNSAFE_REACH_UPPER] = (Condition(KIND_UNSAFE_REACH_UPPER, min(1.0, reach_v)), cert)
-
-    if fields["assumption1"].holds:
-        cert = cert_mod.extract_certificate(fields, KIND_RA_LOWER_A1)
-        out[KIND_RA_LOWER_A1] = (Condition(KIND_RA_LOWER_A1, max(0.0, reach_v)), cert)
-
-    disc_v = dp.eval_field(fields["discounted"], x0)
-    cert = cert_mod.extract_certificate(fields, KIND_RA_LOWER_DISCOUNTED)
-    out[KIND_RA_LOWER_DISCOUNTED] = (
-        Condition(KIND_RA_LOWER_DISCOUNTED, max(0.0, disc_v), gamma=sc.gamma), cert
-    )
-
-    dexit_v = dp.eval_field(fields["discounted_exit"], x0)
-    cert = cert_mod.extract_certificate(fields, KIND_LIVENESS_UPPER_DISCOUNTED)
-    out[KIND_LIVENESS_UPPER_DISCOUNTED] = (
-        Condition(KIND_LIVENESS_UPPER_DISCOUNTED, max(0.0, dexit_v), gamma=sc.gamma), cert
-    )
-
-    v, w = cert_mod.extract_certificate(fields, KIND_RA_LOWER_PAIR)
-    out[KIND_RA_LOWER_PAIR] = (
-        Condition(KIND_RA_LOWER_PAIR, max(0.0, disc_v), gamma=sc.gamma, omega=omega, w=w), v
-    )
-    return out
+    kinds = [k for k in ([only_kind] if only_kind else _THRESHOLDS)
+             if k != KIND_RA_LOWER_A1 or fields["assumption1"].holds]
+    if not kinds:
+        raise CertificateError(
+            f"extraction for {only_kind} unavailable "
+            "(finite-time-exit assumption may have failed)"
+        )
+    omega = _omega(sc, transient_only=False)
+    points = cert_mod.build_check_points(sc.grid, omega, sc.extra_points, sc.point_seed,
+                                         interior_random=False)
+    results = {}
+    for kind in kinds:
+        name, tight = _THRESHOLDS[kind]
+        gamma = sc.gamma if name.startswith("discounted") else None
+        cert, w = cert_mod.extract_certificate(fields, kind), None
+        if kind == KIND_RA_LOWER_PAIR:
+            cert, w = cert
+        cond = Condition(kind, tight(dp.eval_field(fields[name], sc.x0s[0])), gamma=gamma,
+                         omega=None if w is None else omega, w=w)
+        rep = cert_mod.check_condition(sc.system, sc.regions, cert, cond,
+                                       sc.x0s[0], points, sc.tolerance)
+        path = None
+        if out_dir:
+            path = out_dir / f"certificate_{kind}.yaml"
+            cert_mod.save_certificate(path, cond, cert)
+        results[kind] = (cond, rep, path)
+    return results
 
 
 def _cmd_extract(sc: Scenario, out_dir: Path | None, only_kind: str | None) -> Report:
     reach_kernel, safety_kernel = _kernels(sc)
     fields = _solve_fields(sc, reach_kernel, safety_kernel)
-    omega = _default_omega(sc)
-    extracted = _extract_all(sc, fields, omega)
-    if only_kind:
-        if only_kind not in extracted:
-            raise CertificateError(
-                f"extraction for {only_kind} unavailable "
-                "(finite-time-exit assumption may have failed)"
-            )
-        extracted = {only_kind: extracted[only_kind]}
     sections: dict = {}
     caveats = []
     if not fields["assumption1"].holds:
@@ -577,22 +568,16 @@ def _cmd_extract(sc: Scenario, out_dir: Path | None, only_kind: str | None) -> R
             "undiscounted reach-avoid extraction skipped: sup stay-probability "
             f"{fields['assumption1'].sup_stay_prob:.3g}"
         )
-    for kind, (cond, cert) in extracted.items():
-        points = _check_points(sc, cert)
-        report = cert_mod.check_condition(sc.system, sc.regions, cert, cond,
-                                          sc.x0s[0], points, sc.tolerance)
-        entry = {
+    for kind, (cond, rep, path) in _extract_and_check(sc, fields, out_dir, only_kind).items():
+        sections[kind] = {
             "threshold": cond.epsilon,
             "gamma": cond.gamma,
-            "self_check": "pass" if report.passed else "FAIL",
-            "min_slack": report.min_slack,
+            "self_check": "pass" if rep.passed else "FAIL",
+            "min_slack": rep.min_slack,
             "method": "pointwise-check",
         }
-        if out_dir:
-            path = out_dir / f"certificate_{kind}.yaml"
-            cert_mod.save_certificate(path, cond, cert)
-            entry["file"] = str(path)
-        sections[kind] = entry
+        if path:
+            sections[kind]["file"] = str(path)
     report = Report("extract", sc.name, sections, caveats)
     report.passed = all(v["self_check"] == "pass" for v in sections.values())
     return report
@@ -605,7 +590,9 @@ def _cmd_verify(sc: Scenario, certificate_path: str | None, only_kind: str | Non
     if only_kind and only_kind != cond.kind:
         cond = Condition(only_kind, cond.epsilon, gamma=cond.gamma,
                          omega=cond.omega, w=cond.w)
-    points = _check_points(sc, cert)
+    points = cert_mod.build_check_points(sc.grid, _omega(sc, transient_only=False),
+                                         sc.extra_points, sc.point_seed,
+                                         interior_random=not isinstance(cert, GridCert))
     report = cert_mod.check_condition(sc.system, sc.regions, cert, cond,
                                       sc.x0s, points, sc.tolerance)
     section = {
@@ -633,10 +620,7 @@ def _synth_points(sc: Scenario, kind: str) -> np.ndarray:
     one-step superset: unreachable unsafe samples would reject valid templates."""
     transient_only = kind in (KIND_RA_LOWER_A1, KIND_RA_LOWER_DISCOUNTED,
                               KIND_UNSAFE_REACH_UPPER, KIND_RA_LOWER_PAIR)
-    omega = regions_mod.compute_omega(
-        sc.system, sc.grid.box, sc.regions, _omega_samples(sc),
-        transient_only=transient_only,
-    )
+    omega = _omega(sc, transient_only)
     rng = np.random.default_rng(sc.point_seed + 1)
     count = max(sc.extra_points, 200)
     return omega.sample(count, rng)
@@ -681,7 +665,6 @@ def _cmd_synthesize(sc: Scenario, out_dir: Path | None, only_kind: str | None) -
 def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
     reach_kernel, safety_kernel = _kernels(sc)
     fields = _solve_fields(sc, reach_kernel, safety_kernel)
-    omega = _default_omega(sc)
     sections: dict = {}
     caveats: list[str] = []
     ok = True
@@ -694,8 +677,8 @@ def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
                                         sc.mc_trials, sc.mc_delta, sc.mc_seed)
         est_reach = mc.estimate_reach_avoid(sc.system, sc.regions, x0, sc.mc_horizon,
                                             sc.mc_trials, sc.mc_delta, sc.mc_seed)
-        slack_reach = _stay_prob_after(reach_kernel, x0, sc.mc_horizon)
-        slack_live = _stay_prob_after(safety_kernel, x0, sc.mc_horizon)
+        slack_reach = dp.stay_probability(reach_kernel, x0, sc.mc_horizon)
+        slack_live = dp.stay_probability(safety_kernel, x0, sc.mc_horizon)
         reach_ok = abs(dp_reach - est_reach.p_hat) <= est_reach.half_width + slack_reach + 1e-9
         live_ok = abs(dp_live - est_live.p_hat) <= est_live.half_width + slack_live + 1e-9
         ok = ok and reach_ok and live_ok
@@ -717,12 +700,8 @@ def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
     a1 = fields["assumption1"]
     sections["assumption1"] = {"holds": a1.holds, "sup_stay_probability": a1.sup_stay_prob}
 
-    extracted = _extract_all(sc, fields, omega)
     cert_section = {}
-    for kind, (cond, cert) in extracted.items():
-        points = _check_points(sc, cert)
-        rep = cert_mod.check_condition(sc.system, sc.regions, cert, cond,
-                                       sc.x0s[0], points, sc.tolerance)
+    for kind, (cond, rep, path) in _extract_and_check(sc, fields, out_dir, None).items():
         ok = ok and rep.passed
         cert_section[kind] = {
             "threshold": cond.epsilon,
@@ -731,9 +710,7 @@ def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
             "points": rep.n_points,
             "method": "pointwise-check",
         }
-        if out_dir:
-            path = out_dir / f"certificate_{kind}.yaml"
-            cert_mod.save_certificate(path, cond, cert)
+        if path:
             cert_section[kind]["file"] = str(path)
     sections["certificates"] = cert_section
     if not a1.holds:

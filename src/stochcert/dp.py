@@ -41,6 +41,7 @@ __all__ = [
     "solve_discounted",
     "solve_exact_small",
     "check_assumption1",
+    "stay_probability",
     "eval_field",
     "eval_field_batch",
     "field_to_csv",
@@ -50,7 +51,7 @@ MODE_REACH_AVOID = "reach_avoid"  # absorb at target and unsafe
 MODE_SAFETY = "safety"  # absorb at unsafe only; target plays no role
 
 _MASS_TOL = 1e-9
-_EXACT_NODE_LIMIT = 5000
+EXACT_NODE_LIMIT = 5000
 
 
 class GridTooSmallError(RuntimeError):
@@ -108,10 +109,6 @@ class Grid:
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, self.n)
-
-    def node_coords(self, index: int) -> np.ndarray:
-        multi = np.unravel_index(index, tuple(self.cells))
-        return self.lower + (np.asarray(multi) + 0.5) * self.spacing
 
 
 def build_grid(lower, upper, cells) -> Grid:
@@ -198,17 +195,12 @@ class TransitionKernel:
     """
 
     grid: Grid
-    regions: RegionSpec
-    model: SystemModel
     mode: str
-    node_class: np.ndarray  # (N,) StateClass codes
     transient: np.ndarray  # global indices of transient nodes
     one_nodes: np.ndarray  # absorbing nodes with value 1
-    zero_nodes: np.ndarray  # absorbing nodes with value 0
     one_mass: np.ndarray  # (T,)
     zero_mass: np.ndarray  # (T,)
     P: sp.csr_matrix  # (T, N)
-    outcome_kind: np.ndarray  # (T, K): 0 mix, 1 absorb-one, 2 absorb-zero
 
     @property
     def n_transient(self) -> int:
@@ -220,29 +212,6 @@ class TransitionKernel:
         v = np.zeros(self.grid.n_nodes)
         v[self.one_nodes] = 1.0
         return v
-
-    def atom_outcomes(self, node_index: int):
-        """Per-atom outcome of one transient node: (prob, kind, weights).
-
-        kind is 'target'/'unsafe' for absorption (per the kernel mode) and
-        'mix' with a list of (node, weight) otherwise.  Recomputed on demand.
-        """
-        local = int(np.flatnonzero(self.transient == node_index)[0])
-        x = self.grid.node_coords(node_index)
-        out = []
-        one_label = "target" if self.mode == MODE_REACH_AVOID else "unsafe"
-        for k, (atom, p) in enumerate(zip(self.model.dist.atoms, self.model.dist.probs)):
-            kind = int(self.outcome_kind[local, k])
-            if kind == 1:
-                out.append((float(p), one_label, None))
-            elif kind == 2:
-                out.append((float(p), "unsafe", None))
-            else:
-                y = model_mod.step(self.model, x, atom)
-                idx, w = _interp_weights(self.grid, y.reshape(1, -1))
-                pairs = [(int(i), float(wi)) for i, wi in zip(idx[0], w[0]) if wi > 0]
-                out.append((float(p), "mix", pairs))
-        return out
 
 
 def build_kernel(
@@ -263,24 +232,20 @@ def build_kernel(
     if mode == MODE_REACH_AVOID:
         transient_mask = node_class == int(StateClass.SAFE)
         one_mask = node_class == int(StateClass.TARGET)
-        zero_mask = node_class == int(StateClass.UNSAFE)
     else:
         transient_mask = node_class != int(StateClass.UNSAFE)
         one_mask = node_class == int(StateClass.UNSAFE)
-        zero_mask = np.zeros_like(transient_mask)
 
     transient = np.flatnonzero(transient_mask)
     n_tr = transient.shape[0]
-    n_atoms = system.dist.atoms.shape[0]
     one_mass = np.zeros(n_tr)
     zero_mass = np.zeros(n_tr)
-    outcome_kind = np.zeros((n_tr, n_atoms), dtype=np.int8)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     xs = nodes[transient]
 
-    for k, (atom, p) in enumerate(zip(system.dist.atoms, system.dist.probs)):
+    for atom, p in zip(system.dist.atoms, system.dist.probs):
         ths = np.broadcast_to(atom, (n_tr, system.m))
         ys = model_mod.step_batch(system, xs, ths, strict=True)
         img_class = classify_batch(regions, ys)
@@ -301,8 +266,6 @@ def build_kernel(
             )
         one_mass[absorb_one] += p
         zero_mass[absorb_zero] += p
-        outcome_kind[absorb_one, k] = 1
-        outcome_kind[absorb_zero, k] = 2
         if mix.any():
             idx, w = _interp_weights(grid, ys[mix])
             local = np.flatnonzero(mix)
@@ -324,17 +287,12 @@ def build_kernel(
 
     return TransitionKernel(
         grid=grid,
-        regions=regions,
-        model=system,
         mode=mode,
-        node_class=node_class,
         transient=transient,
         one_nodes=np.flatnonzero(one_mask),
-        zero_nodes=np.flatnonzero(zero_mask),
         one_mass=one_mass,
         zero_mass=zero_mass,
         P=P,
-        outcome_kind=outcome_kind,
     )
 
 
@@ -429,9 +387,9 @@ def solve_exact_small(kernel: TransitionKernel, objective: str = "reach_avoid",
                       gamma: float = 1.0) -> ValueField:
     """Dense linear solve of (I - gamma P) v = gamma b on the transient block.
 
-    Brute-force oracle for the iterative solvers; limited to 5000 transient
-    nodes.  A singular system at gamma = 1 means mass can stay transient
-    forever, i.e. the finite-time-exit assumption fails numerically.
+    Brute-force oracle for the iterative solvers; limited to EXACT_NODE_LIMIT
+    transient nodes.  A singular system at gamma = 1 means mass can stay
+    transient forever, i.e. the finite-time-exit assumption fails numerically.
     """
     if objective == "reach_avoid":
         if kernel.mode != MODE_REACH_AVOID:
@@ -448,7 +406,7 @@ def solve_exact_small(kernel: TransitionKernel, objective: str = "reach_avoid",
         raise ValueError(f"unknown objective {objective!r}")
 
     n_tr = kernel.n_transient
-    if n_tr > _EXACT_NODE_LIMIT:
+    if n_tr > EXACT_NODE_LIMIT:
         raise ValueError(f"{n_tr} transient nodes exceed the dense-solve limit")
     values = kernel.absorbed_values()
     if n_tr:
@@ -507,3 +465,18 @@ def check_assumption1(kernel: TransitionKernel, tol: float = 1e-9,
         if change < tol * 1e-3:
             return Assumption1Result(False, sup, iterations, True)
     return Assumption1Result(False, float(s.max()), max_iter, False)
+
+
+def stay_probability(kernel: TransitionKernel, x0, horizon: int) -> float:
+    """P(chain not yet absorbed after `horizon` steps from x0): the truncation
+    slack separating a finite-horizon Monte Carlo estimate from its limit."""
+    sweeps = min(horizon, 100_000)
+    Ptt = kernel.P[:, kernel.transient]
+    s = np.ones(kernel.n_transient)
+    for _ in range(sweeps):
+        if s.size == 0 or s.max() < 1e-15:
+            break
+        s = Ptt.dot(s)
+    values = np.zeros(kernel.grid.n_nodes)
+    values[kernel.transient] = s
+    return float(np.clip(eval_field(ValueField(values, kernel.grid), x0), 0.0, 1.0))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from stochcert import cli
+from stochcert import certificate, cli, regions
 from stochcert.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -97,6 +97,30 @@ class TestLoading:
         values = report.sections["values"]
         assert len(values) == 2
         assert values[1]["reach_avoid"]["value"] == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("block, key, value, message", [
+        ("system", "n", "one", "system.n must be an integer"),
+        ("system", "m", 1.5, "system.m must be an integer"),
+        ("mc", "horizon", "long", "mc.horizon must be an integer"),
+        ("mc", "trials", [100], "mc.trials must be an integer"),
+        ("mc", "seed", "abc", "mc.seed must be an integer"),
+        ("check", "extra_points", "many", "check.extra_points must be an integer"),
+        ("check", "point_seed", 2.5, "check.point_seed must be an integer"),
+        (None, "initial_state", ["three"], "initial_state must give"),
+        (None, "thresholds", [0.1, 0.2], "malformed block: thresholds"),
+    ])
+    def test_malformed_value_exits_with_validation_error(self, tmp_path, capsys,
+                                                         block, key, value, message):
+        doc = _walk_doc()
+        (doc[block] if block else doc)[key] = value
+        doc["mc"]["delta"] = 2.0  # a second error, to show all are collected
+        code = main(["--scenario", str(_write(tmp_path, doc)), "--command", "solve",
+                     "--quiet"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert message in err
+        assert "mc.delta must lie in (0, 1)" in err
+        assert "Traceback" not in err
 
     def test_gaussian_disturbance_block(self, tmp_path):
         doc = _walk_doc()
@@ -222,6 +246,40 @@ class TestCommands:
             assert report.passed, f"{name}: {report.to_text()}"
             for entry in report.sections["dp_vs_mc"]:
                 assert entry["reach_avoid"]["agree"] and entry["liveness"]["agree"]
+
+    def test_report_all_builds_omega_and_check_points_once(self, monkeypatch):
+        calls = {"compute_omega": 0, "build_check_points": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(regions, "compute_omega")
+        counting(certificate, "build_check_points")
+        sc = load_scenario(SCENARIOS / "symmetric_walk.yaml")
+        report = run("report-all", sc)
+        assert len(report.sections["certificates"]) == 6
+        # one omega for the certificate checks, one for the synthesis samples
+        assert calls["compute_omega"] <= 2
+        assert calls["build_check_points"] == 1
+
+    @pytest.mark.parametrize("name", ["symmetric_walk", "biased_walk",
+                                      "invariant_contraction"])
+    def test_extract_and_report_all_agree(self, tmp_path, name):
+        sc = load_scenario(SCENARIOS / f"{name}.yaml")
+        extract = run("extract", sc, out_dir=tmp_path / "extract").sections
+        full = run("report-all", sc, out_dir=tmp_path / "report").sections["certificates"]
+        assert list(extract) == list(full)
+        for kind, entry in extract.items():
+            assert entry["threshold"] == full[kind]["threshold"]
+            assert entry["min_slack"] == full[kind]["min_slack"]
+            assert (Path(entry["file"]).read_bytes()
+                    == Path(full[kind]["file"]).read_bytes())
 
     def test_unknown_condition_kind(self):
         sc = load_scenario(SCENARIOS / "symmetric_walk.yaml")

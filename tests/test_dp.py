@@ -41,28 +41,21 @@ class TestGrid:
         with pytest.raises(ValueError):
             build_grid([1.0], [0.0], [4])
 
-    def test_index_bijection(self):
-        grid = build_grid([0.0, -1.0, 2.0], [1.0, 1.0, 3.0], [3, 4, 2])
-        nodes = grid.nodes()
-        for i in range(grid.n_nodes):
-            np.testing.assert_allclose(grid.node_coords(i), nodes[i])
-
 
 class TestKernel:
     def test_gambler_outcomes(self, gambler):
         k = gambler["reach_kernel"]
-        # interior node 3: both atoms stay transient, weight 1 on the exact node
-        outcomes = k.atom_outcomes(3)
-        assert [kind for _, kind, _ in outcomes] == ["mix", "mix"]
-        weights = {w[0][0] for _, _, w in outcomes}
-        assert weights == {2, 4}
-        assert all(abs(w[0][1] - 1.0) < 1e-12 for _, _, w in outcomes)
+        row = {int(node): t for t, node in enumerate(k.transient)}
+        # interior node 3: both atoms stay transient, each landing exactly on
+        # a node, so half the mass goes to node 2 and half to node 4
+        spread = k.P[row[3]].toarray().ravel()
+        assert np.flatnonzero(spread).tolist() == [2, 4]
+        np.testing.assert_allclose(spread[[2, 4]], 0.5, atol=1e-12)
+        assert k.one_mass[row[3]] == 0.0 and k.zero_mass[row[3]] == 0.0
         # node 9: +1 hits the target
-        outcomes = k.atom_outcomes(9)
-        assert ("target" in [kind for _, kind, _ in outcomes])
+        assert k.one_mass[row[9]] == pytest.approx(0.5)
         # node 1: -1 exits
-        outcomes = k.atom_outcomes(1)
-        assert ("unsafe" in [kind for _, kind, _ in outcomes])
+        assert k.zero_mass[row[1]] == pytest.approx(0.5)
 
     def test_mass_conserved(self, gambler):
         k = gambler["reach_kernel"]
