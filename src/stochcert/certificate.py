@@ -542,6 +542,11 @@ def save_certificate(path, cond: Condition, cert: CertFunction) -> None:
 def load_certificate(path) -> tuple[Condition, CertFunction]:
     with open(path) as fh:
         doc = yaml.safe_load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("a certificate file holds a mapping")
+    missing = [key for key in ("kind", "epsilon", "function") if key not in doc]
+    if missing:
+        raise ValueError(f"missing field(s) {', '.join(missing)}")
     cert = _cert_from_dict(doc["function"])
     omega = None
     if "omega" in doc:

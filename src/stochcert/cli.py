@@ -458,8 +458,14 @@ def _cmd_solve(sc: Scenario, out_dir: Path | None) -> Report:
             # mass can stay transient forever; the iterative least fixed
             # point is still the value function, only the oracle is unusable
             sections["cross_check"] = {"exact_solve": f"unavailable: {exc}"}
-    if not fields["reach_avoid"].converged or not fields["safety_exit"].converged:
-        caveats.append("iteration hit the sweep cap; values are valid lower bounds")
+    sections["solver"] = {}
+    for name in ("reach_avoid", "safety_exit", "discounted", "discounted_exit"):
+        fld = fields[name]
+        sections["solver"][name] = {"method": "prob0+bicgstab", "iterations": fld.iterations,
+                                    "error_bound": fld.error_bound}
+        if not fld.converged:
+            caveats.append(f"{name}: solver error bound {fld.error_bound:.3g} "
+                           "exceeds the requested tolerance; values are within that bound")
     if out_dir:
         for name in ("reach_avoid", "safety_exit", "discounted"):
             path = out_dir / f"field_{name}.csv"
@@ -586,10 +592,13 @@ def _cmd_extract(sc: Scenario, out_dir: Path | None, only_kind: str | None) -> R
 def _cmd_verify(sc: Scenario, certificate_path: str | None, only_kind: str | None) -> Report:
     if not certificate_path:
         raise ScenarioError(["verify needs --certificate <file>"])
-    cond, cert = cert_mod.load_certificate(certificate_path)
-    if only_kind and only_kind != cond.kind:
-        cond = Condition(only_kind, cond.epsilon, gamma=cond.gamma,
-                         omega=cond.omega, w=cond.w)
+    try:
+        cond, cert = cert_mod.load_certificate(certificate_path)
+        if only_kind and only_kind != cond.kind:
+            cond = Condition(only_kind, cond.epsilon, gamma=cond.gamma,
+                             omega=cond.omega, w=cond.w)
+    except (OSError, yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError([f"certificate {certificate_path}: {exc}"]) from exc
     points = cert_mod.build_check_points(sc.grid, _omega(sc, transient_only=False),
                                          sc.extra_points, sc.point_seed,
                                          interior_random=not isinstance(cert, GridCert))

@@ -4,14 +4,15 @@ The continuous system is restricted to an absorbing chain on grid-cell
 centers: one-step images that land in an absorbing class (target or unsafe,
 depending on the kernel mode) absorb their probability mass, images that stay
 transient are spread over the surrounding nodes by multilinear interpolation.
-Three value problems share one sweep:
+Three value problems share one fixed point:
 
     v = gamma * (b + P v)   on transient nodes,
 
-where b is the per-node mass absorbed directly into the value-one class.
-Undiscounted iteration from zero is monotone non-decreasing and converges to
-the least fixed point, which is the value function; iterates are valid lower
-bounds throughout.
+where b is the per-node mass absorbed into the value-one class.  The value
+function is the least fixed point.  One solver finds it for all three: a graph
+pass sets nodes that cannot reach the value-one class to 0 (Baier & Katoen,
+Principles of Model Checking, 10.1), BiCGSTAB solves the nonsingular rest, and
+an a-posteriori bound on the sup-norm error comes with every field.
 """
 
 from __future__ import annotations
@@ -152,6 +153,7 @@ class ValueField:
     outside_default: float = 0.0
     converged: bool = True
     iterations: int = 0
+    error_bound: float = 0.0  # sup-norm bound on the solver error at the nodes
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -306,64 +308,102 @@ def apply_bellman(kernel: TransitionKernel, values: np.ndarray, gamma: float = 1
     return out
 
 
-def _iterate(kernel, gamma, tol, max_iter, check_monotone):
-    """Fixed-point sweeps until the estimated sup-norm error drops below tol.
+def _reach(M: sp.csr_matrix, seeds: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rows of the non-negative matrix ``M`` with a path into the boolean
+    mask ``seeds``, by repeated boolean mat-vecs; also the rounds taken."""
+    hit, rounds = seeds.copy(), 0
+    while True:
+        rounds += 1
+        nxt = hit | (M.dot(hit.astype(float)) > 0)
+        if (nxt == hit).all():
+            return hit, rounds
+        hit = nxt
 
-    Discounted (gamma < 1): change < tol*(1-gamma) bounds the error by tol.
-    Undiscounted: no a-priori contraction factor, so the residual error
-    change * r/(1-r) is extrapolated from the observed change ratio r.
-    """
-    v = kernel.absorbed_values()
-    converged = False
-    iterations = 0
-    prev_change = None
-    for iterations in range(1, max_iter + 1):
-        nxt = apply_bellman(kernel, v, gamma)
-        if check_monotone and np.any(nxt < v - 1e-12):
-            raise AssertionError("monotone iteration decreased")
-        change = float(np.max(np.abs(nxt - v))) if v.size else 0.0
-        v = nxt
-        if gamma < 1.0:
-            if change < tol * (1.0 - gamma):
-                converged = True
+
+def _bicgstab(A, b: np.ndarray, target: float, max_iter: int):
+    """BiCGSTAB (van der Vorst 1992) for A x = b from x = 0, restarted from the
+    true residual until ||b - A x||_inf <= target, a restart stops lowering
+    it, or max_iter iterations are spent.  Returns (x, ||b - A x||_inf, iters)."""
+    x, r, iters = np.zeros_like(b), b.copy(), 0
+    res = float(np.abs(r).max(initial=0.0))
+    while res > target and iters < max_iter:
+        y, r_hat, p, v = x.copy(), r.copy(), np.zeros_like(b), np.zeros_like(b)
+        rho = alpha = omega = 1.0
+        while iters < max_iter and np.abs(r).max() > target:
+            rho_next = r_hat @ r
+            if rho_next == 0.0 or omega == 0.0:
                 break
-        elif change == 0.0:
-            converged = True
+            iters += 1
+            p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+            v = A(p)
+            rv = r_hat @ v
+            alpha = rho_next / rv if rv != 0.0 else 0.0
+            s = r - alpha * v
+            t = A(s)
+            tt = t @ t
+            omega = (t @ s) / tt if tt > 0.0 else 0.0
+            y += alpha * p + omega * s
+            r, rho = s - omega * t, rho_next
+        r = b - A(y)
+        res_y = float(np.abs(r).max())
+        if not res_y < res:  # stagnation or breakdown: keep the better iterate
             break
-        elif prev_change is not None and change < tol:
-            ratio = change / prev_change
-            if ratio < 1.0 and change * ratio / (1.0 - ratio) < tol:
-                converged = True
-                break
-            if change < tol * 1e-3:  # ratio estimate unstable but change tiny
-                converged = True
-                break
-        prev_change = change
-    return v, converged, iterations
+        x, res = y, res_y
+    return x, res, iters
+
+
+def _solve(kernel: TransitionKernel, gamma: float, tol: float, max_iter: int,
+           outside: float) -> ValueField:
+    """Value of v = gamma * (b + P v) on transient nodes.
+
+    Prob0: nodes with no path into the value-one class get exactly 0.  The
+    rest solve (I - gamma P_kk) v = gamma b_k by BiCGSTAB.  With residual r,
+    the error is (I - gamma P_kk)^-1 r, whose sup norm is at most
+    ||r|| / (1 - gamma), and at gamma = 1 at most ||r|| * max E[T], E[T] being
+    the expected absorption time; a second solve (I - P_kk) t = 1 - e bounds it
+    by ||t|| / (1 - ||e||) because (I - P_kk)^-1 >= 0.  Values are clipped
+    to [0, 1], where the true ones lie, which cannot add error.
+    """
+    values = kernel.absorbed_values()
+    Ptt = kernel.P[:, kernel.transient]
+    b = kernel.one_mass + kernel.P.dot(values)
+    live = _reach(Ptt, b > 0)[0]
+    Pkk = Ptt[live][:, live]
+
+    def A(x):
+        return x - gamma * Pkk.dot(x)
+
+    scale = 1.0 / (1.0 - gamma) if gamma < 1.0 else 1.0
+    iters = 0
+    if gamma == 1.0 and live.any():
+        # ||e|| <= 1e-6 loosens the bound by at most one part in a million
+        t, e, iters = _bicgstab(A, np.ones(Pkk.shape[0]), 1e-6, max_iter)
+        scale = np.abs(t).max() / (1.0 - e) if e < 1.0 else np.inf
+    v, res, it = _bicgstab(A, gamma * b[live], tol / scale, max_iter - iters)
+    bound = res * scale if res else 0.0
+    values[kernel.transient[live]] = np.clip(v, 0.0, 1.0)
+    return ValueField(values, kernel.grid, outside_default=outside,
+                      converged=bound <= tol, iterations=iters + it, error_bound=bound)
 
 
 def solve_reach_avoid(kernel: TransitionKernel, tol: float = 1e-9,
                       max_iter: int = 10 ** 6) -> ValueField:
-    """Least fixed point of the reach-avoid recursion, seeded at the target
-    indicator.  Iterates increase monotonically; on non-convergence the
-    returned field is still a valid lower bound and is flagged."""
+    """Least fixed point of the reach-avoid recursion: the probability of
+    reaching the target before leaving X.  ``converged`` is False when the
+    sound ``error_bound`` exceeds ``tol`` after ``max_iter`` Krylov
+    iterations."""
     if kernel.mode != MODE_REACH_AVOID:
         raise ValueError("solve_reach_avoid needs a reach_avoid-mode kernel")
-    v, converged, iters = _iterate(kernel, 1.0, tol, max_iter, check_monotone=True)
-    return ValueField(v, kernel.grid, outside_default=0.0,
-                      converged=converged, iterations=iters)
+    return _solve(kernel, 1.0, tol, max_iter, outside=0.0)
 
 
 def solve_safety_exit(kernel: TransitionKernel, tol: float = 1e-9,
                       max_iter: int = 10 ** 6) -> ValueField:
-    """Least fixed point of the exit recursion (probability of ever leaving X),
-    seeded at the outside-X indicator.  The liveness probability is one minus
-    this field."""
+    """Least fixed point of the exit recursion (probability of ever leaving X).
+    The liveness probability is one minus this field."""
     if kernel.mode != MODE_SAFETY:
         raise ValueError("solve_safety_exit needs a safety-mode kernel")
-    v, converged, iters = _iterate(kernel, 1.0, tol, max_iter, check_monotone=True)
-    return ValueField(v, kernel.grid, outside_default=1.0,
-                      converged=converged, iterations=iters)
+    return _solve(kernel, 1.0, tol, max_iter, outside=1.0)
 
 
 def solve_discounted(kernel: TransitionKernel, gamma: float, tol: float = 1e-9,
@@ -372,22 +412,19 @@ def solve_discounted(kernel: TransitionKernel, gamma: float, tol: float = 1e-9,
 
     On a reach_avoid kernel this is the discounted reach-avoid value (a lower
     bound of the undiscounted one); on a safety kernel it is the discounted
-    exit value.  Geometric convergence with factor gamma; the stopping rule
-    scales the sup-norm change by (1 - gamma).
+    exit value.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1); at 1 the solution is not unique")
-    v, converged, iters = _iterate(kernel, gamma, tol, max_iter, check_monotone=False)
-    outside = 0.0 if kernel.mode == MODE_REACH_AVOID else 1.0
-    return ValueField(v, kernel.grid, outside_default=outside,
-                      converged=converged, iterations=iters)
+    return _solve(kernel, gamma, tol, max_iter,
+                  outside=0.0 if kernel.mode == MODE_REACH_AVOID else 1.0)
 
 
 def solve_exact_small(kernel: TransitionKernel, objective: str = "reach_avoid",
                       gamma: float = 1.0) -> ValueField:
     """Dense linear solve of (I - gamma P) v = gamma b on the transient block.
 
-    Brute-force oracle for the iterative solvers; limited to EXACT_NODE_LIMIT
+    Brute-force oracle for the Krylov solvers; limited to EXACT_NODE_LIMIT
     transient nodes.  A singular system at gamma = 1 means mass can stay
     transient forever, i.e. the finite-time-exit assumption fails numerically.
     """
@@ -434,37 +471,26 @@ def solve_exact_small(kernel: TransitionKernel, objective: str = "reach_avoid",
 @dataclass
 class Assumption1Result:
     holds: bool
-    sup_stay_prob: float  # upper bound: the iterates decrease to the limit
-    iterations: int
+    sup_stay_prob: float  # exactly 0.0 or 1.0: a graph fact, not an estimate
+    iterations: int  # graph rounds
     converged: bool
 
 
-def check_assumption1(kernel: TransitionKernel, tol: float = 1e-9,
-                      max_iter: int = 10 ** 6) -> Assumption1Result:
-    """Estimate sup_x P(stay in X minus X_r forever) by iterating the
-    stay-probability recursion downward from one.
+def check_assumption1(kernel: TransitionKernel) -> Assumption1Result:
+    """Decide whether sup_x P(stay in X minus X_r forever) is zero.
 
-    The assumption holds when the sup drops below ``tol``.  If the iteration
-    stalls at a positive level (e.g. an invariant subset exists) the current
-    sup is reported as an upper bound and the verdict is False.
+    On a finite chain it is zero iff every transient node has a path to a
+    node that leaks mass out of the transient set; otherwise a closed
+    transient class keeps its mass forever and the sup is one.
     """
     if kernel.mode != MODE_REACH_AVOID:
         raise ValueError("check_assumption1 needs a reach_avoid-mode kernel")
-    n_tr = kernel.n_transient
-    if n_tr == 0:
-        return Assumption1Result(True, 0.0, 0, True)
-    Ptt = kernel.P[:, kernel.transient]
-    s = np.ones(n_tr)
-    for iterations in range(1, max_iter + 1):
-        nxt = Ptt.dot(s)
-        sup = float(nxt.max())
-        change = float(np.max(np.abs(nxt - s)))
-        s = nxt
-        if sup < tol:
-            return Assumption1Result(True, sup, iterations, True)
-        if change < tol * 1e-3:
-            return Assumption1Result(False, sup, iterations, True)
-    return Assumption1Result(False, float(s.max()), max_iter, False)
+    absorbing = np.ones(kernel.grid.n_nodes)
+    absorbing[kernel.transient] = 0.0
+    leak = kernel.one_mass + kernel.zero_mass + kernel.P.dot(absorbing) > 0
+    exits, rounds = _reach(kernel.P[:, kernel.transient], leak)
+    holds = bool(exits.all())
+    return Assumption1Result(holds, 0.0 if holds else 1.0, rounds, True)
 
 
 def stay_probability(kernel: TransitionKernel, x0, horizon: int) -> float:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +155,28 @@ class TestCommands:
         verdicts = report.sections["thresholds"]
         assert verdicts["reach_avoid"]["certified"]  # 0.3 >= epsilon2 = 0.29
         assert verdicts["liveness"]["certified"]  # 0 >= epsilon1 = 0
+
+    def test_solve_reports_solver_bounds(self):
+        sc = load_scenario(SCENARIOS / "symmetric_walk.yaml")
+        report = run("solve", sc)
+        solver = report.sections["solver"]
+        assert set(solver) == {"reach_avoid", "safety_exit", "discounted", "discounted_exit"}
+        for entry in solver.values():
+            assert entry["method"] == "prob0+bicgstab"
+            assert isinstance(entry["iterations"], int)
+            assert 0.0 <= entry["error_bound"] <= 1e-9
+        assert not any("solver error bound" in c for c in report.caveats)
+
+    def test_solve_caveat_quotes_bound_when_not_converged(self, monkeypatch):
+        solve_exit = cli.dp.solve_safety_exit
+        monkeypatch.setattr(cli.dp, "solve_safety_exit",
+                            lambda kernel: solve_exit(kernel, max_iter=1))
+        report = run("solve", load_scenario(SCENARIOS / "symmetric_walk.yaml"))
+        bound = report.sections["solver"]["safety_exit"]["error_bound"]
+        assert bound > 1e-9
+        assert [c for c in report.caveats if "solver error bound" in c] == [
+            f"safety_exit: solver error bound {bound:.3g} exceeds the requested "
+            "tolerance; values are within that bound"]
 
     def test_report_all_fails_uncertified_threshold(self, tmp_path):
         doc = _walk_doc()
@@ -345,6 +370,50 @@ class TestMain:
                      "--command", "verify", "--certificate", str(cert_file),
                      "--quiet"])
         assert code == EXIT_REJECTED
+
+    @pytest.mark.parametrize("condition, edit, message", [
+        ("ra_lower_discounted", None, "needs gamma"),
+        ("liveness_upper_discounted", None, "needs gamma"),
+        (None, lambda d: d.pop("function"), "missing field(s) function"),
+        (None, lambda d: d.pop("kind"), "missing field(s) kind"),
+        (None, lambda d: d.pop("epsilon"), "missing field(s) epsilon"),
+        (None, lambda d: d.update(kind="bogus"), "unknown condition kind"),
+        (None, lambda d: d["function"].update(representation="spline"), "representation"),
+    ], ids=["ra_discounted_without_gamma", "liveness_discounted_without_gamma", "no_function",
+            "no_kind", "no_epsilon", "unknown_kind", "unknown_representation"])
+    def test_malformed_certificate_exits_with_validation_error(
+            self, tmp_path, capsys, condition, edit, message):
+        walk = str(SCENARIOS / "symmetric_walk.yaml")
+        main(["--scenario", walk, "--command", "extract", "--out", str(tmp_path), "--quiet"])
+        cert_file = tmp_path / "certificate_ra_lower_a1.yaml"  # saved without gamma
+        if edit:
+            doc = yaml.safe_load(cert_file.read_text())
+            edit(doc)
+            cert_file.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        argv = ["--scenario", walk, "--command", "verify", "--certificate", str(cert_file),
+                "--quiet"] + (["--condition", condition] if condition else [])
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_dp_commands_leave_scipy_solver_modules_unimported(self):
+        # scipy.sparse.linalg and scipy.linalg cost memory and start-up time
+        # on every process; the DP commands need neither
+        walk = str(SCENARIOS / "symmetric_walk.yaml")
+        code = (
+            "import sys; from stochcert import cli\n"
+            "for cmd in ('solve', 'assumption1'):\n"
+            f"    cli.main(['--scenario', {walk!r}, '--command', cmd, '--quiet'])\n"
+            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.linalg',"
+            " 'scipy.sparse.csgraph') if m in sys.modules))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert out.strip() == "[]"
 
     def test_numeric_failure_exit(self, tmp_path, capsys):
         doc = _walk_doc()

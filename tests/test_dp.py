@@ -19,6 +19,18 @@ from stochcert.dp import (
 from conftest import chain_solve, make_walk, ruin_probability, walk_grid, walk_regions
 
 
+def jacobi(kernel, gamma=1.0, sweeps=5000):
+    """Reference fixed point: plain Jacobi sweeps of v = gamma * (b + P v)
+    from the absorbed values, far past convergence on the small fixtures."""
+    v = np.zeros(kernel.grid.n_nodes)
+    v[kernel.one_nodes] = 1.0
+    for _ in range(sweeps):
+        nxt = v.copy()
+        nxt[kernel.transient] = gamma * (kernel.one_mass + kernel.P.dot(v))
+        v = nxt
+    return v
+
+
 class TestGrid:
     def test_1d_midpoints(self):
         grid = build_grid([-1.0], [12.0], [13])
@@ -166,6 +178,56 @@ class TestSolvers:
                 assert lhs <= gamma * np.max(np.abs(u - v)) + 1e-12
 
 
+class TestAgainstJacobi:
+    @pytest.mark.parametrize("name", ["gambler", "biased", "contraction"])
+    def test_all_objectives_match_jacobi(self, request, name):
+        fix = request.getfixturevalue(name)
+        reach, safety = fix["reach_kernel"], fix["safety_kernel"]
+        cases = [
+            (solve_reach_avoid(reach), jacobi(reach)),
+            (solve_safety_exit(safety), jacobi(safety)),
+            (solve_discounted(reach, 0.9), jacobi(reach, 0.9)),
+            (solve_discounted(safety, 0.9), jacobi(safety, 0.9)),
+        ]
+        for fld, want in cases:
+            err = np.max(np.abs(fld.values - want))
+            assert err <= 1e-9
+            # the oracle itself carries rounding error of order 1e-16
+            assert fld.converged and err <= fld.error_bound + 1e-15
+
+
+class TestLongChain:
+    """A 200-state symmetric gambler's ruin mixes slowly: sweep-based stopping
+    rules stop short there, a residual-based bound does not."""
+
+    N = 200
+
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        reg = regions.RegionSpec(
+            safe=expr.parse_predicate(f"x1 > 0 && x1 < {self.N + 1}", 1),
+            target=expr.parse_predicate(f"x1 >= {self.N} && x1 < {self.N + 1}", 1),
+        )
+        grid = build_grid([-0.5], [self.N + 1.5], [self.N + 2])  # nodes 0..201
+        return build_kernel(make_walk(0.5), grid, reg, dp.MODE_REACH_AVOID)
+
+    def test_reach_avoid_matches_closed_form_within_bound(self, kernel):
+        tol = 1e-9
+        fld = solve_reach_avoid(kernel, tol=tol)
+        nodes = np.arange(self.N + 2)
+        want = np.where(nodes <= self.N, nodes / self.N, 0.0)
+        err = np.max(np.abs(fld.values - want))
+        assert err <= tol
+        assert err <= fld.error_bound <= tol
+        assert fld.converged
+
+    def test_iteration_cap_flags_loose_bound(self, kernel):
+        fld = solve_reach_avoid(kernel, tol=1e-9, max_iter=5)
+        assert fld.iterations <= 5
+        assert not fld.converged and fld.error_bound > 1e-9
+        assert ((fld.values >= 0.0) & (fld.values <= 1.0)).all()
+
+
 class TestExactSolve:
     def test_symmetric_closed_form(self, gambler):
         fld = solve_exact_small(gambler["reach_kernel"], "reach_avoid")
@@ -204,12 +266,15 @@ class TestExactSolve:
 class TestAssumption1:
     def test_gambler_holds(self, gambler):
         res = check_assumption1(gambler["reach_kernel"])
-        assert res.holds and res.sup_stay_prob < 1e-9
+        assert res.holds and res.sup_stay_prob == 0.0
+        # node 5 is four steps from either end: four growing rounds plus one
+        # that finds nothing new
+        assert res.iterations == 5
 
     def test_identity_fails_with_sup_one(self, identity):
         res = check_assumption1(identity["reach_kernel"])
         assert not res.holds
-        assert res.sup_stay_prob == pytest.approx(1.0, abs=1e-12)
+        assert res.sup_stay_prob == 1.0
 
     def test_no_transient_nodes(self):
         # target == safe: X\Xr is empty, the stay probability is trivially 0
