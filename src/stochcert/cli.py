@@ -28,6 +28,7 @@ from .certificate import (
     KIND_RA_LOWER_PAIR,
     KIND_SAFETY_LOWER,
     KIND_UNSAFE_REACH_UPPER,
+    YAML_LOADER,
     CertificateError,
     Condition,
     GridCert,
@@ -175,7 +176,7 @@ def load_scenario(path) -> Scenario:
     carrying every problem found."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=YAML_LOADER)
     except FileNotFoundError:
         raise ScenarioError([f"scenario file not found: {path}"])
     except yaml.YAMLError as exc:
@@ -230,9 +231,11 @@ def load_scenario(path) -> Scenario:
 
     dist = None
     dist_block = sys_block.get("disturbance") or {}
-    kind = dist_block.get("kind")
+    kind = dist_block.get("kind") if isinstance(dist_block, dict) else None
     try:
-        if kind == "finite":
+        if not isinstance(dist_block, dict):
+            errors.append("system.disturbance must be a mapping")
+        elif kind == "finite":
             dist = DisturbanceDist(
                 atoms=np.asarray(dist_block["atoms"], dtype=float).reshape(-1, max(m, 0)),
                 probs=np.asarray(dist_block["probs"], dtype=float),
@@ -307,6 +310,9 @@ def load_scenario(path) -> Scenario:
     tolerance = _float(check_block, "tolerance", 1e-6, 0.0, 1.0, "check.tolerance")
     extra_points = _int(check_block, "extra_points", 200, "check.extra_points")
     point_seed = _int(check_block, "point_seed", 1, "check.point_seed")
+    for desc, seed in (("mc.seed", mc_seed), ("check.point_seed", point_seed)):
+        if not 0 <= seed < 2 ** 64:
+            errors.append(f"{desc} must lie in [0, 2^64)")
     if tolerance <= 0:
         errors.append("check.tolerance must be positive")
     if extra_points < 0:

@@ -13,6 +13,9 @@ function is the least fixed point.  One solver finds it for all three: a graph
 pass sets nodes that cannot reach the value-one class to 0 (Baier & Katoen,
 Principles of Model Checking, 10.1), BiCGSTAB solves the nonsingular rest, and
 an a-posteriori bound on the sup-norm error comes with every field.
+
+The kernel matrix is a numpy ELLPACK matrix (``SlotMatrix``): a row holds at
+most atoms * 2^n entries, so fixed slots need no sparse-matrix library.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import model as model_mod
 from .model import SystemModel
@@ -29,6 +31,7 @@ from .regions import Box, RegionSpec, StateClass, classify_batch
 
 __all__ = [
     "Grid",
+    "SlotMatrix",
     "TransitionKernel",
     "ValueField",
     "Assumption1Result",
@@ -76,7 +79,10 @@ class Grid:
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        cells = np.atleast_1d(np.asarray(self.cells, dtype=np.int64))
+        given = np.atleast_1d(np.asarray(self.cells, dtype=float))
+        cells = given.astype(np.int64)
+        if np.any(cells != given):
+            raise ValueError("cells must be integers")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "cells", cells)
@@ -187,6 +193,40 @@ def field_to_csv(fld: ValueField, path) -> None:
             np.savetxt(fh, data, delimiter=",", header=header, comments="")
 
 
+class SlotMatrix:
+    """Sparse matrix with a fixed number of slots per row (ELLPACK; Saad,
+    Iterative Methods for Sparse Linear Systems, 3.4): slot ``s`` of row ``i``
+    adds weight ``w[i, s]`` at column ``idx[i, s]``.  Unused slots have
+    weight 0; a column repeated in one row sums its weights."""
+
+    def __init__(self, idx: np.ndarray, w: np.ndarray, n_cols: int):
+        self.idx, self.w = idx, w
+        self.shape = (idx.shape[0], n_cols)
+
+    @property
+    def nnz(self) -> int:
+        """Slots holding a nonzero weight."""
+        return int(np.count_nonzero(self.w))
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.w, x[self.idx])
+
+    def block(self, rows, cols) -> SlotMatrix:
+        """The submatrix on ``rows`` and ``cols`` (index arrays, boolean masks
+        or slices); slots pointing at dropped columns get weight 0."""
+        cols = np.arange(self.shape[1])[cols]
+        pos = np.full(self.shape[1], -1, dtype=np.int64)
+        pos[cols] = np.arange(cols.size)
+        idx = pos[self.idx[rows]]
+        kept = idx >= 0
+        return SlotMatrix(np.where(kept, idx, 0), np.where(kept, self.w[rows], 0.0), cols.size)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.add.at(out, (np.arange(self.shape[0])[:, None], self.idx), self.w)
+        return out
+
+
 @dataclass
 class TransitionKernel:
     """Finite absorbing-chain restriction of the one-step dynamics.
@@ -202,7 +242,7 @@ class TransitionKernel:
     one_nodes: np.ndarray  # absorbing nodes with value 1
     one_mass: np.ndarray  # (T,)
     zero_mass: np.ndarray  # (T,)
-    P: sp.csr_matrix  # (T, N)
+    P: SlotMatrix  # (T, N)
 
     @property
     def n_transient(self) -> int:
@@ -242,12 +282,14 @@ def build_kernel(
     n_tr = transient.shape[0]
     one_mass = np.zeros(n_tr)
     zero_mass = np.zeros(n_tr)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    # atom a spreads its images over slots a * 2^n ... (a + 1) * 2^n - 1
+    corners = 1 << grid.n
+    n_slots = system.dist.atoms.shape[0] * corners
+    idx = np.zeros((n_tr, n_slots), dtype=np.int64)
+    w = np.zeros((n_tr, n_slots))
     xs = nodes[transient]
 
-    for atom, p in zip(system.dist.atoms, system.dist.probs):
+    for a, (atom, p) in enumerate(zip(system.dist.atoms, system.dist.probs)):
         ths = np.broadcast_to(atom, (n_tr, system.m))
         ys = model_mod.step_batch(system, xs, ths, strict=True)
         img_class = classify_batch(regions, ys)
@@ -269,21 +311,13 @@ def build_kernel(
         one_mass[absorb_one] += p
         zero_mass[absorb_zero] += p
         if mix.any():
-            idx, w = _interp_weights(grid, ys[mix])
-            local = np.flatnonzero(mix)
-            rows.append(np.repeat(local, idx.shape[1]))
-            cols.append(idx.ravel())
-            vals.append(float(p) * w.ravel())
+            slots = slice(a * corners, (a + 1) * corners)
+            corner_idx, corner_w = _interp_weights(grid, ys[mix])
+            idx[mix, slots] = corner_idx
+            w[mix, slots] = p * corner_w
 
-    if rows:
-        P = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_tr, grid.n_nodes),
-        ).tocsr()
-    else:
-        P = sp.csr_matrix((n_tr, grid.n_nodes))
-
-    total = one_mass + zero_mass + np.asarray(P.sum(axis=1)).ravel()
+    P = SlotMatrix(idx, w, grid.n_nodes)
+    total = one_mass + zero_mass + P.dot(np.ones(grid.n_nodes))
     if n_tr and np.max(np.abs(total - 1.0)) > _MASS_TOL:
         raise AssertionError("kernel mass not conserved within 1e-9")
 
@@ -308,7 +342,7 @@ def apply_bellman(kernel: TransitionKernel, values: np.ndarray, gamma: float = 1
     return out
 
 
-def _reach(M: sp.csr_matrix, seeds: np.ndarray) -> tuple[np.ndarray, int]:
+def _reach(M: SlotMatrix, seeds: np.ndarray) -> tuple[np.ndarray, int]:
     """Rows of the non-negative matrix ``M`` with a path into the boolean
     mask ``seeds``, by repeated boolean mat-vecs; also the rounds taken."""
     hit, rounds = seeds.copy(), 0
@@ -365,10 +399,10 @@ def _solve(kernel: TransitionKernel, gamma: float, tol: float, max_iter: int,
     to [0, 1], where the true ones lie, which cannot add error.
     """
     values = kernel.absorbed_values()
-    Ptt = kernel.P[:, kernel.transient]
+    Ptt = kernel.P.block(slice(None), kernel.transient)
     b = kernel.one_mass + kernel.P.dot(values)
     live = _reach(Ptt, b > 0)[0]
-    Pkk = Ptt[live][:, live]
+    Pkk = Ptt.block(live, live)
 
     def A(x):
         return x - gamma * Pkk.dot(x)
@@ -488,7 +522,7 @@ def check_assumption1(kernel: TransitionKernel) -> Assumption1Result:
     absorbing = np.ones(kernel.grid.n_nodes)
     absorbing[kernel.transient] = 0.0
     leak = kernel.one_mass + kernel.zero_mass + kernel.P.dot(absorbing) > 0
-    exits, rounds = _reach(kernel.P[:, kernel.transient], leak)
+    exits, rounds = _reach(kernel.P.block(slice(None), kernel.transient), leak)
     holds = bool(exits.all())
     return Assumption1Result(holds, 0.0 if holds else 1.0, rounds, True)
 
@@ -497,7 +531,7 @@ def stay_probability(kernel: TransitionKernel, x0, horizon: int) -> float:
     """P(chain not yet absorbed after `horizon` steps from x0): the truncation
     slack separating a finite-horizon Monte Carlo estimate from its limit."""
     sweeps = min(horizon, 100_000)
-    Ptt = kernel.P[:, kernel.transient]
+    Ptt = kernel.P.block(slice(None), kernel.transient)
     s = np.ones(kernel.n_transient)
     for _ in range(sweeps):
         if s.size == 0 or s.max() < 1e-15:

@@ -49,7 +49,7 @@ class DisturbanceDist:
         if np.any(probs <= 0) or np.any(probs > 1):
             raise ValueError("probabilities must lie in (0, 1]")
         if abs(probs.sum() - 1.0) > _PROB_TOL:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(probs.sum())!r}, not 1")
         seen = {tuple(a) for a in atoms}
         if len(seen) != atoms.shape[0]:
             raise ValueError("atoms must be pairwise distinct")

@@ -40,10 +40,10 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def _stay_prob(kernel, x: float, steps: int) -> float:
-    tr = kernel.P[:, kernel.transient]
+    tr = kernel.P.toarray()[:, kernel.transient]
     v = np.ones(kernel.n_transient)
     for _ in range(steps):
-        v = tr.dot(v)
+        v = tr @ v
         if v.max() < 1e-18:
             break
     out = np.zeros(kernel.grid.n_nodes)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from stochcert import certificate as cm
 from stochcert import dp, expr, model, regions
@@ -312,6 +313,28 @@ class TestSerialization:
         pts = np.linspace(-2, 13, 101).reshape(-1, 1)
         np.testing.assert_allclose(cm.eval_cert_batch(cond2.w, pts),
                                    cm.eval_cert_batch(w, pts), atol=0)
+
+
+    def test_files_match_pure_python_yaml(self, tmp_path, gambler):
+        # libyaml, where PyYAML has it, must read and write the same documents
+        # as PyYAML's pure-Python SafeLoader and SafeDumper
+        fields = solved_fields(gambler)
+        saved = [(Condition(KIND_RA_LOWER_A1, 0.1), PolyCert(((0,), (1,)), (0.25, -0.5)))]
+        for kind in cm.ALL_KINDS:
+            cert, w = extract_certificate(fields, kind), None
+            if kind == KIND_RA_LOWER_PAIR:
+                cert, w = cert
+            gamma = 0.5 if kind in (KIND_RA_LOWER_DISCOUNTED, KIND_LIVENESS_UPPER_DISCOUNTED,
+                                    KIND_RA_LOWER_PAIR) else None
+            omega = regions.Box([-1.2], [12.2]) if w is not None else None
+            saved.append((Condition(kind, 0.0, gamma=gamma, omega=omega, w=w), cert))
+        for i, (cond, cert) in enumerate(saved):
+            path = tmp_path / f"cert{i}.yaml"
+            save_certificate(path, cond, cert)
+            text = path.read_text()
+            doc = yaml.load(text, Loader=yaml.SafeLoader)
+            assert yaml.load(text, Loader=cm.YAML_LOADER) == doc
+            assert yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False) == text
 
 
 class TestConditionValidation:

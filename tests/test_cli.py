@@ -111,6 +111,10 @@ class TestLoading:
         ("check", "point_seed", 2.5, "check.point_seed must be an integer"),
         (None, "initial_state", ["three"], "initial_state must give"),
         (None, "thresholds", [0.1, 0.2], "malformed block: thresholds"),
+        ("mc", "seed", -1, "mc.seed must lie in [0, 2^64)"),
+        ("check", "point_seed", 2 ** 64, "check.point_seed must lie in [0, 2^64)"),
+        ("system", "disturbance", [[-1.0], [1.0]], "system.disturbance must be a mapping"),
+        ("grid", "cells", [12.5], "grid: cells must be integers"),
     ])
     def test_malformed_value_exits_with_validation_error(self, tmp_path, capsys,
                                                          block, key, value, message):
@@ -397,23 +401,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
-    def test_dp_commands_leave_scipy_solver_modules_unimported(self):
-        # scipy.sparse.linalg and scipy.linalg cost memory and start-up time
-        # on every process; the DP commands need neither
+    def test_commands_import_no_scipy(self, tmp_path):
+        # scipy costs start-up time and memory in every process; no command needs it
         walk = str(SCENARIOS / "symmetric_walk.yaml")
+        cert = str(tmp_path / "certificate_ra_lower_discounted.yaml")
         code = (
             "import sys; from stochcert import cli\n"
-            "for cmd in ('solve', 'assumption1'):\n"
-            f"    cli.main(['--scenario', {walk!r}, '--command', cmd, '--quiet'])\n"
-            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.linalg',"
-            " 'scipy.sparse.csgraph') if m in sys.modules))\n"
-        )
+            "codes = [cli.main(['--scenario', %r, '--command', cmd, '--out', %r,"
+            " '--certificate', %r, '--quiet']) for cmd in ('simulate', 'solve', 'estimate',"
+            " 'assumption1', 'extract', 'verify', 'synthesize', 'report-all')]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        ) % (walk, str(tmp_path), cert)
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120, check=True).stdout
-        assert out.strip() == "[]"
+        assert out.strip() == "[0, 0, 0, 0, 0, 0, 0, 0] []"
 
     def test_numeric_failure_exit(self, tmp_path, capsys):
         doc = _walk_doc()

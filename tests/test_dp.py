@@ -54,13 +54,30 @@ class TestGrid:
             build_grid([1.0], [0.0], [4])
 
 
+def _kernel_2d():
+    """Reach-avoid kernel of a 2-D affine walk with three atoms, 25^2 cells."""
+    dist = model.DisturbanceDist(atoms=[[-0.3, 0.1], [0.2, -0.2], [0.0, 0.3]],
+                                 probs=[0.25, 0.35, 0.4])
+    system = model.SystemModel(
+        2, 2,
+        (expr.parse_expr("0.8*x1 + th1", 2, 2), expr.parse_expr("0.7*x2 + th2", 2, 2)),
+        dist,
+    )
+    reg = regions.RegionSpec(
+        safe=expr.parse_predicate("x1 > -2 && x1 < 2 && x2 > -2 && x2 < 2", 2),
+        target=expr.parse_predicate("x1^2 + x2^2 < 0.25", 2),
+    )
+    grid = build_grid([-2.5, -2.5], [2.5, 2.5], [25, 25])
+    return build_kernel(system, grid, reg, dp.MODE_REACH_AVOID)
+
+
 class TestKernel:
     def test_gambler_outcomes(self, gambler):
         k = gambler["reach_kernel"]
         row = {int(node): t for t, node in enumerate(k.transient)}
         # interior node 3: both atoms stay transient, each landing exactly on
         # a node, so half the mass goes to node 2 and half to node 4
-        spread = k.P[row[3]].toarray().ravel()
+        spread = k.P.toarray()[row[3]]
         assert np.flatnonzero(spread).tolist() == [2, 4]
         np.testing.assert_allclose(spread[[2, 4]], 0.5, atol=1e-12)
         assert k.one_mass[row[3]] == 0.0 and k.zero_mass[row[3]] == 0.0
@@ -71,27 +88,42 @@ class TestKernel:
 
     def test_mass_conserved(self, gambler):
         k = gambler["reach_kernel"]
-        total = k.one_mass + k.zero_mass + np.asarray(k.P.sum(axis=1)).ravel()
+        total = k.one_mass + k.zero_mass + k.P.toarray().sum(axis=1)
         np.testing.assert_allclose(total, 1.0, atol=1e-9)
 
     def test_mass_conserved_2d(self):
-        dist = model.DisturbanceDist(atoms=[[-0.3, 0.1], [0.2, -0.2], [0.0, 0.3]],
-                                     probs=[0.25, 0.35, 0.4])
-        system = model.SystemModel(
-            2, 2,
-            (expr.parse_expr("0.8*x1 + th1", 2, 2), expr.parse_expr("0.7*x2 + th2", 2, 2)),
-            dist,
-        )
-        reg = regions.RegionSpec(
-            safe=expr.parse_predicate("x1 > -2 && x1 < 2 && x2 > -2 && x2 < 2", 2),
-            target=expr.parse_predicate("x1^2 + x2^2 < 0.25", 2),
-        )
-        grid = build_grid([-2.5, -2.5], [2.5, 2.5], [25, 25])
-        k = build_kernel(system, grid, reg, dp.MODE_REACH_AVOID)
-        total = k.one_mass + k.zero_mass + np.asarray(k.P.sum(axis=1)).ravel()
+        k = _kernel_2d()
+        total = k.one_mass + k.zero_mass + k.P.toarray().sum(axis=1)
         np.testing.assert_allclose(total, 1.0, atol=1e-9)
-        idx, w = dp._interp_weights(grid, grid.nodes()[:50])
+        idx, w = dp._interp_weights(k.grid, k.grid.nodes()[:50])
         assert (w >= 0).all()
+
+    def test_slot_matrix_matches_dense(self):
+        k = _kernel_2d()
+        dense = k.P.toarray()
+        assert dense.shape == (k.n_transient, k.grid.n_nodes)
+        assert np.count_nonzero(dense) <= k.P.nnz <= k.P.w.size
+        # each row carries the mass that is not absorbed
+        np.testing.assert_allclose(dense.sum(axis=1), 1.0 - k.one_mass - k.zero_mass,
+                                   atol=1e-12)
+        x = np.random.default_rng(0).random(k.grid.n_nodes)
+        np.testing.assert_allclose(k.P.dot(x), dense @ x, rtol=0, atol=1e-14)
+        # every third transient column kept: weights into dropped columns vanish
+        rows = np.flatnonzero(np.arange(k.n_transient) % 2 == 0)
+        cols = k.transient[::3]
+        sub = k.P.block(rows, cols)
+        expected = dense[rows][:, cols]
+        assert sub.shape == expected.shape
+        np.testing.assert_array_equal(sub.toarray(), expected)
+        assert expected.sum(axis=1).min() < dense[rows].sum(axis=1).min()
+        np.testing.assert_allclose(sub.dot(x[:cols.size]), expected @ x[:cols.size],
+                                   rtol=0, atol=1e-14)
+        # boolean masks select the same block as index arrays
+        row_mask = np.zeros(k.n_transient, dtype=bool)
+        row_mask[rows] = True
+        col_mask = np.zeros(k.grid.n_nodes, dtype=bool)
+        col_mask[cols] = True
+        np.testing.assert_array_equal(k.P.block(row_mask, col_mask).toarray(), expected)
 
     def test_grid_too_small(self):
         # safe set reaches beyond the grid box: safe images must abort

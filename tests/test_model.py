@@ -13,7 +13,8 @@ from conftest import make_walk
 
 class TestDisturbanceDist:
     def test_probs_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum"):
+        # the plain float, not numpy's np.float64(0.9) repr
+        with pytest.raises(ValueError, match=r"^probabilities sum to 0\.9, not 1$"):
             DisturbanceDist(atoms=[[-1.0], [1.0]], probs=[0.5, 0.4])
 
     def test_probs_in_unit_interval(self):
