@@ -659,6 +659,8 @@ def _cmd_synthesize(sc: Scenario, out_dir: Path | None, only_kind: str | None) -
         "threshold": result.threshold,
         "status": result.status,
         "lp_iterations": result.lp.iterations,
+        "lp_rows": len(result.problem.rows),
+        "lp_cols": result.problem.n_vars,
         "constraint_points": int(points.shape[0]),
     }
     caveats = list(result.report.caveats)
@@ -738,6 +740,9 @@ def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
         ok = ok and synth_report.passed
     except synth.SynthesisInfeasibleError as exc:
         sections["synthesis"] = {"status": "infeasible", "detail": str(exc)}
+    except synth.SimplexStalledError as exc:
+        sections["synthesis"] = {"status": "stalled", "detail": str(exc)}
+        ok = False
 
     caveats.append("certificate checks are pointwise: validated on the listed "
                    "point sets, not proven over all states")

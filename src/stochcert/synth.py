@@ -3,8 +3,13 @@
 Every clause of the barrier-like conditions is linear in the template
 coefficients (one-step expectations are finite sums of evaluations), so
 maximizing the threshold at the initial state over a sampled point set is a
-plain LP.  The LP is solved by an embedded dense two-phase primal simplex
-with Bland's anti-cycling rule; coefficient bounds keep it bounded.
+plain LP.  The LP is tall and thin (a few template coefficients against
+thousands of sampled rows), so it is solved by an embedded dual simplex over
+the coefficients: an active set of one row per coefficient, started at the
+dual-feasible box vertex, with Bland's rule on the dual so it terminates.
+Coefficient bounds keep it bounded.  Both answers are checked before they are
+returned: an optimal vertex satisfies every row within 1e-7 and has
+non-negative duals, and an infeasible verdict carries a Farkas certificate.
 
 Sampled constraints are optimistic by construction, so every synthesized
 certificate is re-validated on an independent, denser point set before being
@@ -99,145 +104,85 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded
+    """Solver outcome.  ``farkas`` is set when ``status == "infeasible"``:
+    non-negative weights on the rows of ``problem`` stacked as ``M x <= h``
+    (the ``<=`` and ``==`` rows as written, then the ``>=`` and ``==`` rows
+    negated, then ``x <= upper``, then ``-x <= -lower``) whose combination
+    ``(M^T z) . x <= h . z`` no point of the box satisfies."""
+
+    status: str  # optimal | infeasible
     x: np.ndarray | None
     objective: float | None
     iterations: int
+    farkas: np.ndarray | None = None
 
 
-def _pivot(T: np.ndarray, b: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    piv = T[row, col]
-    T[row] /= piv
-    b[row] /= piv
-    for i in range(T.shape[0]):
-        if i != row and abs(T[i, col]) > 0.0:
-            factor = T[i, col]
-            T[i] -= factor * T[row]
-            b[i] -= factor * b[row]
-    basis[row] = col
-
-
-def _run_phase(T, b, basis, c, allowed, max_iter, start_iter):
-    """Maximize c.z over the current tableau with Bland's rule.
-
-    Returns ('optimal'|'unbounded', iterations)."""
-    iters = start_iter
-    while True:
-        iters += 1
-        if iters > max_iter:
-            raise SimplexStalledError(iters)
-        reduced = c - c[basis] @ T
-        reduced[basis] = 0.0
-        candidates = np.flatnonzero(allowed & (reduced > _PIVOT_TOL))
-        if candidates.size == 0:
-            return "optimal", iters
-        col = int(candidates[0])  # Bland: smallest eligible index enters
-        positive = np.flatnonzero(T[:, col] > _PIVOT_TOL)
-        if positive.size == 0:
-            return "unbounded", iters
-        ratios = b[positive] / T[positive, col]
-        best = ratios.min()
-        ties = positive[np.flatnonzero(ratios <= best + 1e-15)]
-        row = int(ties[np.argmin(basis[ties])])  # Bland: smallest basic index leaves
-        _pivot(T, b, basis, row, col)
+def _stack(problem: LpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and bounds of ``problem`` as ``M x <= h`` (order: see LpSolution)."""
+    n = problem.n_vars
+    dense = np.zeros((len(problem.rows), n))
+    for i, (coeffs, _, _) in enumerate(problem.rows):
+        dense[i, list(coeffs)] = list(coeffs.values())
+    senses = np.array([sense for _, sense, _ in problem.rows], dtype=str)
+    rhs = np.array([rhs for _, _, rhs in problem.rows], dtype=float)
+    le, ge = senses != ">=", senses != "<="
+    eye = np.eye(n)
+    M = np.vstack([dense[le], -dense[ge], eye, -eye])
+    h = np.concatenate([rhs[le], -rhs[ge], problem.upper, -problem.lower])
+    return M, h
 
 
 def simplex_solve(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
-    """Two-phase dense primal simplex.
+    """Dual simplex over the variables, with Bland's rule on the dual.
 
-    Variables are shifted to be non-negative; upper bounds become explicit
-    rows.  Optimal solutions are verified to satisfy every row within 1e-7.
+    The active set ``W`` holds one row of ``M x <= h`` per variable; the
+    vertex ``x = M_W^-1 h_W`` has duals ``y = M_W^-T c``.  It starts at the
+    box vertex that maximizes ``c``, where ``y >= 0``, and keeps ``y >= 0``:
+    the smallest-index violated row enters and the ratio test picks the row
+    that leaves.  An optimal answer is checked to satisfy every row within
+    1e-7 with ``y >= 0``; an infeasible one carries a checked Farkas
+    certificate.  A failed check or ``max_iter`` pivots raise
+    SimplexStalledError.
     """
-    n = problem.n_vars
-    shift = problem.lower
-    span = problem.upper - problem.lower
-    sign = 1.0 if problem.maximize else -1.0
-
-    rows: list[tuple[np.ndarray, str, float]] = []
-    for coeffs, sense, rhs in problem.rows:
-        a = np.zeros(n)
-        for j, val in coeffs.items():
-            a[j] = val
-        rows.append((a, sense, rhs - float(a @ shift)))
-    for j in range(n):
-        a = np.zeros(n)
-        a[j] = 1.0
-        rows.append((a, "<=", float(span[j])))
-
-    m = len(rows)
-    n_slack = sum(1 for _, sense, _ in rows if sense in ("<=", ">="))
-    slack_map: dict[int, int] = {}
-    art_map: dict[int, int] = {}
-    A = np.zeros((m, n + n_slack))
-    b = np.zeros(m)
-    slack_at = 0
-    need_art = []
-    for i, (a, sense, rhs) in enumerate(rows):
-        if rhs < 0:
-            a, rhs = -a, -rhs
-            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-        A[i, :n] = a
-        b[i] = rhs
-        if sense == "<=":
-            A[i, n + slack_at] = 1.0
-            slack_map[i] = n + slack_at
-            slack_at += 1
-        elif sense == ">=":
-            A[i, n + slack_at] = -1.0
-            slack_at += 1
-            need_art.append(i)
-        else:
-            need_art.append(i)
-    n_art = len(need_art)
-    T = np.hstack([A, np.zeros((m, n_art))])
-    art_cols = []
-    for k, i in enumerate(need_art):
-        T[i, n + n_slack + k] = 1.0
-        art_map[i] = n + n_slack + k
-        art_cols.append(n + n_slack + k)
-    ncols = T.shape[1]
-    basis = np.array(
-        [slack_map.get(i, art_map.get(i)) for i in range(m)], dtype=np.int64
-    )
+    M, h = _stack(problem)
+    m, n = M.shape
+    c = problem.objective if problem.maximize else -problem.objective
+    # x_j <= upper_j where c_j >= 0, else -x_j <= -lower_j
+    active = np.where(c >= 0, m - 2 * n, m - n) + np.arange(n)
     if max_iter is None:
-        max_iter = 20000 + 20 * (m + ncols)
-
-    is_art = np.zeros(ncols, dtype=bool)
-    is_art[art_cols] = True
+        max_iter = 20000 + 20 * m
     iters = 0
-    if n_art:
-        c1 = np.where(is_art, -1.0, 0.0)
-        status, iters = _run_phase(T, b, basis, c1, ~is_art, max_iter, iters)
-        if status != "optimal" or float(-c1[basis] @ b) > _FEAS_TOL:
-            return LpSolution("infeasible", None, None, iters)
-        # drive artificials (now at zero) out of the basis where possible
-        for i in range(m):
-            if is_art[basis[i]]:
-                pivots = np.flatnonzero(~is_art[: ncols] & (np.abs(T[i]) > _PIVOT_TOL))
-                if pivots.size:
-                    _pivot(T, b, basis, i, int(pivots[0]))
-
-    c2 = np.zeros(ncols)
-    c2[:n] = sign * problem.objective
-    status, iters = _run_phase(T, b, basis, c2, ~is_art, max_iter, iters)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None, iters)
-
-    z = np.zeros(ncols)
-    z[basis] = b
-    x = z[:n] + shift
-    objective = float(problem.objective @ x)
-
-    for coeffs, sense, rhs in problem.rows:
-        lhs = sum(val * x[j] for j, val in coeffs.items())
-        ok = (
-            lhs <= rhs + _FEAS_TOL if sense == "<="
-            else lhs >= rhs - _FEAS_TOL if sense == ">="
-            else abs(lhs - rhs) <= _FEAS_TOL
-        )
-        if not ok:
+    while True:
+        try:
+            M_W = M[active]
+            x = np.linalg.solve(M_W, h[active])
+            violated = np.flatnonzero(M @ x - h > _FEAS_TOL)
+            if violated.size == 0:
+                y = np.linalg.solve(M_W.T, c)
+            else:
+                k = int(violated[0])
+                y, w = np.linalg.solve(M_W.T, np.column_stack([c, M[k]])).T
+        except np.linalg.LinAlgError:
+            raise SimplexStalledError(iters) from None
+        if violated.size == 0:
+            if (y < -_PIVOT_TOL).any():
+                raise SimplexStalledError(iters)
+            return LpSolution("optimal", x, float(problem.objective @ x), iters)
+        iters += 1
+        if iters > max_iter:
             raise SimplexStalledError(iters)
-    return LpSolution("optimal", x, objective, iters)
+        leave = np.flatnonzero(w > _PIVOT_TOL)
+        if leave.size == 0:
+            z = np.zeros(m)
+            z[k] = 1.0
+            z[active] = np.maximum(-w, 0.0)
+            r = M.T @ z
+            if h @ z >= np.minimum(r * problem.lower, r * problem.upper).sum():
+                raise SimplexStalledError(iters)
+            return LpSolution("infeasible", None, None, iters, farkas=z)
+        ratios = np.maximum(y[leave], 0.0) / w[leave]
+        ties = leave[ratios <= ratios.min() + 1e-12]
+        active[ties[np.argmin(active[ties])]] = k
 
 
 def lp_to_text(problem: LpProblem) -> str:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from stochcert import certificate, cli, regions
+from stochcert import certificate, cli, regions, synth
 from stochcert.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -261,7 +261,31 @@ class TestCommands:
         sect = report.sections["synthesis"]
         assert sect["status"] == "validated"
         assert sect["threshold"] >= 0.25
-        assert (tmp_path / "synthesis.lp.txt").exists()
+        # the dump holds the objective, one line per row and one per bound
+        dump = (tmp_path / "synthesis.lp.txt").read_text().splitlines()
+        assert sect["lp_cols"] == 2
+        assert sect["lp_rows"] == len(dump) - 1 - sect["lp_cols"]
+
+    def test_report_all_survives_stalled_lp(self, monkeypatch, tmp_path):
+        def stall(problem, max_iter=None):
+            raise synth.SimplexStalledError(7)
+
+        monkeypatch.setattr(synth, "simplex_solve", stall)
+        scenario = SCENARIOS / "symmetric_walk.yaml"
+        code = main(["--scenario", str(scenario), "--command", "report-all",
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == EXIT_NUMERIC
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert not report["passed"]
+        sections = report["sections"]
+        assert sections["synthesis"] == {
+            "status": "stalled",
+            "detail": "simplex numerically stalled after 7 iterations",
+        }
+        assert list(sections) == ["dp_vs_mc", "thresholds", "assumption1",
+                                  "certificates", "synthesis"]
+        assert len(sections["certificates"]) == 6
+        assert all(entry["check"] == "pass" for entry in sections["certificates"].values())
 
     def test_extract_refused_kind(self, identity_file):
         sc = load_scenario(identity_file)

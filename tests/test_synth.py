@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from stochcert import certificate as cm
-from stochcert import dp, regions, synth
+from stochcert import cli, dp, expr, model, regions, synth
 from stochcert.certificate import (
     KIND_RA_LOWER_A1,
     KIND_RA_LOWER_PAIR,
@@ -146,6 +148,156 @@ class TestSimplexAgainstScipy:
             col_resid = np.abs(x * (A.T @ y - c))
             assert row_resid.max() <= 1e-6
             assert col_resid.max() <= 1e-6
+
+
+def _stacked(problem):
+    """``problem`` as ``M x <= h`` in the row order LpSolution documents."""
+    n = problem.n_vars
+    rows, rhs = [], []
+    for sign, kept in ((1.0, ("<=", "==")), (-1.0, (">=", "=="))):
+        for coeffs, sense, b in problem.rows:
+            if sense in kept:
+                a = np.zeros(n)
+                for j, v in coeffs.items():
+                    a[j] = v
+                rows.append(sign * a)
+                rhs.append(sign * b)
+    M = np.vstack([np.reshape(rows, (-1, n)), np.eye(n), -np.eye(n)])
+    h = np.concatenate([rhs, problem.upper, -problem.lower])
+    return M, h
+
+
+def _highs(problem):
+    """(status, objective) of ``problem`` by scipy's HiGHS."""
+    M, h = _stacked(problem)
+    c = problem.objective if problem.maximize else -problem.objective
+    ref = linprog(-c, A_ub=M, b_ub=h, bounds=(None, None), method="highs")
+    status = {0: "optimal", 2: "infeasible"}[ref.status]
+    if status != "optimal":
+        return status, None
+    return status, -ref.fun if problem.maximize else ref.fun
+
+
+def _assert_farkas(problem, sol):
+    """z >= 0 combines the rows into ``(M^T z) . x <= h . z``, which no point
+    of the bound box satisfies: a proof that the LP is infeasible."""
+    M, h = _stacked(problem)
+    z = sol.farkas
+    assert z.shape == (M.shape[0],) and (z >= 0.0).all() and z.any()
+    r = M.T @ z
+    assert np.abs(r).max() <= 1e-9 * np.abs(M).max() * z.sum()
+    assert h @ z < 0.0
+    assert h @ z < np.minimum(r * problem.lower, r * problem.upper).sum()
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SYNTH_KINDS = (cm.KIND_RA_LOWER_A1, cm.KIND_RA_LOWER_DISCOUNTED,
+               cm.KIND_LIVENESS_UPPER_DISCOUNTED, KIND_SAFETY_LOWER,
+               cm.KIND_UNSAFE_REACH_UPPER)
+
+
+class TestSimplexAgainstHighs:
+    @pytest.mark.parametrize("name", ["symmetric_walk", "biased_walk",
+                                      "invariant_contraction"])
+    def test_synthesis_lps_agree(self, name, monkeypatch):
+        solved = []
+
+        def recording(problem, max_iter=None):
+            sol = simplex_solve(problem, max_iter)
+            solved.append((problem, sol))
+            return sol
+
+        monkeypatch.setattr(synth, "simplex_solve", recording)
+        sc = cli.load_scenario(SCENARIOS / f"{name}.yaml")
+        for kind in SYNTH_KINDS:
+            points = cli._synth_points(sc, kind)
+            gamma = sc.gamma if kind in (cm.KIND_RA_LOWER_DISCOUNTED,
+                                         cm.KIND_LIVENESS_UPPER_DISCOUNTED) else None
+            for degree in (1, 2, 3, 4):
+                for margin in (0.0, 0.01):
+                    try:
+                        synthesize(sc.system, sc.regions, kind,
+                                   Template(n=1, degree=degree), points, sc.x0s[0],
+                                   gamma=gamma, margin=margin)
+                    except SynthesisInfeasibleError:
+                        pass
+        assert len(solved) == len(SYNTH_KINDS) * 4 * 2
+        max_gap = 0.0
+        for problem, sol in solved:
+            status, objective = _highs(problem)
+            assert sol.status == status
+            if status == "optimal":
+                max_gap = max(max_gap, abs(sol.objective - objective))
+            else:
+                _assert_farkas(problem, sol)
+        # HiGHS stops within its own 1e-7 feasibility tolerance; on the
+        # biased walk at degree 3 that is worth 3.2e-7 of objective
+        assert max_gap <= 1e-6, f"max objective gap {max_gap:.2e}"
+
+    def test_degree_four_disc_walk(self):
+        # x' = A x + th, th uniform on {-0.1, 0, 0.1}^2, safe set the unit
+        # disc, target the disc of radius 0.2: a primal tableau simplex with
+        # Bland's rule stalls on this 2002-row, 15-coefficient LP
+        atoms = [[a, b] for a in (-0.1, 0.0, 0.1) for b in (-0.1, 0.0, 0.1)]
+        system = model.SystemModel(
+            n=2, m=2,
+            dynamics=(expr.parse_expr("0.95*x1 + 0.1*x2 + th1", 2, 2),
+                      expr.parse_expr("-0.05*x1 + 0.9*x2 + th2", 2, 2)),
+            dist=model.DisturbanceDist(atoms=atoms, probs=[1.0 / 9.0] * 9),
+        )
+        reg = regions.RegionSpec(safe=expr.parse_predicate("x1^2 + x2^2 < 1.0", 2),
+                                 target=expr.parse_predicate("x1^2 + x2^2 < 0.04", 2))
+        grid = dp.build_grid([-1.0, -1.0], [1.0, 1.0], [50, 50])
+        samples = np.vstack([grid.nodes(), grid.box.sample(2000, np.random.default_rng(7))])
+        omega = regions.compute_omega(system, grid.box, reg, samples, transient_only=True)
+        points = omega.sample(2000, np.random.default_rng(8))
+        result = synthesize(system, reg, KIND_RA_LOWER_A1, Template(n=2, degree=4),
+                            points, [0.6, 0.3], margin=0.0)
+        assert len(result.problem.rows) == 2002 and result.problem.n_vars == 15
+        assert result.lp.status == "optimal"
+        status, objective = _highs(result.problem)
+        assert status == "optimal"
+        assert result.lp.objective == pytest.approx(objective, abs=1e-7)
+
+    def test_degenerate_vertex(self):
+        # 150 rows through the optimal vertex v, each one three times, plus
+        # 50 rows slack there: every pivot near v is a tie
+        rng = np.random.default_rng(5)
+        n = 5
+        v = rng.uniform(-1.0, 1.0, n)
+        normals = rng.uniform(0.1, 1.0, (150, n))
+        loose = rng.normal(size=(50, n))
+        rows = [({j: float(a[j]) for j in range(n)}, "<=", float(a @ v))
+                for a in np.vstack([normals, normals, normals[::-1]])]
+        rows += [({j: float(a[j]) for j in range(n)}, "<=", float(a @ v) + 1.0)
+                 for a in loose]
+        c = normals[:7].sum(axis=0)
+        p = LpProblem(objective=c, rows=rows, lower=np.full(n, -10.0),
+                      upper=np.full(n, 10.0))
+        sol = simplex_solve(p)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(c @ v, abs=1e-9)
+        np.testing.assert_allclose(sol.x, v, atol=1e-7)
+
+    def test_infeasible_answers_carry_farkas_certificates(self):
+        rng = np.random.default_rng(3)
+        found = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            A = rng.normal(size=(int(rng.integers(3, 12)), n))
+            b = rng.normal(size=A.shape[0]) - 1.0
+            senses = rng.choice(["<=", ">=", "=="], size=A.shape[0], p=[0.5, 0.4, 0.1])
+            p = LpProblem(objective=rng.normal(size=n),
+                          rows=[({j: float(a[j]) for j in range(n)}, str(s), float(r))
+                                for a, s, r in zip(A, senses, b)],
+                          lower=np.full(n, -1.0), upper=np.full(n, 2.0),
+                          maximize=bool(rng.integers(2)))
+            sol = simplex_solve(p)
+            assert sol.status == _highs(p)[0]
+            if sol.status == "infeasible":
+                found += 1
+                _assert_farkas(p, sol)
+        assert found >= 10
 
 
 class TestTemplate:
