@@ -39,13 +39,12 @@ from .model import (
     DisturbanceDist,
     SystemModel,
     Trajectory,
-    expectation,
     quantize_gaussian,
     quantize_uniform,
     simulate,
-    step,
+    step_batch,
 )
-from .regions import Box, RegionSpec, StateClass, classify, compute_omega, validate_nesting
+from .regions import Box, RegionSpec, StateClass, classify_batch, compute_omega, validate_nesting
 from .synth import LpProblem, LpSolution, Template, simplex_solve, synthesize
 
 __version__ = "0.1.0"

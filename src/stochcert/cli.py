@@ -409,11 +409,12 @@ def _threshold_verdicts(sc: Scenario, fields: dict) -> dict:
 def _cmd_simulate(sc: Scenario, out_dir: Path | None) -> Report:
     x0 = sc.x0s[0]
     traj = model_mod.simulate(sc.system, x0, sc.mc_horizon, sc.mc_seed)
+    final_class = StateClass(regions_mod.classify_batch(sc.regions, traj.states[-1:])[0])
     section = {
         "x0": x0.tolist(),
         "steps": int(traj.states.shape[0] - 1),
         "final_state": traj.states[-1].tolist(),
-        "final_class": regions_mod.classify(sc.regions, traj.states[-1]).name,
+        "final_class": final_class.name,
         "error": traj.error,
     }
     if out_dir:

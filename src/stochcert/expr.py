@@ -5,6 +5,12 @@ disturbance variables ``th1..thm``; sets are boolean combinations of
 comparisons over state variables only.  ASTs are frozen dataclasses:
 immutable after construction and safe to evaluate concurrently.
 
+There is one evaluator, over batches: ``eval_expr_batch`` and
+``eval_predicate_batch`` take B points at once (B = 1 for a single point).
+Each AST is compiled on its first evaluation into a program of numpy
+closures, one per node, and cached by object identity, so repeated calls
+(one per Monte Carlo step) pay no tree walk.
+
 Grammar (standard precedence, left associative)::
 
     expr   := term (('+'|'-') term)*
@@ -22,7 +28,6 @@ Grammar (standard precedence, left associative)::
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -46,9 +51,7 @@ __all__ = [
     "parse_expr",
     "parse_predicate",
     "pretty",
-    "eval_expr",
     "eval_expr_batch",
-    "eval_predicate",
     "eval_predicate_batch",
 ]
 
@@ -380,58 +383,40 @@ def _pretty(node, outer: int) -> str:
 
 
 # evaluation -----------------------------------------------------------
+#
+# An AST is compiled once into a program, one closure per node.  An
+# expression program is called as f(xs, ths, strict) and returns an array of
+# length B, or a scalar when its subtree is constant; a predicate program is
+# called as f(xs) and returns a boolean array of length B.
 
-_SCALAR_FN = {
-    "min": min,
-    "max": max,
-    "abs": abs,
-    "exp": math.exp,
-    "sin": math.sin,
-    "cos": math.cos,
-}
+_PROGRAMS: dict[int, tuple[object, object]] = {}
 
 
-def eval_expr(ast: ExprAst, x, th=()) -> float:
-    """Evaluate at a single state/disturbance point; raises EvalError on
-    division by zero or a non-finite result."""
-    value = _eval_scalar(ast, x, th)
-    if not math.isfinite(value):
-        raise EvalError(f"non-finite result {value!r}")
-    return value
+def _program(ast):
+    """The compiled program of ``ast``, built on its first evaluation.
+
+    The cache is keyed by object identity, so a lookup never hashes the
+    tree.  Each entry holds ``ast`` itself, so an id cannot be reused by
+    another tree while its entry stands.
+    """
+    entry = _PROGRAMS.get(id(ast))
+    if entry is None:
+        entry = _PROGRAMS[id(ast)] = (ast, _build(ast))
+    return entry[1]
 
 
-def _eval_scalar(node, x, th) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, StateVar):
-        return float(x[node.index - 1])
-    if isinstance(node, DisturbVar):
-        return float(th[node.index - 1])
-    if isinstance(node, Neg):
-        return -_eval_scalar(node.operand, x, th)
-    if isinstance(node, BinOp):
-        a = _eval_scalar(node.left, x, th)
-        b = _eval_scalar(node.right, x, th)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero")
-            return a / b
-        return a ** int(b)  # "^": exponent validated at parse time
-    if isinstance(node, Call):
-        try:
-            return float(_SCALAR_FN[node.func](*(_eval_scalar(a, x, th) for a in node.args)))
-        except OverflowError as exc:
-            raise EvalError(str(exc)) from exc
-    raise TypeError(f"not an expression node: {node!r}")
+def _build(ast):
+    if isinstance(ast, (Comparison, BoolOp, Not)):
+        return _predicate(ast)
+    return _arith(ast)[0]
 
 
-_BATCH_FN = {
+_UFUNCS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
     "min": np.minimum,
     "max": np.maximum,
     "abs": np.abs,
@@ -441,89 +426,115 @@ _BATCH_FN = {
 }
 
 
+def _arith(node):
+    """Compile an expression node to ``(closure, varies)``.
+
+    ``varies`` is true when the value depends on the point, and the closure
+    then returns an array.  A variable returns a view of its input column;
+    every other node returns a new array, so its parent writes its own
+    result over it instead of allocating another.
+    """
+    if isinstance(node, Const):
+        value = node.value
+        return (lambda xs, ths, strict: value), False
+    if isinstance(node, StateVar):
+        col = node.index - 1
+        return (lambda xs, ths, strict: xs[:, col]), True
+    if isinstance(node, DisturbVar):
+        col = node.index - 1
+        return (lambda xs, ths, strict: ths[:, col]), True
+    if isinstance(node, Neg):
+        fn, children = np.negative, (node.operand,)
+    elif isinstance(node, BinOp):
+        fn, children = _UFUNCS[node.op], (node.left, node.right)
+    elif isinstance(node, Call):
+        fn, children = _UFUNCS[node.func], node.args
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    compiled = [_arith(child) for child in children]
+    if isinstance(node, BinOp) and node.op == "^":
+        power = int(node.right.value)  # a non-negative integer, checked at parse time
+        compiled[1] = (lambda xs, ths, strict: power), False
+    operands = [f for f, _ in compiled]
+    scratch = [i for i, (child, (_, varies)) in enumerate(zip(children, compiled))
+               if varies and isinstance(child, (Neg, BinOp, Call))]
+    slot = scratch[0] if scratch else None
+    divides = isinstance(node, BinOp) and node.op == "/"
+
+    def apply(xs, ths, strict):
+        args = [f(xs, ths, strict) for f in operands]
+        if divides and strict and np.any(np.equal(args[1], 0.0)):
+            raise EvalError("division by zero")
+        if slot is None:
+            return fn(*args)
+        return fn(*args, out=args[slot])
+
+    return apply, any(varies for _, varies in compiled)
+
+
+_COMPARE = {
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+    "==": np.equal,
+    "!=": np.not_equal,
+}
+
+
+def _predicate(node):
+    if isinstance(node, Comparison):
+        op = _COMPARE[node.op]
+        (left, _), (right, _) = _arith(node.left), _arith(node.right)
+        return lambda xs: op(_finite(left(xs, None, True), xs.shape[0]),
+                             _finite(right(xs, None, True), xs.shape[0]))
+    if isinstance(node, BoolOp):
+        op = np.logical_and if node.op == "&&" else np.logical_or
+        left, right = _predicate(node.left), _predicate(node.right)
+        return lambda xs: op(left(xs), right(xs))
+    if isinstance(node, Not):
+        operand = _predicate(node.operand)
+        return lambda xs: np.logical_not(operand(xs))
+    raise TypeError(f"not a predicate node: {node!r}")
+
+
+def _finite(values, rows: int):
+    """``values`` (an array of length ``rows``, or a scalar standing for
+    one); EvalError names the first non-finite row."""
+    finite = np.isfinite(values)
+    if rows and not finite.all():
+        raise EvalError(f"non-finite result at row {int(np.argmin(finite))}")
+    return values
+
+
 def eval_expr_batch(ast: ExprAst, xs: np.ndarray, ths: np.ndarray | None = None,
                     strict: bool = True) -> np.ndarray:
     """Evaluate at a batch of points.
 
-    ``xs`` has shape (B, n) and ``ths`` (B, m) or None.  With ``strict`` a
-    division by zero or non-finite result raises EvalError naming the first
-    offending row; otherwise non-finite entries pass through for the caller
-    to inspect.
+    ``xs`` has shape (B, n) and ``ths`` (B, m) or None; the result is a new
+    float array of length B.  With ``strict`` a division by zero or
+    non-finite result raises EvalError naming the first offending row;
+    otherwise non-finite entries pass through for the caller to inspect.
     """
     xs = np.asarray(xs, dtype=float)
+    if ths is not None:
+        ths = np.asarray(ths, dtype=float)
+    rows = xs.shape[0]
     with np.errstate(all="ignore"):
-        values = _eval_batch(ast, xs, ths, strict)
-    values = np.broadcast_to(np.asarray(values, dtype=float), (xs.shape[0],)).copy()
-    if strict and not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise EvalError(f"non-finite result at row {bad}")
-    return values
-
-
-def _eval_batch(node, xs, ths, strict):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, StateVar):
-        return xs[:, node.index - 1]
-    if isinstance(node, DisturbVar):
-        return ths[:, node.index - 1]
-    if isinstance(node, Neg):
-        return -_eval_batch(node.operand, xs, ths, strict)
-    if isinstance(node, BinOp):
-        a = _eval_batch(node.left, xs, ths, strict)
-        b = _eval_batch(node.right, xs, ths, strict)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if strict and np.any(np.asarray(b) == 0.0):
-                raise EvalError("division by zero")
-            return a / b
-        return np.power(a, int(b))
-    if isinstance(node, Call):
-        return _BATCH_FN[node.func](*(_eval_batch(a, xs, ths, strict) for a in node.args))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def eval_predicate(ast: PredicateAst, x) -> bool:
-    """Evaluate a set predicate at one state under exact real comparisons."""
-    if isinstance(ast, Comparison):
-        a = eval_expr(ast.left, x)
-        b = eval_expr(ast.right, x)
-        return _COMPARE[ast.op](a, b)
-    if isinstance(ast, BoolOp):
-        if ast.op == "&&":
-            return eval_predicate(ast.left, x) and eval_predicate(ast.right, x)
-        return eval_predicate(ast.left, x) or eval_predicate(ast.right, x)
-    if isinstance(ast, Not):
-        return not eval_predicate(ast.operand, x)
-    raise TypeError(f"not a predicate node: {ast!r}")
+        values = _program(ast)(xs, ths, strict)
+    # a node's result is a fresh array, except a variable's column view or a
+    # constant, which are copied out
+    if not (isinstance(values, np.ndarray) and values.base is None
+            and values.shape == (rows,) and values.dtype == float):
+        values = np.broadcast_to(np.asarray(values, dtype=float), (rows,)).copy()
+    return _finite(values, rows) if strict else values
 
 
 def eval_predicate_batch(ast: PredicateAst, xs: np.ndarray) -> np.ndarray:
-    """Vectorized predicate evaluation; returns a boolean array of length B."""
+    """Evaluate a set predicate at a (B, n) batch; returns a boolean array of
+    length B.  Both sides of every comparison are evaluated strictly."""
     xs = np.asarray(xs, dtype=float)
-    if isinstance(ast, Comparison):
-        a = eval_expr_batch(ast.left, xs)
-        b = eval_expr_batch(ast.right, xs)
-        return _COMPARE[ast.op](a, b)
-    if isinstance(ast, BoolOp):
-        left = eval_predicate_batch(ast.left, xs)
-        right = eval_predicate_batch(ast.right, xs)
-        return (left & right) if ast.op == "&&" else (left | right)
-    if isinstance(ast, Not):
-        return ~eval_predicate_batch(ast.operand, xs)
-    raise TypeError(f"not a predicate node: {ast!r}")
-
-
-_COMPARE = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
+    with np.errstate(all="ignore"):
+        inside = _program(ast)(xs)
+    # only a predicate without variables gives a scalar
+    return inside if np.ndim(inside) else np.full(xs.shape[0], inside)

@@ -7,9 +7,16 @@ biased downward.  Half-widths come from the distribution-free Hoeffding bound
 sqrt(ln(2/delta) / (2 n)).
 
 Randomness is counter-based: the uniform driving trial i at step t is a pure
-function of (seed, t, i) via a Philox stream, so results are independent of
-execution order and extending the horizon extends trajectories without
-re-rolling earlier steps (estimates are monotone in K for a fixed seed).
+function of (seed, t, i) via a Philox stream (Salmon et al., SC 2011), so
+results are independent of execution order and extending the horizon
+extends trajectories without re-rolling earlier steps (estimates are
+monotone in K for a fixed seed).
+
+All trials advance in lockstep, one ``model.step_batch`` and one
+``regions.classify_batch`` call per step over the live trials only.  Live
+states are kept column-contiguous and compacted when trials stop; each
+trial picks its atom from its own uniform by an exact guide-table inversion
+of the cumulative probabilities.  Neither changes a draw or an outcome.
 """
 
 from __future__ import annotations
@@ -63,16 +70,45 @@ def _step_uniforms(seed: int, sweep: int, count: int) -> np.ndarray:
     return gen.random(count)
 
 
+def _atom_picker(cum: np.ndarray):
+    """The function u -> ``np.searchsorted(cum, u, side="right")`` for u in
+    [0, 1), computed exactly by a guide table (Chen & Asau 1974).
+
+    [0, 1) is cut into G equal buckets, G the least power of two >= K, so
+    u * G is exact and bucket b = floor(u G) holds b/G <= u < (b+1)/G.
+    ``guide[b]`` counts the thresholds <= b/G, a lower bound on the answer;
+    each fix-up step moves past one more threshold <= u, and as many steps
+    run as the most thresholds any bucket holds strictly inside it.  The
+    thresholds <= u form a prefix of ``cum`` because ``cum[-1] = 1 > u``.
+    """
+    n_buckets = 1 << (cum.size - 1).bit_length()
+    edges = np.arange(n_buckets + 1) / n_buckets
+    guide = np.searchsorted(cum, edges[:-1], side="right")
+    fixups = int((np.searchsorted(cum, edges[1:], side="left") - guide).max())
+
+    def pick(u: np.ndarray) -> np.ndarray:
+        k = np.take(guide, (u * n_buckets).astype(np.intp))
+        for _ in range(fixups):
+            k += np.take(cum, k) <= u
+        return k
+
+    return pick
+
+
 def _run_trials(system: SystemModel, regions: RegionSpec, x0, horizon: int,
                 n_trials: int, seed: int, absorb_target: bool):
     """Advance all trials in lockstep sweeps until absorption or horizon.
+
+    Only the live trials are stepped: their states, column-contiguous, and
+    their trial indices are compacted whenever a trial stops, so no step
+    gathers through a mask of all trials.  Trial i still draws uniform i of
+    each step's stream, so the outcome does not depend on the compaction.
 
     Returns (status, steps_taken); status holds REACHED/EXITED/ACTIVE per
     trial, where REACHED only occurs with ``absorb_target``.  Raises EvalError
     if the dynamics fail to evaluate.
     """
     x0 = np.asarray(x0, dtype=float)
-    cum = system.dist.cum_probs
     status = np.full(n_trials, ACTIVE, dtype=np.int8)
     steps = np.zeros(n_trials, dtype=np.int64)
 
@@ -84,24 +120,31 @@ def _run_trials(system: SystemModel, regions: RegionSpec, x0, horizon: int,
         status[:] = REACHED
         return status, steps
 
-    states = np.tile(x0, (n_trials, 1))
+    pick = _atom_picker(system.dist.cum_probs)
+    atoms = system.dist.atoms
+    live = np.arange(n_trials)  # indices of the live trials, increasing
+    states = np.repeat(x0[:, None], n_trials, axis=1).T  # (live, n), column-contiguous
     for t in range(horizon):
-        alive = np.flatnonzero(status == ACTIVE)
-        if alive.size == 0:
-            break
-        u = _step_uniforms(seed, t, n_trials)[alive]
-        atom_idx = np.searchsorted(cum, u, side="right")
-        ths = system.dist.atoms[atom_idx]
-        states[alive] = model_mod.step_batch(system, states[alive], ths, strict=True)
-        cls = classify_batch(regions, states[alive])
-        exited = cls == int(StateClass.UNSAFE)
-        status[alive[exited]] = EXITED
-        steps[alive[exited]] = t + 1
+        u = np.take(_step_uniforms(seed, t, n_trials), live)
+        ths = np.take(atoms, pick(u), axis=0)
+        states = model_mod.step_batch(system, states, ths, strict=True)
+        cls = classify_batch(regions, states)
         if absorb_target:
-            hit = cls == int(StateClass.TARGET)
-            status[alive[hit]] = REACHED
-            steps[alive[hit]] = t + 1
-    steps[status == ACTIVE] = horizon
+            stop = cls != int(StateClass.SAFE)
+        else:
+            stop = cls == int(StateClass.UNSAFE)
+        if not stop.any():
+            continue
+        stopped = np.compress(stop, live)
+        status[stopped] = np.where(np.compress(stop, cls) == int(StateClass.UNSAFE),
+                                   EXITED, REACHED)
+        steps[stopped] = t + 1
+        keep = ~stop
+        live = np.compress(keep, live)
+        if live.size == 0:
+            break
+        states = np.compress(keep, states.T, axis=1).T
+    steps[live] = horizon
     return status, steps
 
 

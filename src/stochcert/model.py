@@ -20,11 +20,9 @@ __all__ = [
     "DisturbanceDist",
     "SystemModel",
     "Trajectory",
-    "step",
     "step_batch",
     "sample_disturbance",
     "simulate",
-    "expectation",
     "quantize_uniform",
     "quantize_gaussian",
 ]
@@ -91,17 +89,16 @@ class Trajectory:
     error: str | None = None  # set when simulation aborted early
 
 
-def step(model: SystemModel, x, th) -> np.ndarray:
-    """One transition; propagates expression evaluation errors."""
-    return np.array([expr.eval_expr(f, x, th) for f in model.dynamics])
-
-
 def step_batch(model: SystemModel, xs: np.ndarray, ths: np.ndarray,
                strict: bool = True) -> np.ndarray:
-    """Vectorized transition of a (B, n) batch under per-row disturbances (B, m)."""
+    """Vectorized transition of a (B, n) batch under per-row disturbances (B, m).
+
+    The (B, n) result is column-contiguous (Fortran order): each coordinate
+    is one contiguous array, the layout in which the next step reads it.
+    """
     xs = np.asarray(xs, dtype=float)
-    cols = [expr.eval_expr_batch(f, xs, ths, strict=strict) for f in model.dynamics]
-    return np.column_stack(cols)
+    return np.array([expr.eval_expr_batch(f, xs, ths, strict=strict)
+                     for f in model.dynamics]).T
 
 
 def sample_disturbance(dist: DisturbanceDist, rng: np.random.Generator) -> np.ndarray:
@@ -123,7 +120,7 @@ def simulate(model: SystemModel, x0, horizon: int, seed: int) -> Trajectory:
     for _ in range(horizon):
         th = sample_disturbance(model.dist, rng)
         try:
-            nxt = step(model, states[-1], th)
+            nxt = step_batch(model, states[-1][None, :], th[None, :])[0]
         except EvalError as exc:
             return Trajectory(
                 states=np.array(states),
@@ -136,14 +133,6 @@ def simulate(model: SystemModel, x0, horizon: int, seed: int) -> Trajectory:
         states=np.array(states),
         disturbances=np.array(draws).reshape(len(draws), model.m),
     )
-
-
-def expectation(model: SystemModel, x, g) -> float:
-    """Exact one-step expectation E[g(f(x, th))] over the finite atom set."""
-    total = 0.0
-    for atom, p in zip(model.dist.atoms, model.dist.probs):
-        total += float(p) * float(g(step(model, x, atom)))
-    return total
 
 
 def quantize_uniform(lo: float, hi: float, atoms_per_dim: int) -> DisturbanceDist:

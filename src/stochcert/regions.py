@@ -20,7 +20,6 @@ __all__ = [
     "RegionSpec",
     "Box",
     "NestingReport",
-    "classify",
     "classify_batch",
     "validate_nesting",
     "compute_omega",
@@ -74,22 +73,14 @@ class Box:
         return Box(self.lower - pad, self.upper + pad)
 
 
-def classify(regions: RegionSpec, x) -> StateClass:
-    if expr.eval_predicate(regions.target, x):
-        return StateClass.TARGET
-    if expr.eval_predicate(regions.safe, x):
-        return StateClass.SAFE
-    return StateClass.UNSAFE
-
-
 def classify_batch(regions: RegionSpec, xs: np.ndarray) -> np.ndarray:
     """Class codes for a (B, n) batch, as a StateClass-valued int array."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     in_target = expr.eval_predicate_batch(regions.target, xs)
     in_safe = expr.eval_predicate_batch(regions.safe, xs)
-    codes = np.full(xs.shape[0], int(StateClass.UNSAFE), dtype=np.int8)
-    codes[in_safe] = int(StateClass.SAFE)
-    codes[in_target] = int(StateClass.TARGET)
+    # UNSAFE (2) counts down to SAFE (1) inside X and to TARGET (0) inside X_r
+    codes = np.int8(StateClass.UNSAFE) - in_safe.view(np.int8)
+    codes *= ~in_target
     return codes
 
 

@@ -106,6 +106,15 @@ def identity():
     }
 
 
+def one_step_mean(system: model.SystemModel, x, g) -> float:
+    """E[g(f(x, th))] over the finite atom set, each atom's successor taken
+    as a batch of one."""
+    total = 0.0
+    for atom, p in zip(system.dist.atoms, system.dist.probs):
+        total += float(p) * float(g(model.step_batch(system, [x], [atom])[0]))
+    return total
+
+
 def ruin_probability(i: int, n: int, p_up: float) -> float:
     """Probability the +-1 walk hits n before 0 from i (independent oracle)."""
     if p_up == 0.5:

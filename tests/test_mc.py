@@ -1,12 +1,29 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stochcert import expr, mc, model
-from stochcert.mc import ACTIVE, EXITED, REACHED, _run_trials, estimate_liveness, estimate_reach_avoid
+from stochcert import expr, mc, model, regions
+from stochcert.cli import load_scenario
+from stochcert.mc import (ACTIVE, EXITED, REACHED, _atom_picker, _run_trials, _step_uniforms,
+                          estimate_liveness, estimate_reach_avoid)
 
 from conftest import make_contraction, make_walk, ruin_probability, walk_regions
+from scalar_reference import scalar_expr, scalar_predicate
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def disc_walk():
+    """The 2-D disc walk of perfbench/discwalk.py, written out here."""
+    atoms = [[a * 0.1, b * 0.1] for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    system = model.SystemModel(2, 2, (expr.parse_expr("0.95*x1 + 0.1*x2 + th1", 2, 2),
+                                      expr.parse_expr("-0.05*x1 + 0.9*x2 + th2", 2, 2)),
+                               model.DisturbanceDist(atoms, [1.0 / 9.0] * 9))
+    reg = regions.RegionSpec(expr.parse_predicate("x1^2 + x2^2 < 1.0", 2),
+                             expr.parse_predicate("x1^2 + x2^2 < 0.04", 2))
+    return system, reg
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +144,99 @@ class TestErrorPath:
         reg = walk_regions()
         est = estimate_liveness(system, reg, [2.0], 10, 50, 0.05, 0)
         assert est.error is not None
+
+
+class TestExactCounts:
+    """Success counts recorded before the live-trial compaction and the
+    compiled evaluator; the draws and outcomes must not move."""
+
+    @pytest.mark.parametrize("name, live, reach", [
+        ("symmetric_walk", 0, 5981),
+        ("biased_walk", 0, 14241),
+        ("invariant_contraction", 5000, 5000),
+    ])
+    def test_bundled_scenarios(self, name, live, reach):
+        sc = load_scenario(SCENARIOS / f"{name}.yaml")
+        args = (sc.system, sc.regions, sc.x0s[0], sc.mc_horizon, sc.mc_trials, sc.mc_delta,
+                sc.mc_seed)
+        assert estimate_liveness(*args).successes == live
+        assert estimate_reach_avoid(*args).successes == reach
+
+    def test_disc_walk(self):
+        system, reg = disc_walk()
+        args = (system, reg, [0.6, 0.3], 500, 2000, 0.05, 20240001)
+        assert estimate_liveness(*args).successes == 1898
+        assert estimate_reach_avoid(*args).successes == 1964
+        live_status, live_steps = _run_trials(*args[:5], 20240001, absorb_target=False)
+        assert int(live_steps.sum()) == 967626 and np.count_nonzero(live_status == EXITED) == 102
+        reach_status, reach_steps = _run_trials(*args[:5], 20240001, absorb_target=True)
+        assert int(reach_steps.sum()) == 46506 and np.count_nonzero(reach_status == EXITED) == 36
+
+
+def reference_trials(system, reg, x0, horizon, n_trials, seed, absorb_target):
+    """One trial at a time with the scalar reference evaluator and
+    np.searchsorted: the oracle for ``_run_trials``."""
+    draws = [_step_uniforms(seed, t, n_trials) for t in range(horizon)]
+    cum = system.dist.cum_probs
+    status = np.full(n_trials, ACTIVE, dtype=np.int8)
+    steps = np.full(n_trials, horizon, dtype=np.int64)
+    for i in range(n_trials):
+        x = list(x0)
+        for t in range(horizon):
+            th = system.dist.atoms[np.searchsorted(cum, draws[t][i], side="right")]
+            x = [scalar_expr(f, x, th) for f in system.dynamics]
+            if not scalar_predicate(reg.safe, x) and not scalar_predicate(reg.target, x):
+                status[i], steps[i] = EXITED, t + 1
+                break
+            if absorb_target and scalar_predicate(reg.target, x):
+                status[i], steps[i] = REACHED, t + 1
+                break
+    return status, steps
+
+
+@pytest.mark.parametrize("absorb_target", [False, True])
+def test_trials_match_one_at_a_time_reference(absorb_target):
+    # affine dynamics and a squared-radius predicate are exact in both
+    # evaluators here, so statuses and exit steps agree trial for trial
+    cases = [(make_walk(0.6), walk_regions(), [3.0], 60, 300, 3),
+             (*disc_walk(), [0.6, 0.3], 80, 300, 4)]
+    for system, reg, x0, horizon, n, seed in cases:
+        got = _run_trials(system, reg, x0, horizon, n, seed, absorb_target)
+        want = reference_trials(system, reg, x0, horizon, n, seed, absorb_target)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _cum(probs) -> np.ndarray:
+    probs = np.asarray(probs, dtype=float)
+    return model.DisturbanceDist(np.arange(probs.size, dtype=float).reshape(-1, 1),
+                                 probs / probs.sum()).cum_probs
+
+
+@pytest.mark.parametrize("cum", [
+    _cum([1.0]),
+    _cum([0.5, 0.5]),
+    _cum([0.4, 0.6]),
+    _cum(np.full(9, 1.0 / 9.0)),
+    _cum(np.full(400, 1.0 / 400.0)),
+    _cum(np.random.default_rng(1).dirichlet(np.full(400, 0.05))),  # skewed: crowded buckets
+    _cum([1e-6, 1e-6, 1e-6] + [1.0] * 6),
+], ids=["K1", "K2", "K2-biased", "K9", "K400", "K400-skewed", "K9-tiny-atoms"])
+def test_atom_picker_equals_searchsorted(cum):
+    below_one = np.nextafter(1.0, 0.0)  # 1 - 2^-53, the largest uniform
+    edges = np.concatenate([np.arange(g) / g for g in 2 ** np.arange(11)])  # every bucket edge
+    marks = np.concatenate([cum, edges])
+    u = np.concatenate([[0.0, below_one], marks, np.nextafter(marks, 0.0),
+                        np.nextafter(marks, 1.0), np.random.default_rng(2).random(10_000)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert np.array_equal(_atom_picker(cum)(u), np.searchsorted(cum, u, side="right"))
+
+
+def test_estimate_compiles_each_tree_once(monkeypatch):
+    builds = []
+    build = expr._build
+    monkeypatch.setattr(expr, "_build", lambda ast: builds.append(ast) or build(ast))
+    system, reg = disc_walk()  # fresh trees, not yet compiled
+    estimate_liveness(system, reg, [0.6, 0.3], 500, 2000, 0.05, 1)
+    estimate_reach_avoid(system, reg, [0.6, 0.3], 500, 2000, 0.05, 1)
+    assert len(builds) == system.n + 2
+    assert {id(t) for t in builds} == {id(t) for t in (*system.dynamics, reg.safe, reg.target)}

@@ -8,7 +8,15 @@ from stochcert import expr, model
 from stochcert.expr import EvalError
 from stochcert.model import DisturbanceDist, SystemModel
 
-from conftest import make_walk
+from conftest import make_walk, one_step_mean
+from scalar_reference import scalar_expr
+
+
+def step_at(system, x, th) -> np.ndarray:
+    """One transition of a batch of one."""
+    out = model.step_batch(system, [x], [th])
+    assert out.shape == (1, system.n)
+    return out[0]
 
 
 class TestDisturbanceDist:
@@ -35,18 +43,30 @@ class TestDisturbanceDist:
 class TestStep:
     def test_random_walk(self):
         walk = make_walk(0.5)
-        assert model.step(walk, [3.0], [1.0]).tolist() == [4.0]
+        assert step_at(walk, [3.0], [1.0]).tolist() == [4.0]
 
     def test_contraction(self):
         dist = DisturbanceDist(atoms=[[0.0]], probs=[1.0])
         sys = SystemModel(1, 1, (expr.parse_expr("0.5*x1", 1, 1),), dist)
-        assert model.step(sys, [4.0], [0.0]).tolist() == [2.0]
+        assert step_at(sys, [4.0], [0.0]).tolist() == [2.0]
 
     def test_singular_dynamics_error(self):
         dist = DisturbanceDist(atoms=[[0.0]], probs=[1.0])
         sys = SystemModel(1, 1, (expr.parse_expr("1/x1", 1, 1),), dist)
         with pytest.raises(EvalError):
-            model.step(sys, [0.0], [0.0])
+            step_at(sys, [0.0], [0.0])
+
+    def test_batch_is_column_contiguous_and_matches_reference(self):
+        dist = DisturbanceDist(atoms=[[-0.1], [0.1]], probs=[0.5, 0.5])
+        sys = SystemModel(2, 1, (expr.parse_expr("0.95*x1 + 0.1*x2 + th1", 2, 1),
+                                 expr.parse_expr("x1*x2 - th1", 2, 1)), dist)
+        rng = np.random.default_rng(8)
+        xs, ths = rng.uniform(-1, 1, size=(50, 2)), rng.choice([-0.1, 0.1], size=(50, 1))
+        ys = model.step_batch(sys, xs, ths)
+        assert ys.shape == (50, 2) and ys.flags.f_contiguous
+        for x, th, y in zip(xs, ths, ys):
+            assert step_at(sys, x, th).tolist() == y.tolist()
+            assert y.tolist() == [scalar_expr(f, x, th) for f in sys.dynamics]
 
     def test_dynamics_length_validated(self):
         dist = DisturbanceDist(atoms=[[0.0]], probs=[1.0])
@@ -105,7 +125,7 @@ class TestSimulate:
         walk = make_walk(0.6)
         traj = model.simulate(walk, [3.0], 100, seed=11)
         for l in range(traj.disturbances.shape[0]):
-            nxt = model.step(walk, traj.states[l], traj.disturbances[l])
+            nxt = step_at(walk, traj.states[l], traj.disturbances[l])
             assert np.array_equal(nxt, traj.states[l + 1])
 
     def test_error_truncates_with_flag(self):
@@ -119,15 +139,15 @@ class TestSimulate:
 class TestExpectation:
     def test_constant(self):
         walk = make_walk(0.5)
-        assert model.expectation(walk, [3.0], lambda y: 7.5) == pytest.approx(7.5, abs=1e-15)
+        assert one_step_mean(walk, [3.0], lambda y: 7.5) == pytest.approx(7.5, abs=1e-15)
 
     def test_symmetric_mean(self):
         walk = make_walk(0.5)
-        assert model.expectation(walk, [3.0], lambda y: y[0]) == pytest.approx(3.0, abs=1e-12)
+        assert one_step_mean(walk, [3.0], lambda y: y[0]) == pytest.approx(3.0, abs=1e-12)
 
     def test_biased_mean(self):
         walk = make_walk(0.6)
-        assert model.expectation(walk, [3.0], lambda y: y[0]) == pytest.approx(3.2, abs=1e-12)
+        assert one_step_mean(walk, [3.0], lambda y: y[0]) == pytest.approx(3.2, abs=1e-12)
 
     def test_linearity(self):
         walk = make_walk(0.6)
@@ -136,13 +156,13 @@ class TestExpectation:
             x = [rng.uniform(0, 10)]
             g1 = lambda y: math.sin(y[0])
             g2 = lambda y: y[0] ** 2
-            lhs = model.expectation(walk, x, lambda y: g1(y) + g2(y))
-            rhs = model.expectation(walk, x, g1) + model.expectation(walk, x, g2)
+            lhs = one_step_mean(walk, x, lambda y: g1(y) + g2(y))
+            rhs = one_step_mean(walk, x, g1) + one_step_mean(walk, x, g2)
             assert abs(lhs - rhs) <= 1e-12
 
     def test_indicator_in_unit_interval(self):
         walk = make_walk(0.5)
-        val = model.expectation(walk, [9.0], lambda y: 1.0 if y[0] >= 10 else 0.0)
+        val = one_step_mean(walk, [9.0], lambda y: 1.0 if y[0] >= 10 else 0.0)
         assert 0.0 <= val <= 1.0
 
 

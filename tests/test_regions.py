@@ -2,27 +2,37 @@ import numpy as np
 import pytest
 
 from stochcert import expr, model, regions
-from stochcert.regions import Box, StateClass, classify, classify_batch
+from stochcert.regions import Box, StateClass, classify_batch
 
 from conftest import make_contraction, make_identity, make_walk, walk_grid, walk_regions
+from scalar_reference import scalar_predicate
+
+
+def classify_at(reg, x) -> StateClass:
+    """The class of one point, classified as a batch of one."""
+    codes = classify_batch(reg, [x])
+    assert codes.shape == (1,)
+    return StateClass(codes[0])
 
 
 class TestClassify:
     def test_three_way(self):
         reg = walk_regions()
-        assert classify(reg, [3.0]) == StateClass.SAFE
-        assert classify(reg, [10.0]) == StateClass.TARGET
-        assert classify(reg, [0.0]) == StateClass.UNSAFE  # strict boundary
+        assert classify_at(reg, [3.0]) == StateClass.SAFE
+        assert classify_at(reg, [10.0]) == StateClass.TARGET
+        assert classify_at(reg, [0.0]) == StateClass.UNSAFE  # strict boundary
 
     def test_partition_property(self):
         reg = walk_regions()
         rng = np.random.default_rng(17)
-        pts = rng.uniform(-2, 13, size=(500, 1))
+        pts = np.vstack([rng.uniform(-2, 13, size=(500, 1)), [[0.0], [10.0], [11.0]]])
         codes = classify_batch(reg, pts)
         for x, code in zip(pts, codes):
-            assert code == int(classify(reg, x))
-            in_target = expr.eval_predicate(reg.target, x)
-            in_safe = expr.eval_predicate(reg.safe, x)
+            assert code == int(classify_at(reg, x))
+            in_target = scalar_predicate(reg.target, x)
+            in_safe = scalar_predicate(reg.safe, x)
+            assert code == (StateClass.TARGET if in_target else
+                            StateClass.SAFE if in_safe else StateClass.UNSAFE)
             indicators = [in_target, in_safe and not in_target,
                           not in_safe and not in_target]
             assert sum(indicators) == 1
