@@ -19,6 +19,7 @@ import yaml
 
 from . import dp, expr as expr_mod, model as model_mod
 from .dp import Grid, ValueField, eval_field_batch
+from .expr import NumericError
 from .model import SystemModel
 from .regions import Box, RegionSpec, StateClass, classify_batch
 
@@ -78,7 +79,7 @@ LOWER_KINDS = (
 )
 
 
-class CertificateError(RuntimeError):
+class CertificateError(NumericError, RuntimeError):
     pass
 
 

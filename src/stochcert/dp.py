@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
+from .expr import NumericError
 from .model import SystemModel
 from .regions import Box, RegionSpec, StateClass, classify_batch
 
@@ -58,12 +59,12 @@ _MASS_TOL = 1e-9
 EXACT_NODE_LIMIT = 5000
 
 
-class GridTooSmallError(RuntimeError):
+class GridTooSmallError(NumericError, RuntimeError):
     """A safe one-step image left the grid box; enlarging the box is required
     because silently absorbing safe mass as unsafe would bias values."""
 
 
-class SingularSystemError(RuntimeError):
+class SingularSystemError(NumericError, RuntimeError):
     """Dense solve hit a (numerically) singular system at gamma = 1."""
 
 
@@ -527,9 +528,11 @@ def check_assumption1(kernel: TransitionKernel) -> Assumption1Result:
     return Assumption1Result(holds, 0.0 if holds else 1.0, rounds, True)
 
 
-def stay_probability(kernel: TransitionKernel, x0, horizon: int) -> float:
-    """P(chain not yet absorbed after `horizon` steps from x0): the truncation
-    slack separating a finite-horizon Monte Carlo estimate from its limit."""
+def stay_probability(kernel: TransitionKernel, horizon: int) -> ValueField:
+    """P(chain not yet absorbed after `horizon` steps) per node: the truncation
+    slack separating a finite-horizon Monte Carlo estimate from its limit.
+    It does not depend on the initial state, so one field serves every x0;
+    evaluated values may leave [0, 1] by rounding and are clipped by callers."""
     sweeps = min(horizon, 100_000)
     Ptt = kernel.P.block(slice(None), kernel.transient)
     s = np.ones(kernel.n_transient)
@@ -539,4 +542,4 @@ def stay_probability(kernel: TransitionKernel, x0, horizon: int) -> float:
         s = Ptt.dot(s)
     values = np.zeros(kernel.grid.n_nodes)
     values[kernel.transient] = s
-    return float(np.clip(eval_field(ValueField(values, kernel.grid), x0), 0.0, 1.0))
+    return ValueField(values, kernel.grid)

@@ -35,6 +35,7 @@ from typing import Union
 import numpy as np
 
 __all__ = [
+    "NumericError",
     "ExprError",
     "EvalError",
     "Const",
@@ -56,6 +57,13 @@ __all__ = [
 ]
 
 
+class NumericError(Exception):
+    """Base of every numeric failure a command reports with exit code 4.
+
+    Each subclass keeps its standard base (``ArithmeticError`` or
+    ``RuntimeError``) as a second parent, so handlers of those still match."""
+
+
 class ExprError(ValueError):
     """Parse or validation failure; ``offset`` is the byte position in the source."""
 
@@ -64,7 +72,7 @@ class ExprError(ValueError):
         self.offset = offset
 
 
-class EvalError(ArithmeticError):
+class EvalError(NumericError, ArithmeticError):
     """Runtime evaluation failure (division by zero, non-finite result)."""
 
 

@@ -114,25 +114,16 @@ def simulate(model: SystemModel, x0, horizon: int, seed: int) -> Trajectory:
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    rng = np.random.default_rng(seed)
+    # one vector draw is the same stream as ``horizon`` sample_disturbance calls
+    u = np.random.default_rng(seed).random(horizon)
+    draws = model.dist.atoms[np.searchsorted(model.dist.cum_probs, u, side="right")]
     states = [np.asarray(x0, dtype=float)]
-    draws = []
-    for _ in range(horizon):
-        th = sample_disturbance(model.dist, rng)
+    for t in range(horizon):
         try:
-            nxt = step_batch(model, states[-1][None, :], th[None, :])[0]
+            states.append(step_batch(model, states[-1][None, :], draws[t:t + 1])[0])
         except EvalError as exc:
-            return Trajectory(
-                states=np.array(states),
-                disturbances=np.array(draws).reshape(len(draws), model.m),
-                error=str(exc),
-            )
-        draws.append(th)
-        states.append(nxt)
-    return Trajectory(
-        states=np.array(states),
-        disturbances=np.array(draws).reshape(len(draws), model.m),
-    )
+            return Trajectory(states=np.array(states), disturbances=draws[:t], error=str(exc))
+    return Trajectory(states=np.array(states), disturbances=draws)
 
 
 def quantize_uniform(lo: float, hi: float, atoms_per_dim: int) -> DisturbanceDist:

@@ -37,6 +37,7 @@ from .certificate import (
     PolyCert,
     check_condition,
 )
+from .expr import NumericError
 from .model import SystemModel
 from .regions import Box, RegionSpec, StateClass, classify_batch
 
@@ -56,13 +57,13 @@ _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
 
 
-class SimplexStalledError(RuntimeError):
+class SimplexStalledError(NumericError, RuntimeError):
     def __init__(self, iterations: int):
         super().__init__(f"simplex numerically stalled after {iterations} iterations")
         self.iterations = iterations
 
 
-class SynthesisInfeasibleError(RuntimeError):
+class SynthesisInfeasibleError(NumericError, RuntimeError):
     pass
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from stochcert import certificate, cli, regions, synth
+from stochcert import certificate, cli, dp, expr, regions, synth
 from stochcert.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -100,6 +100,20 @@ class TestLoading:
         values = report.sections["values"]
         assert len(values) == 2
         assert values[1]["reach_avoid"]["value"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_report_all_truncation_slack_per_initial_state(self, tmp_path):
+        # one stay-probability field per kernel serves every initial state
+        doc = _walk_doc()
+        del doc["initial_state"]
+        doc["mc"]["trials"] = 2000
+        slacks = []
+        for x0s in ([[3.0], [5.0]], [[3.0]], [[5.0]]):
+            doc["initial_states"] = x0s
+            report = run("report-all", load_scenario(_write(tmp_path, doc)))
+            slacks += [(e["reach_avoid"]["truncation_slack"], e["liveness"]["truncation_slack"])
+                       for e in report.sections["dp_vs_mc"]]
+        assert slacks[:2] == slacks[2:]
+        assert slacks[0] != slacks[1]
 
     @pytest.mark.parametrize("block, key, value, message", [
         ("system", "n", "one", "system.n must be an integer"),
@@ -426,22 +440,39 @@ class TestMain:
         assert err.startswith("error: ") and message in err
 
     def test_commands_import_no_scipy(self, tmp_path):
-        # scipy costs start-up time and memory in every process; no command needs it
+        # scipy costs start-up time and memory in every process; no command needs it.
+        # The first call freezes the start-up heap; later calls freeze nothing new
+        # and the collector stays on.
         walk = str(SCENARIOS / "symmetric_walk.yaml")
         cert = str(tmp_path / "certificate_ra_lower_discounted.yaml")
         code = (
-            "import sys; from stochcert import cli\n"
-            "codes = [cli.main(['--scenario', %r, '--command', cmd, '--out', %r,"
-            " '--certificate', %r, '--quiet']) for cmd in ('simulate', 'solve', 'estimate',"
-            " 'assumption1', 'extract', 'verify', 'synthesize', 'report-all')]\n"
-            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "import gc, json, sys; from stochcert import cli\n"
+            "codes, frozen = [], []\n"
+            "for cmd in ('simulate', 'solve', 'estimate', 'assumption1', 'extract', 'verify',"
+            " 'synthesize', 'report-all'):\n"
+            "    codes.append(cli.main(['--scenario', %r, '--command', cmd, '--out', %r,"
+            " '--certificate', %r, '--quiet']))\n"
+            "    frozen.append(gc.get_freeze_count() if gc.isenabled() else None)\n"
+            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps([codes, scipy, frozen]))\n"
         ) % (walk, str(tmp_path), cert)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=120, check=True).stdout
-        assert out.strip() == "[0, 0, 0, 0, 0, 0, 0, 0] []"
+        codes, scipy, frozen = json.loads(_fresh_interpreter(code))
+        assert codes == [0] * 8
+        assert scipy == []
+        assert frozen[0] > 0
+        assert frozen == [frozen[0]] * 8
+
+    @pytest.mark.parametrize("cls, base", [
+        (dp.GridTooSmallError, RuntimeError),
+        (dp.SingularSystemError, RuntimeError),
+        (expr.EvalError, ArithmeticError),
+        (certificate.CertificateError, RuntimeError),
+        (synth.SimplexStalledError, RuntimeError),
+        (synth.SynthesisInfeasibleError, RuntimeError),
+    ])
+    def test_numeric_failures_share_one_base(self, cls, base):
+        # main maps NumericError to exit 4; the old base keeps other handlers matching
+        assert issubclass(cls, expr.NumericError) and issubclass(cls, base)
 
     def test_numeric_failure_exit(self, tmp_path, capsys):
         doc = _walk_doc()
@@ -451,3 +482,80 @@ class TestMain:
         code = main(["--scenario", str(path), "--command", "solve", "--quiet"])
         assert code == EXIT_NUMERIC
         assert "division" in capsys.readouterr().err
+
+
+def _fresh_interpreter(code: str) -> str:
+    """stdout of ``python -c code`` run against this checkout's stochcert."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+_LOADED = "sorted(m for m in sys.modules if m.startswith('stochcert'))"
+_CORE = ["stochcert", "stochcert.certificate", "stochcert.cli", "stochcert.dp",
+         "stochcert.expr", "stochcert.model", "stochcert.regions"]
+
+# the names the package exported before it resolved them lazily, by submodule
+_PUBLIC = {
+    "certificate": ["ALL_KINDS", "Condition", "ConstCert", "GridCert", "PolyCert",
+                    "best_threshold", "check_condition", "eval_cert", "extract_certificate",
+                    "load_certificate", "save_certificate"],
+    "dp": ["Grid", "TransitionKernel", "ValueField", "build_grid", "build_kernel",
+           "check_assumption1", "eval_field", "solve_discounted", "solve_exact_small",
+           "solve_reach_avoid", "solve_safety_exit"],
+    "expr": ["parse_expr", "parse_predicate"],
+    "mc": ["McEstimate", "estimate_liveness", "estimate_reach_avoid"],
+    "model": ["DisturbanceDist", "SystemModel", "Trajectory", "quantize_gaussian",
+              "quantize_uniform", "simulate", "step_batch"],
+    "regions": ["Box", "RegionSpec", "StateClass", "classify_batch", "compute_omega",
+                "validate_nesting"],
+    "synth": ["LpProblem", "LpSolution", "Template", "simplex_solve", "synthesize"],
+}
+
+
+class TestStartUp:
+    """Every command is a fresh process, so each imports only what it runs."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", []),
+        ("solve", []),
+        ("estimate", ["stochcert.mc"]),
+        ("assumption1", []),
+        ("extract", []),
+        ("verify", []),
+        ("synthesize", ["stochcert.synth"]),
+        ("report-all", ["stochcert.mc", "stochcert.synth"]),
+    ])
+    def test_command_imports_only_its_modules(self, tmp_path, command, extra):
+        walk = str(SCENARIOS / "symmetric_walk.yaml")
+        cert = tmp_path / "certificate_ra_lower_discounted.yaml"
+        if command == "verify":
+            assert main(["--scenario", walk, "--command", "extract", "--out", str(tmp_path),
+                         "--quiet"]) == EXIT_OK
+        code = (
+            "import json, sys; from stochcert import cli\n"
+            "code = cli.main(['--scenario', %r, '--command', %r, '--out', %r,"
+            " '--certificate', %r, '--quiet'])\n"
+            "print(json.dumps([code, %s]))\n"
+        ) % (walk, command, str(tmp_path), str(cert), _LOADED)
+        assert json.loads(_fresh_interpreter(code)) == [EXIT_OK, sorted(_CORE + extra)]
+
+    def test_bare_import_loads_no_submodule(self):
+        code = "import json, sys, stochcert\nprint(json.dumps(%s))\n" % _LOADED
+        assert json.loads(_fresh_interpreter(code)) == ["stochcert"]
+
+    def test_public_names_resolve_to_submodule_objects(self):
+        import importlib
+
+        import stochcert
+
+        assert sorted(stochcert.__all__) == sorted(n for names in _PUBLIC.values() for n in names)
+        for sub, names in _PUBLIC.items():
+            mod = importlib.import_module(f"stochcert.{sub}")
+            for name in names:
+                assert getattr(stochcert, name) is getattr(mod, name), name
+        assert stochcert.__version__ == "0.1.0"
+        with pytest.raises(AttributeError):
+            stochcert.no_such_name

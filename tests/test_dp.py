@@ -319,6 +319,17 @@ class TestAssumption1:
         assert res.holds and res.sup_stay_prob == 0.0
 
 
+class TestStayProbability:
+    @pytest.mark.parametrize("horizon", [0, 1, 7, 500])
+    def test_matches_dense_matrix_power(self, gambler, horizon):
+        kernel = gambler["reach_kernel"]
+        dense = kernel.P.block(slice(None), kernel.transient).toarray()
+        expected = np.zeros(kernel.grid.n_nodes)
+        expected[kernel.transient] = np.linalg.matrix_power(dense, horizon).sum(axis=1)
+        fld = dp.stay_probability(kernel, horizon)
+        np.testing.assert_allclose(fld.values, expected, rtol=0, atol=1e-15)
+
+
 class TestEvalField:
     def test_node_value(self, gambler):
         fld = dp.ValueField(np.arange(12, dtype=float), gambler["grid"])

@@ -128,6 +128,21 @@ class TestSimulate:
             nxt = step_at(walk, traj.states[l], traj.disturbances[l])
             assert np.array_equal(nxt, traj.states[l + 1])
 
+    @pytest.mark.parametrize("dynamics, steps", [
+        ("x1 + th1", 1000),
+        ("x1 + th1 + 0/(x1 + 2)", 6),  # aborts on reaching x1 = -2
+    ])
+    def test_draws_match_per_step_sampling(self, dynamics, steps):
+        dist = DisturbanceDist(atoms=[[-1.0], [0.0], [1.0]], probs=[0.5, 0.2, 0.3])
+        walk = SystemModel(1, 1, (expr.parse_expr(dynamics, 1, 1),), dist)
+        traj = model.simulate(walk, [1.0], 1000, seed=17)
+        rng = np.random.default_rng(17)
+        ref = np.array([model.sample_disturbance(dist, rng) for _ in range(1000)])
+        assert traj.disturbances.shape == (steps, 1)
+        assert traj.states.shape == (steps + 1, 1)
+        assert np.array_equal(traj.disturbances, ref[:steps])
+        assert np.array_equal(traj.states[1:, 0], 1.0 + np.cumsum(ref[:steps, 0]))
+
     def test_error_truncates_with_flag(self):
         dist = DisturbanceDist(atoms=[[0.0]], probs=[1.0])
         sys = SystemModel(1, 1, (expr.parse_expr("1/(x1 - 1)", 1, 1),), dist)
