@@ -1,13 +1,13 @@
 """Barrier-like certificate functions: checking, extraction, serialization.
 
 A certificate is a real-valued function (grid field, polynomial, or constant)
-paired with one of six condition kinds.  Conditions are finite systems of
-pointwise inequalities; checking evaluates every clause on a finite classified
-point set and reports the worst slack per clause, so a pass means "validated
-on N points", not a proof over all states.  Extraction builds certificates
-from solved value fields: the value function itself satisfies its condition
-with equality, so rendering it faithfully yields a certificate at the
-tightest threshold the field supports.
+paired with one of six condition kinds, each one entry of the clause table
+``KINDS``.  Conditions are finite systems of pointwise inequalities; checking
+evaluates every clause on a finite classified point set and reports the worst
+slack per clause, so a pass means "validated on N points", not a proof over
+all states.  Extraction builds certificates from solved value fields: the
+value function itself satisfies its condition with equality, so rendering it
+faithfully yields a certificate at the tightest threshold the field supports.
 """
 
 from __future__ import annotations
@@ -44,6 +44,12 @@ __all__ = [
     "KIND_LIVENESS_UPPER_DISCOUNTED",
     "KIND_RA_LOWER_PAIR",
     "ALL_KINDS",
+    "KINDS",
+    "INIT_LOWER",
+    "INIT_UPPER",
+    "INIT_COMPLEMENT",
+    "tight_threshold",
+    "point_classes",
     "eval_cert",
     "eval_cert_batch",
     "check_condition",
@@ -61,22 +67,116 @@ KIND_RA_LOWER_DISCOUNTED = "ra_lower_discounted"
 KIND_LIVENESS_UPPER_DISCOUNTED = "liveness_upper_discounted"
 KIND_RA_LOWER_PAIR = "ra_lower_pair"
 
-ALL_KINDS = (
-    KIND_SAFETY_LOWER,
-    KIND_UNSAFE_REACH_UPPER,
-    KIND_RA_LOWER_A1,
-    KIND_RA_LOWER_DISCOUNTED,
-    KIND_LIVENESS_UPPER_DISCOUNTED,
-    KIND_RA_LOWER_PAIR,
-)
+# the three forms of the initial-state clause
+INIT_LOWER = "v(x0) >= eps"
+INIT_UPPER = "v(x0) <= eps"
+INIT_COMPLEMENT = "v(x0) <= 1 - eps"
 
-# kinds whose threshold clause reads v(x0) >= eps
-LOWER_KINDS = (
-    KIND_RA_LOWER_A1,
-    KIND_RA_LOWER_DISCOUNTED,
-    KIND_LIVENESS_UPPER_DISCOUNTED,
-    KIND_RA_LOWER_PAIR,
-)
+# One entry per condition kind, read by checking, extraction and synthesis:
+#   initial  the initial-state clause, one of the forms above;
+#   gamma    whether the clauses read the discount gamma;
+#   source   the extraction source: (value field, outside-box default, value
+#            pinned on the target, value pinned off X), None pinning nothing;
+#   clauses  (name, point class, lhs, rhs), each meaning lhs <= rhs on that
+#            class.  A class is "tgt", "saf", "uns", "in_x" (tgt or saf) or
+#            "all"; a side is a constant, "v", "E[v o f]", "gamma E[v o f]"
+#            or "E[w o f] - w" (the pair kind's companion function w).
+# Optional keys: "omega", the clauses range over the condition's Omega box;
+# "initial_set_caveat", added when the check has several initial states.
+KINDS = {
+    KIND_SAFETY_LOWER: {
+        "initial": INIT_COMPLEMENT,
+        "gamma": False,
+        "source": ("safety_exit", 1.0, None, 1.0),
+        "clauses": (
+            ("on X: E[v o f] <= v", "in_x", "E[v o f]", "v"),
+            ("off X: v >= 1", "uns", 1.0, "v"),
+            ("everywhere: v >= 0", "all", 0.0, "v"),
+        ),
+    },
+    KIND_UNSAFE_REACH_UPPER: {
+        "initial": INIT_UPPER,
+        "gamma": False,
+        "source": ("reach_avoid", 1.0, 1.0, 0.0),
+        "clauses": (
+            ("on X\\Xr: E[v o f] <= v", "saf", "E[v o f]", "v"),
+            ("on Xr: v >= 1", "tgt", 1.0, "v"),
+            ("off X: v >= 0", "uns", 0.0, "v"),
+        ),
+    },
+    KIND_RA_LOWER_A1: {
+        "initial": INIT_LOWER,
+        "gamma": False,
+        "source": ("reach_avoid", 0.0, 1.0, 0.0),
+        "clauses": (
+            ("on X\\Xr: v <= E[v o f]", "saf", "v", "E[v o f]"),
+            ("on Xr: v <= 1", "tgt", "v", 1.0),
+            ("off X: v <= 0", "uns", "v", 0.0),
+        ),
+    },
+    KIND_RA_LOWER_DISCOUNTED: {
+        "initial": INIT_LOWER,
+        "gamma": True,
+        "source": ("discounted", 0.0, 1.0, 0.0),
+        "clauses": (
+            ("on X\\Xr: v <= gamma E[v o f]", "saf", "v", "gamma E[v o f]"),
+            ("on Xr: v <= 1", "tgt", "v", 1.0),
+            ("off X: v <= 0", "uns", "v", 0.0),
+        ),
+        "initial_set_caveat": (
+            "initial-set variant of the discounted condition: the check is "
+            "pointwise but completeness over a whole initial set is not "
+            "guaranteed (the discounted value need not converge uniformly)"
+        ),
+    },
+    KIND_LIVENESS_UPPER_DISCOUNTED: {
+        "initial": INIT_LOWER,
+        "gamma": True,
+        "source": ("discounted_exit", 1.0, None, 1.0),
+        "clauses": (
+            ("on X: v <= gamma E[v o f]", "in_x", "v", "gamma E[v o f]"),
+            ("off X: v <= 1", "uns", "v", 1.0),
+        ),
+    },
+    KIND_RA_LOWER_PAIR: {
+        "initial": INIT_LOWER,
+        "gamma": False,
+        "source": ("discounted", 0.0, 1.0, 0.0),
+        "clauses": (
+            ("on X\\Xr: v <= E[v o f]", "saf", "v", "E[v o f]"),
+            ("on X\\Xr: v <= E[w o f] - w", "saf", "v", "E[w o f] - w"),
+            ("on Xr: v <= 1", "tgt", "v", 1.0),
+            ("on Omega\\X: v <= 0", "uns", "v", 0.0),
+        ),
+        "omega": True,
+    },
+}
+
+ALL_KINDS = tuple(KINDS)
+
+# initial-clause form -> its (lhs, rhs) sides
+_INITIAL_SIDES = {
+    INIT_LOWER: ("eps", "v"),
+    INIT_UPPER: ("v", "eps"),
+    INIT_COMPLEMENT: ("v", "1 - eps"),
+}
+
+
+def tight_threshold(kind: str, v_x0):
+    """The threshold at which ``v_x0`` meets the initial clause of ``kind``
+    with equality."""
+    return 1.0 - v_x0 if KINDS[kind]["initial"] == INIT_COMPLEMENT else v_x0
+
+
+def point_classes(points: np.ndarray, codes: np.ndarray) -> dict:
+    """The point classes the clauses range over, from region codes."""
+    return {
+        "tgt": points[codes == int(StateClass.TARGET)],
+        "saf": points[codes == int(StateClass.SAFE)],
+        "uns": points[codes == int(StateClass.UNSAFE)],
+        "in_x": points[codes != int(StateClass.UNSAFE)],
+        "all": points,
+    }
 
 
 class CertificateError(NumericError, RuntimeError):
@@ -167,8 +267,7 @@ class Condition:
             raise ValueError(f"unknown condition kind {self.kind!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        needs_gamma = self.kind in (KIND_RA_LOWER_DISCOUNTED, KIND_LIVENESS_UPPER_DISCOUNTED)
-        if needs_gamma and (self.gamma is None or not 0.0 < self.gamma < 1.0):
+        if KINDS[self.kind]["gamma"] and (self.gamma is None or not 0.0 < self.gamma < 1.0):
             raise ValueError(f"{self.kind} needs gamma in (0, 1)")
         if self.kind == KIND_RA_LOWER_PAIR and self.w is None:
             raise ValueError("pair condition needs the companion function w")
@@ -196,10 +295,9 @@ class CheckReport:
         return min((c.min_slack for c in self.clauses), default=float("inf"))
 
 
-def _expected_next(system: SystemModel, cert: CertFunction, xs: np.ndarray,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """E[cert(f(x, th))] over the atoms, plus a mask of rows whose image
-    failed to evaluate."""
+def _expected_next(system: SystemModel, cert: CertFunction, xs: np.ndarray) -> np.ndarray:
+    """E[cert(f(x, th))] over the atoms; NaN on rows whose image failed to
+    evaluate."""
     xs = np.atleast_2d(xs)
     total = np.zeros(xs.shape[0])
     bad = np.zeros(xs.shape[0], dtype=bool)
@@ -210,47 +308,7 @@ def _expected_next(system: SystemModel, cert: CertFunction, xs: np.ndarray,
         bad |= row_bad
         safe_ys = np.where(row_bad[:, None], 0.0, ys)
         total += float(p) * eval_cert_batch(cert, safe_ys)
-    total = np.where(bad, np.nan, total)
-    return total, bad
-
-
-class _Checker:
-    def __init__(self, tolerance: float):
-        self.tolerance = tolerance
-        self.clauses: list[ClauseResult] = []
-        self.witnesses: list = []
-
-    def add(self, name: str, points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray):
-        """Record clause lhs <= rhs on the given points; non-finite sides count
-        as violations (evaluation errors at that point)."""
-        lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if points.shape[0] == 0:
-            self.clauses.append(ClauseResult(name, 0, float("inf"), None))
-            return
-        slack = rhs - lhs
-        slack = np.where(np.isfinite(slack), slack, -np.inf)
-        order = np.argsort(slack)
-        worst = int(order[0])
-        self.clauses.append(
-            ClauseResult(name, points.shape[0], float(slack[worst]), points[worst].copy())
-        )
-        for i in order[:10]:
-            if slack[i] < -self.tolerance:
-                self.witnesses.append(
-                    (points[i].copy(), name, float(lhs[i]), float(rhs[i]))
-                )
-
-    def report(self, n_points: int, caveats: list[str]) -> CheckReport:
-        passed = all(c.min_slack >= -self.tolerance for c in self.clauses)
-        return CheckReport(
-            passed=passed,
-            tolerance=self.tolerance,
-            clauses=self.clauses,
-            witnesses=self.witnesses,
-            n_points=n_points,
-            caveats=caveats,
-        )
+    return np.where(bad, np.nan, total)
 
 
 def check_condition(
@@ -263,8 +321,8 @@ def check_condition(
     tolerance: float = 1e-6,
     _skip_threshold: bool = False,
 ) -> CheckReport:
-    """Evaluate every clause of ``cond`` for ``cert`` on the classified point
-    set plus the initial state(s).
+    """Evaluate every clause of ``cond`` (its kind's entry in ``KINDS``) for
+    ``cert`` on the classified point set plus the initial state(s).
 
     ``x0`` may be a single state or a list of states (initial-set variant:
     the threshold clause must hold at each).  One-step expectations are exact
@@ -273,88 +331,50 @@ def check_condition(
     x0s = np.atleast_2d(np.asarray(x0, dtype=float))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     caveats = [f"validated on {points.shape[0]} points plus {x0s.shape[0]} initial state(s)"]
-    kind = cond.kind
-    if kind == KIND_RA_LOWER_PAIR and cond.omega is not None:
+    spec = KINDS[cond.kind]
+    if spec.get("omega") and cond.omega is not None:
         points = points[cond.omega.contains(points)]
-    codes = classify_batch(regions, points)
-    tgt = points[codes == int(StateClass.TARGET)]
-    saf = points[codes == int(StateClass.SAFE)]
-    uns = points[codes == int(StateClass.UNSAFE)]
-    in_x = points[codes != int(StateClass.UNSAFE)]
+    classes = point_classes(points, classify_batch(regions, points))
+    classes["x0"] = x0s
+    clauses = spec["clauses"]
+    if not _skip_threshold:
+        form = spec["initial"]
+        clauses = (("initial: " + form, "x0", *_INITIAL_SIDES[form]),) + clauses
 
-    chk = _Checker(tolerance)
-    v_x0 = eval_cert_batch(cert, x0s)
-    v_tgt = eval_cert_batch(cert, tgt)
-    v_saf = eval_cert_batch(cert, saf)
-    v_uns = eval_cert_batch(cert, uns)
+    def side(term, pts):
+        if not isinstance(term, str):
+            return np.full(len(pts), term)
+        if term == "eps":
+            return np.full(len(pts), cond.epsilon)
+        if term == "1 - eps":
+            return np.full(len(pts), 1.0 - cond.epsilon)
+        if term == "v":
+            return eval_cert_batch(cert, pts)
+        if term == "E[v o f]":
+            return _expected_next(system, cert, pts)
+        if term == "gamma E[v o f]":
+            return cond.gamma * _expected_next(system, cert, pts)
+        return _expected_next(system, cond.w, pts) - eval_cert_batch(cond.w, pts)  # E[w o f] - w
 
-    if kind == KIND_SAFETY_LOWER:
-        if not _skip_threshold:
-            chk.add("initial: v(x0) <= 1 - eps", x0s, v_x0, np.full(len(x0s), 1.0 - cond.epsilon))
-        e_x, _ = _expected_next(system, cert, in_x)
-        v_in_x = eval_cert_batch(cert, in_x)
-        chk.add("on X: E[v o f] <= v", in_x, e_x, v_in_x)
-        chk.add("off X: v >= 1", uns, np.ones(len(uns)), v_uns)
-        v_all = eval_cert_batch(cert, points)
-        chk.add("everywhere: v >= 0", points, np.zeros(len(points)), v_all)
-    elif kind == KIND_UNSAFE_REACH_UPPER:
-        if not _skip_threshold:
-            chk.add("initial: v(x0) <= eps", x0s, v_x0, np.full(len(x0s), cond.epsilon))
-        e_s, _ = _expected_next(system, cert, saf)
-        chk.add("on X\\Xr: E[v o f] <= v", saf, e_s, v_saf)
-        chk.add("on Xr: v >= 1", tgt, np.ones(len(tgt)), v_tgt)
-        chk.add("off X: v >= 0", uns, np.zeros(len(uns)), v_uns)
-    elif kind == KIND_RA_LOWER_A1:
-        if not _skip_threshold:
-            chk.add("initial: v(x0) >= eps", x0s, np.full(len(x0s), cond.epsilon), v_x0)
-        e_s, _ = _expected_next(system, cert, saf)
-        chk.add("on X\\Xr: v <= E[v o f]", saf, v_saf, e_s)
-        chk.add("on Xr: v <= 1", tgt, v_tgt, np.ones(len(tgt)))
-        chk.add("off X: v <= 0", uns, v_uns, np.zeros(len(uns)))
-    elif kind == KIND_RA_LOWER_DISCOUNTED:
-        if not _skip_threshold:
-            chk.add("initial: v(x0) >= eps", x0s, np.full(len(x0s), cond.epsilon), v_x0)
-        e_s, _ = _expected_next(system, cert, saf)
-        chk.add("on X\\Xr: v <= gamma E[v o f]", saf, v_saf, cond.gamma * e_s)
-        chk.add("on Xr: v <= 1", tgt, v_tgt, np.ones(len(tgt)))
-        chk.add("off X: v <= 0", uns, v_uns, np.zeros(len(uns)))
-        if x0s.shape[0] > 1:
-            caveats.append(
-                "initial-set variant of the discounted condition: the check is "
-                "pointwise but completeness over a whole initial set is not "
-                "guaranteed (the discounted value need not converge uniformly)"
-            )
-    elif kind == KIND_LIVENESS_UPPER_DISCOUNTED:
-        if not _skip_threshold:
-            chk.add("initial: v(x0) >= eps", x0s, np.full(len(x0s), cond.epsilon), v_x0)
-        e_x, _ = _expected_next(system, cert, in_x)
-        v_in_x = eval_cert_batch(cert, in_x)
-        chk.add("on X: v <= gamma E[v o f]", in_x, v_in_x, cond.gamma * e_x)
-        chk.add("off X: v <= 1", uns, v_uns, np.ones(len(uns)))
-    elif kind == KIND_RA_LOWER_PAIR:
-        if not _skip_threshold:
-            chk.add("initial: v(x0) >= eps", x0s, np.full(len(x0s), cond.epsilon), v_x0)
-        e_v, _ = _expected_next(system, cert, saf)
-        chk.add("on X\\Xr: v <= E[v o f]", saf, v_saf, e_v)
-        e_w, _ = _expected_next(system, cond.w, saf)
-        w_saf = eval_cert_batch(cond.w, saf)
-        chk.add("on X\\Xr: v <= E[w o f] - w", saf, v_saf, e_w - w_saf)
-        chk.add("on Xr: v <= 1", tgt, v_tgt, np.ones(len(tgt)))
-        chk.add("on Omega\\X: v <= 0", uns, v_uns, np.zeros(len(uns)))
-    else:  # pragma: no cover - guarded by Condition validation
-        raise ValueError(f"unknown condition kind {kind!r}")
-
-    return chk.report(points.shape[0], caveats)
-
-
-def _as_grid_cert(fld: ValueField, outside_default: float, regions: RegionSpec,
-                  target_value: float | None, unsafe_value: float | None) -> GridCert:
-    return GridCert(
-        ValueField(fld.values.copy(), fld.grid, outside_default),
-        regions=regions,
-        target_value=target_value,
-        unsafe_value=unsafe_value,
-    )
+    results, witnesses = [], []
+    for name, cls, lhs_term, rhs_term in clauses:
+        pts = classes[cls]
+        if pts.shape[0] == 0:
+            results.append(ClauseResult(name, 0, float("inf"), None))
+            continue
+        # a non-finite side is an evaluation error at that point: a violation
+        lhs, rhs = side(lhs_term, pts), side(rhs_term, pts)
+        slack = rhs - lhs
+        slack = np.where(np.isfinite(slack), slack, -np.inf)
+        order = np.argsort(slack)
+        worst = int(order[0])
+        results.append(ClauseResult(name, pts.shape[0], float(slack[worst]), pts[worst].copy()))
+        witnesses += [(pts[i].copy(), name, float(lhs[i]), float(rhs[i]))
+                      for i in order[:10] if slack[i] < -tolerance]
+    if x0s.shape[0] > 1 and "initial_set_caveat" in spec:
+        caveats.append(spec["initial_set_caveat"])
+    passed = all(c.min_slack >= -tolerance for c in results)
+    return CheckReport(passed, tolerance, results, witnesses, points.shape[0], caveats)
 
 
 def extract_certificate(fields: dict, kind: str):
@@ -372,13 +392,8 @@ def extract_certificate(fields: dict, kind: str):
     bounds) and use the matching outside-box default, so they render the
     solved value function exactly wherever it is determined by an indicator.
     """
-    regions = fields["regions"]
-    if kind == KIND_SAFETY_LOWER:
-        return _as_grid_cert(fields["safety_exit"], 1.0, regions,
-                             target_value=None, unsafe_value=1.0)
-    if kind == KIND_UNSAFE_REACH_UPPER:
-        return _as_grid_cert(fields["reach_avoid"], 1.0, regions,
-                             target_value=1.0, unsafe_value=0.0)
+    if kind not in KINDS:
+        raise ValueError(f"unknown condition kind {kind!r}")
     if kind == KIND_RA_LOWER_A1:
         a1 = fields.get("assumption1")
         if a1 is None or not a1.holds:
@@ -387,25 +402,19 @@ def extract_certificate(fields: dict, kind: str):
                 "refusing the undiscounted reach-avoid extraction: the "
                 f"finite-time-exit assumption fails (sup stay-probability {sup})"
             )
-        return _as_grid_cert(fields["reach_avoid"], 0.0, regions,
-                             target_value=1.0, unsafe_value=0.0)
-    if kind == KIND_RA_LOWER_DISCOUNTED:
-        return _as_grid_cert(fields["discounted"], 0.0, regions,
-                             target_value=1.0, unsafe_value=0.0)
-    if kind == KIND_LIVENESS_UPPER_DISCOUNTED:
-        return _as_grid_cert(fields["discounted_exit"], 1.0, regions,
-                             target_value=None, unsafe_value=1.0)
-    if kind == KIND_RA_LOWER_PAIR:
-        gamma0 = float(fields["gamma"])
-        if not 0.0 < gamma0 < 1.0:
-            raise CertificateError("pair extraction needs gamma in (0, 1)")
-        fld = fields["discounted"]
-        v = _as_grid_cert(fld, 0.0, regions, target_value=1.0, unsafe_value=0.0)
-        gamma1 = gamma0 / (1.0 - gamma0)  # gamma1/(1+gamma1) equals gamma0
-        w = GridCert(ValueField(gamma1 * fld.values, fld.grid, 0.0),
-                     regions=regions, target_value=gamma1, unsafe_value=0.0)
-        return v, w
-    raise ValueError(f"unknown condition kind {kind!r}")
+    name, outside_default, target_value, unsafe_value = KINDS[kind]["source"]
+    fld, regions = fields[name], fields["regions"]
+    v = GridCert(ValueField(fld.values.copy(), fld.grid, outside_default),
+                 regions=regions, target_value=target_value, unsafe_value=unsafe_value)
+    if kind != KIND_RA_LOWER_PAIR:
+        return v
+    gamma0 = float(fields["gamma"])
+    if not 0.0 < gamma0 < 1.0:
+        raise CertificateError("pair extraction needs gamma in (0, 1)")
+    gamma1 = gamma0 / (1.0 - gamma0)  # gamma1/(1+gamma1) equals gamma0
+    w = GridCert(ValueField(gamma1 * fld.values, fld.grid, 0.0),
+                 regions=regions, target_value=gamma1, unsafe_value=0.0)
+    return v, w
 
 
 def best_threshold(
@@ -431,11 +440,8 @@ def best_threshold(
         failing = [c.name for c in report.clauses if c.min_slack < -tolerance]
         raise CertificateError(f"certificate fails structural clauses: {failing}")
     values = eval_cert_batch(cert, np.atleast_2d(np.asarray(x0, dtype=float)))
-    if kind == KIND_SAFETY_LOWER:
-        return float(1.0 - values.max())
-    if kind == KIND_UNSAFE_REACH_UPPER:
-        return float(values.max())
-    return float(values.min())
+    lower = KINDS[kind]["initial"] == INIT_LOWER
+    return float(tight_threshold(kind, values.min() if lower else values.max()))
 
 
 def build_check_points(

@@ -24,12 +24,9 @@ from . import certificate as cert_mod
 from . import dp, model as model_mod, regions as regions_mod
 from .certificate import (
     ALL_KINDS,
-    KIND_LIVENESS_UPPER_DISCOUNTED,
+    INIT_LOWER,
     KIND_RA_LOWER_A1,
-    KIND_RA_LOWER_DISCOUNTED,
-    KIND_RA_LOWER_PAIR,
-    KIND_SAFETY_LOWER,
-    KIND_UNSAFE_REACH_UPPER,
+    KINDS,
     YAML_LOADER,
     CertificateError,
     Condition,
@@ -524,20 +521,6 @@ def _cmd_assumption1(sc: Scenario) -> Report:
     return Report("assumption1", sc.name, {"assumption1": section})
 
 
-# kind -> (field read at x0, tight threshold from that value): the value
-# function meets its condition with equality, so its own initial-state value
-# (complemented for the safety lower bound) is the best bound it supports.
-# Kinds read from a discounted field carry the scenario's gamma.
-_THRESHOLDS = {
-    KIND_SAFETY_LOWER: ("safety_exit", lambda v: min(1.0, 1.0 - v)),
-    KIND_UNSAFE_REACH_UPPER: ("reach_avoid", lambda v: min(1.0, v)),
-    KIND_RA_LOWER_A1: ("reach_avoid", lambda v: max(0.0, v)),
-    KIND_RA_LOWER_DISCOUNTED: ("discounted", lambda v: max(0.0, v)),
-    KIND_LIVENESS_UPPER_DISCOUNTED: ("discounted_exit", lambda v: max(0.0, v)),
-    KIND_RA_LOWER_PAIR: ("discounted", lambda v: max(0.0, v)),
-}
-
-
 def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
                        only_kind: str | None) -> dict:
     """Extract a certificate per condition kind at its tight threshold, check
@@ -548,7 +531,7 @@ def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
     certificate is a GridCert, so all share the node-plus-exterior point set.
     Returns kind -> (condition, check report, saved path or None).
     """
-    kinds = [k for k in ([only_kind] if only_kind else _THRESHOLDS)
+    kinds = [k for k in ([only_kind] if only_kind else ALL_KINDS)
              if k != KIND_RA_LOWER_A1 or fields["assumption1"].holds]
     if not kinds:
         raise CertificateError(
@@ -560,13 +543,17 @@ def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
                                          interior_random=False)
     results = {}
     for kind in kinds:
-        name, tight = _THRESHOLDS[kind]
+        # the value function meets its condition with equality, so its own
+        # value at x0 gives the tightest threshold it supports; kinds read
+        # from a discounted field carry the scenario's gamma
+        name = KINDS[kind]["source"][0]
+        tight = cert_mod.tight_threshold(kind, dp.eval_field(fields[name], sc.x0s[0]))
+        tight = max(0.0, tight) if KINDS[kind]["initial"] == INIT_LOWER else min(1.0, tight)
         gamma = sc.gamma if name.startswith("discounted") else None
         cert, w = cert_mod.extract_certificate(fields, kind), None
-        if kind == KIND_RA_LOWER_PAIR:
+        if isinstance(cert, tuple):  # the pair kind's (v, w)
             cert, w = cert
-        cond = Condition(kind, tight(dp.eval_field(fields[name], sc.x0s[0])), gamma=gamma,
-                         omega=None if w is None else omega, w=w)
+        cond = Condition(kind, tight, gamma=gamma, omega=None if w is None else omega, w=w)
         rep = cert_mod.check_condition(sc.system, sc.regions, cert, cond,
                                        sc.x0s[0], points, sc.tolerance)
         path = None
@@ -638,11 +625,10 @@ def _cmd_verify(sc: Scenario, certificate_path: str | None, only_kind: str | Non
 
 def _synth_points(sc: Scenario, kind: str) -> np.ndarray:
     """Sample points over the set reach-avoid trajectories can actually visit
-    (images of X minus the target for the reach-avoid kinds), not the full
-    one-step superset: unreachable unsafe samples would reject valid templates."""
-    transient_only = kind in (KIND_RA_LOWER_A1, KIND_RA_LOWER_DISCOUNTED,
-                              KIND_UNSAFE_REACH_UPPER, KIND_RA_LOWER_PAIR)
-    omega = _omega(sc, transient_only)
+    (images of X minus the target for the kinds whose expectation clause
+    ranges over X minus the target), not the full one-step superset:
+    unreachable unsafe samples would reject valid templates."""
+    omega = _omega(sc, any(cls == "saf" for _, cls, _, _ in KINDS[kind]["clauses"]))
     rng = np.random.default_rng(sc.point_seed + 1)
     count = max(sc.extra_points, 200)
     return omega.sample(count, rng)
@@ -653,8 +639,7 @@ def _cmd_synthesize(sc: Scenario, out_dir: Path | None, only_kind: str | None) -
 
     kind = only_kind or KIND_RA_LOWER_A1
     template = synth.Template(n=sc.system.n, degree=1)
-    gamma = sc.gamma if kind in (KIND_RA_LOWER_DISCOUNTED,
-                                 KIND_LIVENESS_UPPER_DISCOUNTED) else None
+    gamma = sc.gamma if KINDS[kind]["gamma"] else None
     points = _synth_points(sc, kind)
     result = synth.synthesize(
         sc.system, sc.regions, kind, template, points, sc.x0s[0],
@@ -772,6 +757,12 @@ def run(command: str, scenario: Scenario, certificate: str | None = None,
     if condition is not None and condition not in ALL_KINDS:
         raise ScenarioError([f"unknown condition kind {condition!r}, "
                              f"expected one of {', '.join(ALL_KINDS)}"])
+    if command == "synthesize" and condition is not None:
+        from . import synth
+
+        if condition not in synth.SYNTH_KINDS:
+            raise ScenarioError([f"synthesize cannot take condition kind {condition!r}, "
+                                 f"expected one of {', '.join(synth.SYNTH_KINDS)}"])
     out_path = None
     if out_dir:
         out_path = Path(out_dir)
@@ -805,8 +796,6 @@ def main(argv=None) -> int:
     parser.add_argument("--condition", help="condition kind "
                         f"({', '.join(ALL_KINDS)})")
     parser.add_argument("--out", help="directory for CSV/report/certificate output")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; computation is vectorized in-process")
     parser.add_argument("--quiet", action="store_true", help="suppress stdout")
     args = parser.parse_args(argv)
     # Once per process, move the start-up heap (the imported modules, mostly)

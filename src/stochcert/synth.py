@@ -3,10 +3,12 @@
 Every clause of the barrier-like conditions is linear in the template
 coefficients (one-step expectations are finite sums of evaluations), so
 maximizing the threshold at the initial state over a sampled point set is a
-plain LP.  The LP is tall and thin (a few template coefficients against
-thousands of sampled rows), so it is solved by an embedded dual simplex over
-the coefficients: an active set of one row per coefficient, started at the
-dual-feasible box vertex, with Bland's rule on the dual so it terminates.
+plain LP: each clause of the kind's entry in ``certificate.KINDS`` becomes
+one block of design-matrix rows.  The LP is tall and thin (a few template
+coefficients against thousands of sampled rows), so it is solved by an
+embedded dual simplex over the coefficients: an active set of one row per
+coefficient, started at the dual-feasible box vertex, with Bland's rule on the
+dual so it terminates.
 Coefficient bounds keep it bounded.  Both answers are checked before they are
 returned: an optimal vertex satisfies every row within 1e-7 and has
 non-negative duals, and an infeasible verdict carries a Farkas certificate.
@@ -26,20 +28,18 @@ import numpy as np
 
 from . import model as model_mod
 from .certificate import (
-    KIND_LIVENESS_UPPER_DISCOUNTED,
-    KIND_RA_LOWER_A1,
-    KIND_RA_LOWER_DISCOUNTED,
-    KIND_RA_LOWER_PAIR,
-    KIND_SAFETY_LOWER,
-    KIND_UNSAFE_REACH_UPPER,
+    INIT_LOWER,
+    KINDS,
     CheckReport,
     Condition,
     PolyCert,
     check_condition,
+    point_classes,
+    tight_threshold,
 )
 from .expr import NumericError
 from .model import SystemModel
-from .regions import Box, RegionSpec, StateClass, classify_batch
+from .regions import Box, RegionSpec, classify_batch
 
 __all__ = [
     "LpProblem",
@@ -50,8 +50,14 @@ __all__ = [
     "lp_to_text",
     "Template",
     "SynthesisResult",
+    "SYNTH_KINDS",
     "synthesize",
 ]
+
+# the kinds a template LP can express: every one but the pair kind, whose
+# clauses read a second unknown function w
+SYNTH_KINDS = tuple(kind for kind, spec in KINDS.items()
+                    if all("E[w o f] - w" not in clause for clause in spec["clauses"]))
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
@@ -71,11 +77,14 @@ class SynthesisInfeasibleError(NumericError, RuntimeError):
 class LpProblem:
     """max (or min) objective . x subject to rows and finite variable bounds.
 
-    Rows are sparse: (coeffs dict {var: value}, sense '<='|'>='|'==', rhs).
+    Row i reads ``rows[i] . x  senses[i]  rhs[i]``: ``rows`` is an (m, n)
+    array and each sense is '<=', '>=' or '=='.
     """
 
     objective: np.ndarray
-    rows: list[tuple[dict[int, float], str, float]]
+    rows: np.ndarray
+    senses: np.ndarray
+    rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     maximize: bool = True
@@ -85,18 +94,25 @@ class LpProblem:
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
         n = self.objective.shape[0]
+        rows = np.asarray(self.rows, dtype=float)
+        # + 0.0 stores a -0.0 coefficient as +0.0
+        self.rows = (rows.reshape(0, n) if rows.size == 0 else rows) + 0.0
+        self.senses = np.asarray(self.senses, dtype=str).reshape(-1)
+        self.rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bounds must match the variable count")
         if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
             raise ValueError("all variable bounds must be finite")
         if np.any(self.upper < self.lower):
             raise ValueError("need upper >= lower bounds")
-        for coeffs, sense, _ in self.rows:
-            if sense not in ("<=", ">=", "=="):
-                raise ValueError(f"unknown row sense {sense!r}")
-            for j in coeffs:
-                if not 0 <= j < n:
-                    raise ValueError(f"row references unknown variable {j}")
+        m = len(self.rows)
+        if self.rows.ndim != 2 or self.rows.shape[1] != n:
+            raise ValueError("rows need one coefficient per variable")
+        if self.senses.shape != (m,) or self.rhs.shape != (m,):
+            raise ValueError("need one sense and one right-hand side per row")
+        unknown = set(self.senses.tolist()) - {"<=", ">=", "=="}
+        if unknown:
+            raise ValueError(f"unknown row sense {sorted(unknown)[0]!r}")
 
     @property
     def n_vars(self) -> int:
@@ -120,15 +136,10 @@ class LpSolution:
 
 def _stack(problem: LpProblem) -> tuple[np.ndarray, np.ndarray]:
     """The rows and bounds of ``problem`` as ``M x <= h`` (order: see LpSolution)."""
-    n = problem.n_vars
-    dense = np.zeros((len(problem.rows), n))
-    for i, (coeffs, _, _) in enumerate(problem.rows):
-        dense[i, list(coeffs)] = list(coeffs.values())
-    senses = np.array([sense for _, sense, _ in problem.rows], dtype=str)
-    rhs = np.array([rhs for _, _, rhs in problem.rows], dtype=float)
-    le, ge = senses != ">=", senses != "<="
-    eye = np.eye(n)
-    M = np.vstack([dense[le], -dense[ge], eye, -eye])
+    rows, rhs = problem.rows, problem.rhs
+    le, ge = problem.senses != ">=", problem.senses != "<="
+    eye = np.eye(problem.n_vars)
+    M = np.vstack([rows[le], -rows[ge], eye, -eye])
     h = np.concatenate([rhs[le], -rhs[ge], problem.upper, -problem.lower])
     return M, h
 
@@ -192,8 +203,8 @@ def lp_to_text(problem: LpProblem) -> str:
     goal = "max" if problem.maximize else "min"
     obj = " + ".join(f"{c:g} x{j}" for j, c in enumerate(problem.objective) if c != 0.0)
     lines.append(f"{goal}: {obj or '0'}")
-    for coeffs, sense, rhs in problem.rows:
-        lhs = " + ".join(f"{v:g} x{j}" for j, v in sorted(coeffs.items()) if v != 0.0)
+    for row, sense, rhs in zip(problem.rows, problem.senses, problem.rhs):
+        lhs = " + ".join(f"{v:g} x{j}" for j, v in enumerate(row) if v != 0.0)
         lines.append(f"{lhs or '0'} {sense} {rhs:g}")
     for j in range(problem.n_vars):
         lines.append(f"{problem.lower[j]:g} <= x{j} <= {problem.upper[j]:g}")
@@ -265,13 +276,6 @@ def _expected_design(system: SystemModel, template: Template, xs: np.ndarray) ->
     return total
 
 
-def _dense_rows(mat: np.ndarray, sense: str, rhs: float):
-    return [
-        ({j: float(v) for j, v in enumerate(row) if v != 0.0}, sense, rhs)
-        for row in mat
-    ]
-
-
 def synthesize(
     system: SystemModel,
     regions: RegionSpec,
@@ -282,7 +286,6 @@ def synthesize(
     tolerance: float = 1e-6,
     gamma: float | None = None,
     margin: float = 0.0,
-    revalidation_points: np.ndarray | None = None,
     revalidation_seed: int = 17,
 ) -> SynthesisResult:
     """Optimize the template against the sampled clauses of ``kind`` and
@@ -294,71 +297,48 @@ def synthesize(
     The initial state is appended to the sample set so its own structural
     clause constrains the optimum.
     """
-    if kind == KIND_RA_LOWER_PAIR:
-        raise ValueError("pair-condition synthesis is unsupported; extract the "
-                         "pair from a discounted value field instead")
-    needs_gamma = kind in (KIND_RA_LOWER_DISCOUNTED, KIND_LIVENESS_UPPER_DISCOUNTED)
-    if needs_gamma and (gamma is None or not 0.0 < gamma < 1.0):
+    if kind not in SYNTH_KINDS:
+        raise ValueError(f"cannot synthesize {kind!r}: synthesis takes "
+                         f"{', '.join(SYNTH_KINDS)}; extract the pair kind from a "
+                         "discounted value field instead")
+    spec = KINDS[kind]
+    if spec["gamma"] and (gamma is None or not 0.0 < gamma < 1.0):
         raise ValueError(f"{kind} synthesis needs gamma in (0, 1)")
 
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     points = np.vstack([np.atleast_2d(np.asarray(points, dtype=float)), x0.reshape(1, -1)])
-    codes = classify_batch(regions, points)
-    tgt = points[codes == int(StateClass.TARGET)]
-    saf = points[codes == int(StateClass.SAFE)]
-    uns = points[codes == int(StateClass.UNSAFE)]
-    in_x = points[codes != int(StateClass.UNSAFE)]
+    classes = point_classes(points, classify_batch(regions, points))
 
-    J = template.size
-    rows: list = []
+    def design(term, pts):
+        if term == "v":
+            return template.design_matrix(pts)
+        expected = _expected_design(system, template, pts)
+        return expected if term == "E[v o f]" else gamma * expected
+
     # keep the optimum where its threshold is meaningful: lower-bound kinds
     # need v(x0) >= 0, upper-bound kinds v(x0) <= 1, else the tight threshold
     # clamps into [0, 1] and the initial-state clause would fail re-validation
+    maximize = spec["initial"] == INIT_LOWER
     x0_row = template.design_matrix(x0.reshape(1, -1))
-    if kind in (KIND_SAFETY_LOWER, KIND_UNSAFE_REACH_UPPER):
-        rows += _dense_rows(x0_row, "<=", 1.0)
-    else:
-        rows += _dense_rows(x0_row, ">=", 0.0)
-    if kind in (KIND_RA_LOWER_A1, KIND_RA_LOWER_DISCOUNTED):
-        if saf.shape[0]:
-            scale = gamma if kind == KIND_RA_LOWER_DISCOUNTED else 1.0
-            rows += _dense_rows(scale * _expected_design(system, template, saf)
-                                - template.design_matrix(saf), ">=", 0.0)
-        if tgt.shape[0]:
-            rows += _dense_rows(template.design_matrix(tgt), "<=", 1.0 - margin)
-        if uns.shape[0]:
-            rows += _dense_rows(template.design_matrix(uns), "<=", -margin)
-        maximize = True
-    elif kind == KIND_LIVENESS_UPPER_DISCOUNTED:
-        if in_x.shape[0]:
-            rows += _dense_rows(gamma * _expected_design(system, template, in_x)
-                                - template.design_matrix(in_x), ">=", 0.0)
-        if uns.shape[0]:
-            rows += _dense_rows(template.design_matrix(uns), "<=", 1.0 - margin)
-        maximize = True
-    elif kind == KIND_SAFETY_LOWER:
-        if in_x.shape[0]:
-            rows += _dense_rows(template.design_matrix(in_x)
-                                - _expected_design(system, template, in_x), ">=", 0.0)
-        if uns.shape[0]:
-            rows += _dense_rows(template.design_matrix(uns), ">=", 1.0 + margin)
-        rows += _dense_rows(template.design_matrix(points), ">=", margin)
-        maximize = False
-    elif kind == KIND_UNSAFE_REACH_UPPER:
-        if saf.shape[0]:
-            rows += _dense_rows(template.design_matrix(saf)
-                                - _expected_design(system, template, saf), ">=", 0.0)
-        if tgt.shape[0]:
-            rows += _dense_rows(template.design_matrix(tgt), ">=", 1.0 + margin)
-        if uns.shape[0]:
-            rows += _dense_rows(template.design_matrix(uns), ">=", margin)
-        maximize = False
-    else:
-        raise ValueError(f"unknown condition kind {kind!r}")
+    blocks = [(x0_row, ">=", 0.0) if maximize else (x0_row, "<=", 1.0)]
+    for _, cls, lhs, rhs in spec["clauses"]:
+        pts = classes[cls]
+        if not len(pts):
+            continue
+        if not isinstance(rhs, str):
+            blocks.append((design(lhs, pts), "<=", rhs - margin))
+        elif not isinstance(lhs, str):
+            blocks.append((design(rhs, pts), ">=", lhs + margin))
+        else:
+            blocks.append((design(rhs, pts) - design(lhs, pts), ">=", 0.0))
 
+    counts = [len(mat) for mat, _, _ in blocks]
+    J = template.size
     problem = LpProblem(
-        objective=template.design_matrix(x0.reshape(1, -1))[0],
-        rows=rows,
+        objective=x0_row[0],
+        rows=np.vstack([mat for mat, _, _ in blocks]),
+        senses=np.repeat([sense for _, sense, _ in blocks], counts),
+        rhs=np.repeat([b for _, _, b in blocks], counts),
         lower=np.full(J, -template.bound),
         upper=np.full(J, template.bound),
         maximize=maximize,
@@ -370,15 +350,11 @@ def synthesize(
         )
 
     cert = PolyCert(template.exponents, tuple(solution.x))
-    v_x0 = float(solution.objective)
-    threshold = 1.0 - v_x0 if kind == KIND_SAFETY_LOWER else v_x0
-    threshold = float(np.clip(threshold, 0.0, 1.0))
+    threshold = float(np.clip(tight_threshold(kind, float(solution.objective)), 0.0, 1.0))
 
-    if revalidation_points is None:
-        rng = np.random.default_rng(revalidation_seed)
-        sample_box = Box(points.min(axis=0), points.max(axis=0))
-        count = 4 * points.shape[0] + 256
-        revalidation_points = sample_box.sample(count, rng)
+    rng = np.random.default_rng(revalidation_seed)
+    sample_box = Box(points.min(axis=0), points.max(axis=0))
+    revalidation_points = sample_box.sample(4 * points.shape[0] + 256, rng)
     cond = Condition(kind, threshold, gamma=gamma)
     report = check_condition(system, regions, cert, cond, x0,
                              revalidation_points, tolerance)

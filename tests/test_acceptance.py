@@ -293,14 +293,14 @@ def test_criterion_9_synthesis(gambler):
 
     # simplex unit suite: optimal, infeasible, unbounded-guarded
     opt = synth.simplex_solve(synth.LpProblem(
-        objective=np.array([1.0]), rows=[({0: 1.0}, "<=", 3.0)],
+        objective=np.array([1.0]), rows=[[1.0]], senses=["<="], rhs=[3.0],
         lower=np.array([0.0]), upper=np.array([10.0])))
     infeas = synth.simplex_solve(synth.LpProblem(
         objective=np.array([1.0]),
-        rows=[({0: 1.0}, ">=", 2.0), ({0: 1.0}, "<=", 1.0)],
+        rows=[[1.0], [1.0]], senses=[">=", "<="], rhs=[2.0, 1.0],
         lower=np.array([0.0]), upper=np.array([10.0])))
     try:
-        synth.LpProblem(objective=np.array([1.0]), rows=[],
+        synth.LpProblem(objective=np.array([1.0]), rows=[], senses=[], rhs=[],
                         lower=np.array([0.0]), upper=np.array([np.inf]))
         guarded = False
     except ValueError:

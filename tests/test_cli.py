@@ -413,6 +413,15 @@ class TestMain:
                      "--quiet"])
         assert code == EXIT_REJECTED
 
+    def test_synthesize_refuses_pair_kind(self, tmp_path, capsys):
+        code = main(["--scenario", str(SCENARIOS / "symmetric_walk.yaml"),
+                     "--command", "synthesize", "--condition", "ra_lower_pair",
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ra_lower_pair" in err
+        assert all(kind in err for kind in synth.SYNTH_KINDS)
+
     @pytest.mark.parametrize("condition, edit, message", [
         ("ra_lower_discounted", None, "needs gamma"),
         ("liveness_upper_discounted", None, "needs gamma"),

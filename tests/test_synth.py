@@ -11,6 +11,7 @@ from stochcert.certificate import (
     KIND_RA_LOWER_PAIR,
     KIND_SAFETY_LOWER,
     Condition,
+    PolyCert,
     check_condition,
 )
 from stochcert.synth import (
@@ -28,7 +29,7 @@ from conftest import ruin_probability
 
 class TestSimplexUnits:
     def test_single_variable_optimal(self):
-        p = LpProblem(objective=np.array([1.0]), rows=[({0: 1.0}, "<=", 3.0)],
+        p = LpProblem(objective=np.array([1.0]), rows=[[1.0]], senses=["<="], rhs=[3.0],
                       lower=np.array([0.0]), upper=np.array([10.0]))
         sol = simplex_solve(p)
         assert sol.status == "optimal"
@@ -36,7 +37,7 @@ class TestSimplexUnits:
 
     def test_two_variable_optimal(self):
         p = LpProblem(objective=np.array([1.0, 1.0]),
-                      rows=[({0: 1.0, 1: 1.0}, "<=", 1.0)],
+                      rows=[[1.0, 1.0]], senses=["<="], rhs=[1.0],
                       lower=np.zeros(2), upper=np.full(2, 10.0))
         sol = simplex_solve(p)
         assert sol.status == "optimal"
@@ -44,19 +45,19 @@ class TestSimplexUnits:
 
     def test_infeasible(self):
         p = LpProblem(objective=np.array([1.0]),
-                      rows=[({0: 1.0}, ">=", 2.0), ({0: 1.0}, "<=", 1.0)],
+                      rows=[[1.0], [1.0]], senses=[">=", "<="], rhs=[2.0, 1.0],
                       lower=np.array([0.0]), upper=np.array([10.0]))
         assert simplex_solve(p).status == "infeasible"
 
     def test_unbounded_guarded_by_finite_bounds(self):
         with pytest.raises(ValueError, match="finite"):
-            LpProblem(objective=np.array([1.0]), rows=[],
+            LpProblem(objective=np.array([1.0]), rows=[], senses=[], rhs=[],
                       lower=np.array([0.0]), upper=np.array([np.inf]))
 
     def test_equality_and_negative_rhs(self):
         # x + y == -1 with x in [-5, 5], y in [-5, 5], maximize x - y
         p = LpProblem(objective=np.array([1.0, -1.0]),
-                      rows=[({0: 1.0, 1: 1.0}, "==", -1.0)],
+                      rows=[[1.0, 1.0]], senses=["=="], rhs=[-1.0],
                       lower=np.full(2, -5.0), upper=np.full(2, 5.0))
         sol = simplex_solve(p)
         assert sol.status == "optimal"
@@ -64,22 +65,21 @@ class TestSimplexUnits:
         assert sol.objective == pytest.approx(9.0, abs=1e-8)  # x=4, y=-5
 
     def test_minimize(self):
-        p = LpProblem(objective=np.array([1.0]), rows=[({0: 1.0}, ">=", 2.0)],
+        p = LpProblem(objective=np.array([1.0]), rows=[[1.0]], senses=[">="], rhs=[2.0],
                       lower=np.array([0.0]), upper=np.array([10.0]), maximize=False)
         sol = simplex_solve(p)
         assert sol.objective == pytest.approx(2.0, abs=1e-9)
 
     def test_stall_error_reports_iterations(self):
         p = LpProblem(objective=np.array([1.0, 1.0]),
-                      rows=[({0: 1.0, 1: 2.0}, "<=", 4.0),
-                            ({0: 2.0, 1: 1.0}, "<=", 4.0)],
+                      rows=[[1.0, 2.0], [2.0, 1.0]], senses=["<=", "<="], rhs=[4.0, 4.0],
                       lower=np.zeros(2), upper=np.full(2, 10.0))
         with pytest.raises(SimplexStalledError):
             simplex_solve(p, max_iter=1)
 
     def test_lp_dump(self):
         p = LpProblem(objective=np.array([1.0, 0.0]),
-                      rows=[({0: 1.0, 1: -2.0}, "<=", 4.0)],
+                      rows=[[1.0, -2.0]], senses=["<="], rhs=[4.0],
                       lower=np.zeros(2), upper=np.full(2, 3.0))
         text = lp_to_text(p)
         assert "max: 1 x0" in text
@@ -103,9 +103,7 @@ class TestSimplexAgainstScipy:
             A, b, c = _random_bounded_lp(rng, n_vars, n_rows)
             upper = 50.0
             p = LpProblem(
-                objective=c,
-                rows=[({j: A[i, j] for j in range(n_vars)}, "<=", float(b[i]))
-                      for i in range(n_rows)],
+                objective=c, rows=A, senses=["<="] * n_rows, rhs=b,
                 lower=np.zeros(n_vars), upper=np.full(n_vars, upper),
             )
             mine = simplex_solve(p)
@@ -126,16 +124,12 @@ class TestSimplexAgainstScipy:
             A, b, c = _random_bounded_lp(rng, n_vars, n_rows)
             c = np.abs(c)  # keep the dual feasible region nonempty
             primal = LpProblem(
-                objective=c,
-                rows=[({j: A[i, j] for j in range(n_vars)}, "<=", float(b[i]))
-                      for i in range(n_rows)],
+                objective=c, rows=A, senses=["<="] * n_rows, rhs=b,
                 lower=np.zeros(n_vars), upper=np.full(n_vars, 1e4),
             )
             psol = simplex_solve(primal)
             dual = LpProblem(
-                objective=b,
-                rows=[({i: A[i, j] for i in range(n_rows)}, ">=", float(c[j]))
-                      for j in range(n_vars)],
+                objective=b, rows=A.T, senses=[">="] * n_vars, rhs=c,
                 lower=np.zeros(n_rows), upper=np.full(n_rows, 1e4),
                 maximize=False,
             )
@@ -155,11 +149,8 @@ def _stacked(problem):
     n = problem.n_vars
     rows, rhs = [], []
     for sign, kept in ((1.0, ("<=", "==")), (-1.0, (">=", "=="))):
-        for coeffs, sense, b in problem.rows:
+        for a, sense, b in zip(problem.rows, problem.senses, problem.rhs):
             if sense in kept:
-                a = np.zeros(n)
-                for j, v in coeffs.items():
-                    a[j] = v
                 rows.append(sign * a)
                 rhs.append(sign * b)
     M = np.vstack([np.reshape(rows, (-1, n)), np.eye(n), -np.eye(n)])
@@ -267,13 +258,12 @@ class TestSimplexAgainstHighs:
         v = rng.uniform(-1.0, 1.0, n)
         normals = rng.uniform(0.1, 1.0, (150, n))
         loose = rng.normal(size=(50, n))
-        rows = [({j: float(a[j]) for j in range(n)}, "<=", float(a @ v))
-                for a in np.vstack([normals, normals, normals[::-1]])]
-        rows += [({j: float(a[j]) for j in range(n)}, "<=", float(a @ v) + 1.0)
-                 for a in loose]
+        tight = np.vstack([normals, normals, normals[::-1]])
+        rows = np.vstack([tight, loose])
         c = normals[:7].sum(axis=0)
-        p = LpProblem(objective=c, rows=rows, lower=np.full(n, -10.0),
-                      upper=np.full(n, 10.0))
+        p = LpProblem(objective=c, rows=rows, senses=["<="] * len(rows),
+                      rhs=[a @ v for a in tight] + [a @ v + 1.0 for a in loose],
+                      lower=np.full(n, -10.0), upper=np.full(n, 10.0))
         sol = simplex_solve(p)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(c @ v, abs=1e-9)
@@ -287,9 +277,7 @@ class TestSimplexAgainstHighs:
             A = rng.normal(size=(int(rng.integers(3, 12)), n))
             b = rng.normal(size=A.shape[0]) - 1.0
             senses = rng.choice(["<=", ">=", "=="], size=A.shape[0], p=[0.5, 0.4, 0.1])
-            p = LpProblem(objective=rng.normal(size=n),
-                          rows=[({j: float(a[j]) for j in range(n)}, str(s), float(r))
-                                for a, s, r in zip(A, senses, b)],
+            p = LpProblem(objective=rng.normal(size=n), rows=A, senses=senses, rhs=b,
                           lower=np.full(n, -1.0), upper=np.full(n, 2.0),
                           maximize=bool(rng.integers(2)))
             sol = simplex_solve(p)
@@ -298,6 +286,48 @@ class TestSimplexAgainstHighs:
                 found += 1
                 _assert_farkas(p, sol)
         assert found >= 10
+
+
+class TestClauseTable:
+    """The check and the synthesis LP read one clause table: at any
+    coefficient vector the worst slack of a clause's LP block is the worst
+    slack the check reports for that clause."""
+
+    @pytest.mark.parametrize("kind", SYNTH_KINDS)
+    def test_lp_blocks_match_checked_clauses(self, kind, monkeypatch):
+        problems = []
+
+        def recording(problem, max_iter=None):
+            problems.append(problem)
+            return simplex_solve(problem, max_iter)
+
+        monkeypatch.setattr(synth, "simplex_solve", recording)
+        sc = cli.load_scenario(SCENARIOS / "symmetric_walk.yaml")
+        template = Template(n=1, degree=2)
+        points = cli._synth_points(sc, kind)
+        gamma = sc.gamma if cm.KINDS[kind]["gamma"] else None
+        try:
+            synthesize(sc.system, sc.regions, kind, template, points, sc.x0s[0],
+                       gamma=gamma, margin=0.0)
+        except SynthesisInfeasibleError:
+            pass
+        (problem,) = problems
+        coeffs = np.random.default_rng(4).normal(size=template.size)
+        slack = problem.rows @ coeffs - problem.rhs
+        slack[problem.senses == "<="] *= -1.0
+        # synthesize appends x0 to its samples and puts the x0 row first
+        report = check_condition(sc.system, sc.regions, PolyCert(template.exponents, coeffs),
+                                 Condition(kind, 0.0, gamma=gamma), sc.x0s[0],
+                                 np.vstack([points, sc.x0s[0]]))
+        initial, *clauses = report.clauses
+        assert initial.name.startswith("initial: ")
+        start = 1
+        for clause in clauses:
+            assert clause.n_points > 0, clause.name
+            block = slack[start:start + clause.n_points]
+            assert block.min() == pytest.approx(clause.min_slack, abs=1e-9), clause.name
+            start += clause.n_points
+        assert start == len(problem.rows)
 
 
 class TestTemplate:
