@@ -12,6 +12,7 @@ faithfully yields a certificate at the tightest threshold the field supports.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -547,8 +548,47 @@ def save_certificate(path, cond: Condition, cert: CertFunction) -> None:
                         "upper": cond.omega.upper.tolist()}
     if cond.w is not None:
         doc["pair_w"] = _cert_to_dict(cond.w)
+    # grid values are written here, not by the dumper, which would build one
+    # node per value; each stands in the document as a placeholder scalar
+    floats = []
+    for body in (doc["function"], doc.get("pair_w")):
+        if body and body["representation"] == "grid" and body["values"]:
+            floats.append(body["values"])
+            body["values"] = f"{_FLOAT_LIST}{len(floats) - 1}"
+    text = yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False)
+    for i, values in enumerate(floats):
+        text = _splice_floats(text, f"{_FLOAT_LIST}{i}", values)
     with open(path, "w") as fh:
-        yaml.dump(doc, fh, Dumper=YAML_DUMPER, sort_keys=False)
+        fh.write(text)
+
+
+_FLOAT_LIST = "_float_list_"
+_BARE_EXPONENT = re.compile(r"(?<![.\d])(\d+)e")
+_NON_FINITE = re.compile(r"\b(inf|nan)\b")
+
+
+def _splice_floats(text: str, placeholder: str, values: list) -> str:
+    """Replace the mapping value ``placeholder`` in ``text`` by ``values`` as
+    the block sequence the dumper writes there: one ``- value`` line each,
+    indented as its key."""
+    at = text.index(f": {placeholder}\n")
+    key_line = text[text.rfind("\n", 0, at) + 1:at]
+    item = "\n" + " " * (len(key_line) - len(key_line.lstrip(" "))) + "- "
+    return f"{text[:at]}:{item}{_yaml_floats(values, item)}{text[at + 2 + len(placeholder):]}"
+
+
+def _yaml_floats(values: list, sep: str) -> str:
+    """``values`` joined by ``sep``, each as PyYAML's
+    ``SafeRepresenter.represent_float`` writes it: ``repr(value).lower()``
+    (a float's repr is lower case already), with ``.0`` before an exponent
+    that has no dot (1e+16 is written 1.0e+16), and ``.inf``, ``-.inf`` and
+    ``.nan``."""
+    text = sep.join(map(repr, values))
+    if "e" in text:
+        text = _BARE_EXPONENT.sub(r"\1.0e", text)
+    if "n" in text:
+        text = _NON_FINITE.sub(r".\1", text)
+    return text
 
 
 def load_certificate(path) -> tuple[Condition, CertFunction]:

@@ -487,10 +487,8 @@ def _cmd_estimate(sc: Scenario) -> Report:
 
     per_x0 = []
     for x0 in sc.x0s:
-        live = mc.estimate_liveness(sc.system, sc.regions, x0, sc.mc_horizon,
-                                    sc.mc_trials, sc.mc_delta, sc.mc_seed)
-        reach = mc.estimate_reach_avoid(sc.system, sc.regions, x0, sc.mc_horizon,
-                                        sc.mc_trials, sc.mc_delta, sc.mc_seed)
+        live, reach = mc.estimate(sc.system, sc.regions, x0, sc.mc_horizon,
+                                  sc.mc_trials, sc.mc_delta, sc.mc_seed)
         per_x0.append({
             "x0": x0.tolist(),
             "liveness": {**_prob(live.p_hat, "mc"), "half_width": live.half_width,
@@ -688,10 +686,8 @@ def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
     for x0 in sc.x0s:
         dp_reach = dp.eval_field(fields["reach_avoid"], x0)
         dp_live = 1.0 - dp.eval_field(fields["safety_exit"], x0)
-        est_live = mc.estimate_liveness(sc.system, sc.regions, x0, sc.mc_horizon,
-                                        sc.mc_trials, sc.mc_delta, sc.mc_seed)
-        est_reach = mc.estimate_reach_avoid(sc.system, sc.regions, x0, sc.mc_horizon,
-                                            sc.mc_trials, sc.mc_delta, sc.mc_seed)
+        est_live, est_reach = mc.estimate(sc.system, sc.regions, x0, sc.mc_horizon,
+                                          sc.mc_trials, sc.mc_delta, sc.mc_seed)
         slack_reach = float(np.clip(dp.eval_field(stay_reach, x0), 0.0, 1.0))
         slack_live = float(np.clip(dp.eval_field(stay_live, x0), 0.0, 1.0))
         reach_ok = abs(dp_reach - est_reach.p_hat) <= est_reach.half_width + slack_reach + 1e-9

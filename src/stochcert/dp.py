@@ -533,10 +533,9 @@ def stay_probability(kernel: TransitionKernel, horizon: int) -> ValueField:
     slack separating a finite-horizon Monte Carlo estimate from its limit.
     It does not depend on the initial state, so one field serves every x0;
     evaluated values may leave [0, 1] by rounding and are clipped by callers."""
-    sweeps = min(horizon, 100_000)
     Ptt = kernel.P.block(slice(None), kernel.transient)
     s = np.ones(kernel.n_transient)
-    for _ in range(sweeps):
+    for _ in range(horizon):
         if s.size == 0 or s.max() < 1e-15:
             break
         s = Ptt.dot(s)

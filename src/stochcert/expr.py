@@ -7,9 +7,10 @@ immutable after construction and safe to evaluate concurrently.
 
 There is one evaluator, over batches: ``eval_expr_batch`` and
 ``eval_predicate_batch`` take B points at once (B = 1 for a single point).
-Each AST is compiled on its first evaluation into a program of numpy
-closures, one per node, and cached by object identity, so repeated calls
-(one per Monte Carlo step) pay no tree walk.
+Each AST, or each tuple of ASTs evaluated together, is compiled on its
+first evaluation into one program of numpy closures, one per node, and
+cached by object identity, so repeated calls (one per Monte Carlo step) pay
+no tree walk.  A subexpression the trees share is computed once per batch.
 
 Grammar (standard precedence, left associative)::
 
@@ -392,31 +393,102 @@ def _pretty(node, outer: int) -> str:
 
 # evaluation -----------------------------------------------------------
 #
-# An AST is compiled once into a program, one closure per node.  An
-# expression program is called as f(xs, ths, strict) and returns an array of
-# length B, or a scalar when its subtree is constant; a predicate program is
-# called as f(xs) and returns a boolean array of length B.
+# A tuple of ASTs is compiled once into one program, one closure per node,
+# each called as f(xs, ths, strict, memo).  An expression node returns an
+# array of length B, or a scalar when its subtree is constant; a predicate
+# node returns a boolean array of length B.  A subtree that more than one
+# parent references, across all the trees and counting equal subtrees as
+# one, is evaluated once per batch: its first use stores its value in
+# ``memo``, a list that every program call starts empty.  The trees are
+# evaluated in order and each child before its parent, as if compiled
+# apart, so an evaluation error is raised where it would be without sharing.
 
-_PROGRAMS: dict[int, tuple[object, object]] = {}
+_PROGRAMS: dict[tuple[int, ...], tuple[tuple, object]] = {}
 
 
-def _program(ast):
-    """The compiled program of ``ast``, built on its first evaluation.
+def _program(asts: tuple):
+    """The compiled program of ``asts``, built on their first evaluation.
 
-    The cache is keyed by object identity, so a lookup never hashes the
-    tree.  Each entry holds ``ast`` itself, so an id cannot be reused by
-    another tree while its entry stands.
+    The cache is keyed by the trees' object identities, so a lookup never
+    hashes a tree.  Each entry holds the trees themselves, so no id can be
+    reused by another tree while its entry stands.
     """
-    entry = _PROGRAMS.get(id(ast))
+    key = tuple(map(id, asts))
+    entry = _PROGRAMS.get(key)
     if entry is None:
-        entry = _PROGRAMS[id(ast)] = (ast, _build(ast))
+        entry = _PROGRAMS[key] = (asts, _build(*asts))
     return entry[1]
 
 
-def _build(ast):
-    if isinstance(ast, (Comparison, BoolOp, Not)):
-        return _predicate(ast)
-    return _arith(ast)[0]
+def _build(*asts):
+    """One program for ``asts``: f(xs, ths, strict) -> [value of each tree]."""
+    slots = _shared_subtrees(asts)
+    roots = [_compile(ast, slots)[0] for ast in asts]
+    n_slots = len(slots)
+
+    def program(xs, ths, strict):
+        memo = [None] * n_slots
+        return [f(xs, ths, strict, memo) for f in roots]
+
+    return program
+
+
+def _children(node) -> tuple:
+    if isinstance(node, (Neg, Not)):
+        return (node.operand,)
+    if isinstance(node, (BinOp, Comparison, BoolOp)):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
+def _shared_subtrees(asts: tuple) -> dict:
+    """Memo slots of the inner subtrees that more than one parent references.
+
+    ASTs are frozen dataclasses, so they hash and compare by structure.  A
+    subtree's children are counted at its first occurrence only; leaves
+    cost nothing to evaluate and are never shared.
+    """
+    seen: set = set()
+    slots: dict = {}
+
+    def visit(node):
+        for child in _children(node):
+            if child not in seen:
+                seen.add(child)
+                visit(child)
+            elif _children(child):
+                slots.setdefault(child, len(slots))
+
+    for ast in asts:
+        visit(ast)
+    return slots
+
+
+def _compile(node, slots: dict, child: bool = False):
+    """Compile ``node`` to ``(closure, varies, owned)``.
+
+    ``varies`` is true when the value depends on the point, and the closure
+    then returns an array.  ``owned`` is true when that array is new and
+    referenced nowhere else, so the parent writes its own result over it
+    instead of allocating another.  A shared subtree reached as a child
+    reads its value from the memo, and is never owned.
+    """
+    slot = slots.get(node) if child else None
+    if slot is not None:
+        evaluate, varies, _ = _compile(node, slots)
+
+        def shared(xs, ths, strict, memo):
+            value = memo[slot]
+            if value is None:
+                value = memo[slot] = evaluate(xs, ths, strict, memo)
+            return value
+
+        return shared, varies, False
+    if isinstance(node, (Comparison, BoolOp, Not)):
+        return _predicate(node, slots), True, False
+    return _arith(node, slots)
 
 
 _UFUNCS = {
@@ -434,23 +506,17 @@ _UFUNCS = {
 }
 
 
-def _arith(node):
-    """Compile an expression node to ``(closure, varies)``.
-
-    ``varies`` is true when the value depends on the point, and the closure
-    then returns an array.  A variable returns a view of its input column;
-    every other node returns a new array, so its parent writes its own
-    result over it instead of allocating another.
-    """
+def _arith(node, slots: dict):
+    """``_compile`` for an expression node other than a shared one."""
     if isinstance(node, Const):
         value = node.value
-        return (lambda xs, ths, strict: value), False
+        return (lambda xs, ths, strict, memo: value), False, False
     if isinstance(node, StateVar):
         col = node.index - 1
-        return (lambda xs, ths, strict: xs[:, col]), True
+        return (lambda xs, ths, strict, memo: xs[:, col]), True, False
     if isinstance(node, DisturbVar):
         col = node.index - 1
-        return (lambda xs, ths, strict: ths[:, col]), True
+        return (lambda xs, ths, strict, memo: ths[:, col]), True, False
     if isinstance(node, Neg):
         fn, children = np.negative, (node.operand,)
     elif isinstance(node, BinOp):
@@ -459,25 +525,25 @@ def _arith(node):
         fn, children = _UFUNCS[node.func], node.args
     else:
         raise TypeError(f"not an expression node: {node!r}")
-    compiled = [_arith(child) for child in children]
+    compiled = [_compile(c, slots, child=True) for c in children]
     if isinstance(node, BinOp) and node.op == "^":
         power = int(node.right.value)  # a non-negative integer, checked at parse time
-        compiled[1] = (lambda xs, ths, strict: power), False
-    operands = [f for f, _ in compiled]
-    scratch = [i for i, (child, (_, varies)) in enumerate(zip(children, compiled))
-               if varies and isinstance(child, (Neg, BinOp, Call))]
-    slot = scratch[0] if scratch else None
+        compiled[1] = (lambda xs, ths, strict, memo: power), False, False
+    operands = [f for f, _, _ in compiled]
+    owned = [i for i, (_, _, own) in enumerate(compiled) if own]
+    slot = owned[0] if owned else None
     divides = isinstance(node, BinOp) and node.op == "/"
 
-    def apply(xs, ths, strict):
-        args = [f(xs, ths, strict) for f in operands]
+    def apply(xs, ths, strict, memo):
+        args = [f(xs, ths, strict, memo) for f in operands]
         if divides and strict and np.any(np.equal(args[1], 0.0)):
             raise EvalError("division by zero")
         if slot is None:
             return fn(*args)
         return fn(*args, out=args[slot])
 
-    return apply, any(varies for _, varies in compiled)
+    varies = any(v for _, v, _ in compiled)
+    return apply, varies, varies
 
 
 _COMPARE = {
@@ -490,19 +556,25 @@ _COMPARE = {
 }
 
 
-def _predicate(node):
+def _predicate(node, slots: dict):
+    """The closure of a predicate node other than a shared one.  Both sides
+    of a comparison are evaluated strictly."""
     if isinstance(node, Comparison):
         op = _COMPARE[node.op]
-        (left, _), (right, _) = _arith(node.left), _arith(node.right)
-        return lambda xs: op(_finite(left(xs, None, True), xs.shape[0]),
-                             _finite(right(xs, None, True), xs.shape[0]))
+        left = _compile(node.left, slots, child=True)[0]
+        right = _compile(node.right, slots, child=True)[0]
+        return lambda xs, ths, strict, memo: op(
+            _finite(left(xs, ths, True, memo), xs.shape[0]),
+            _finite(right(xs, ths, True, memo), xs.shape[0]))
     if isinstance(node, BoolOp):
         op = np.logical_and if node.op == "&&" else np.logical_or
-        left, right = _predicate(node.left), _predicate(node.right)
-        return lambda xs: op(left(xs), right(xs))
+        left = _compile(node.left, slots, child=True)[0]
+        right = _compile(node.right, slots, child=True)[0]
+        return lambda xs, ths, strict, memo: op(left(xs, ths, strict, memo),
+                                                right(xs, ths, strict, memo))
     if isinstance(node, Not):
-        operand = _predicate(node.operand)
-        return lambda xs: np.logical_not(operand(xs))
+        operand = _compile(node.operand, slots, child=True)[0]
+        return lambda xs, ths, strict, memo: np.logical_not(operand(xs, ths, strict, memo))
     raise TypeError(f"not a predicate node: {node!r}")
 
 
@@ -529,7 +601,7 @@ def eval_expr_batch(ast: ExprAst, xs: np.ndarray, ths: np.ndarray | None = None,
         ths = np.asarray(ths, dtype=float)
     rows = xs.shape[0]
     with np.errstate(all="ignore"):
-        values = _program(ast)(xs, ths, strict)
+        values = _program((ast,))(xs, ths, strict)[0]
     # a node's result is a fresh array, except a variable's column view or a
     # constant, which are copied out
     if not (isinstance(values, np.ndarray) and values.base is None
@@ -538,11 +610,19 @@ def eval_expr_batch(ast: ExprAst, xs: np.ndarray, ths: np.ndarray | None = None,
     return _finite(values, rows) if strict else values
 
 
-def eval_predicate_batch(ast: PredicateAst, xs: np.ndarray) -> np.ndarray:
+def eval_predicate_batch(ast: PredicateAst | tuple, xs: np.ndarray):
     """Evaluate a set predicate at a (B, n) batch; returns a boolean array of
-    length B.  Both sides of every comparison are evaluated strictly."""
+    length B.  Both sides of every comparison are evaluated strictly.
+
+    ``ast`` may also be a tuple of predicates, evaluated as one program that
+    computes a subexpression they share once; the result is then a list of
+    one array per predicate, and an EvalError is the one that evaluating
+    them in turn would raise.
+    """
     xs = np.asarray(xs, dtype=float)
+    asts = ast if isinstance(ast, tuple) else (ast,)
     with np.errstate(all="ignore"):
-        inside = _program(ast)(xs)
+        values = _program(asts)(xs, None, True)
     # only a predicate without variables gives a scalar
-    return inside if np.ndim(inside) else np.full(xs.shape[0], inside)
+    values = [v if np.ndim(v) else np.full(xs.shape[0], v) for v in values]
+    return values if isinstance(ast, tuple) else values[0]

@@ -13,10 +13,11 @@ extends trajectories without re-rolling earlier steps (estimates are
 monotone in K for a fixed seed).
 
 All trials advance in lockstep, one ``model.step_batch`` and one
-``regions.classify_batch`` call per step over the live trials only.  Live
-states are kept column-contiguous and compacted when trials stop; each
-trial picks its atom from its own uniform by an exact guide-table inversion
-of the cumulative probabilities.  Neither changes a draw or an outcome.
+``regions.classify_batch`` call per step over the live trials only, and one
+pass records each trial's liveness and reach-avoid outcomes.  Live states
+are kept column-contiguous and compacted when trials stop; each trial picks
+its atom from its own uniform by an exact guide-table inversion of the
+cumulative probabilities.  Neither changes a draw or an outcome.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .regions import RegionSpec, StateClass, classify_batch
 __all__ = [
     "McEstimate",
     "hoeffding_half_width",
+    "estimate",
     "estimate_liveness",
     "estimate_reach_avoid",
 ]
@@ -96,91 +98,140 @@ def _atom_picker(cum: np.ndarray):
 
 
 def _run_trials(system: SystemModel, regions: RegionSpec, x0, horizon: int,
-                n_trials: int, seed: int, absorb_target: bool):
-    """Advance all trials in lockstep sweeps until absorption or horizon.
+                n_trials: int, seed: int):
+    """Advance all trials in lockstep sweeps and record both outcomes.
 
-    Only the live trials are stepped: their states, column-contiguous, and
-    their trial indices are compacted whenever a trial stops, so no step
-    gathers through a mask of all trials.  Trial i still draws uniform i of
-    each step's stream, so the outcome does not depend on the compaction.
+    Returns ``(liveness, reach_avoid)``, each ``(status, steps, error)``.
+    Liveness status is EXITED at the first exit or ACTIVE through the
+    horizon; reach-avoid status is REACHED at the first target hit before any
+    exit, EXITED at an exit before any hit, or ACTIVE.  ``steps`` is the step
+    of that event, or ``horizon``.  ``error`` is the EvalError message that
+    aborted the outcome (its arrays are then partial), or None.
 
-    Returns (status, steps_taken); status holds REACHED/EXITED/ACTIVE per
-    trial, where REACHED only occurs with ``absorb_target``.  Raises EvalError
-    if the dynamics fail to evaluate.
+    A trial is stepped while it has not exited, so both outcomes read one
+    trajectory; the reach-avoid bookkeeping ends once every live trial has
+    hit the target.  Only the live trials are stepped: their states,
+    column-contiguous, and their trial indices are compacted whenever a trial
+    stops.  Trial i draws uniform i of each step's stream, so no outcome
+    depends on which trials share a step.
+
+    Each outcome fails exactly as a pass of its own would: the step that
+    fails first aborts liveness, and is then taken again with only the trials
+    whose reach-avoid outcome is still open, in index order, which continue
+    alone.
     """
     x0 = np.asarray(x0, dtype=float)
-    status = np.full(n_trials, ACTIVE, dtype=np.int8)
-    steps = np.zeros(n_trials, dtype=np.int64)
+    live_status = np.full(n_trials, ACTIVE, dtype=np.int8)
+    live_steps = np.full(n_trials, horizon, dtype=np.int64)
+    reach_status, reach_steps = live_status.copy(), live_steps.copy()
+    live_error = reach_error = None
 
-    start_class = classify_batch(regions, x0.reshape(1, -1))[0]
+    def outcomes():
+        return (live_status, live_steps, live_error), (reach_status, reach_steps, reach_error)
+
+    try:
+        start_class = classify_batch(regions, x0.reshape(1, -1))[0]
+    except EvalError as exc:
+        live_error = reach_error = str(exc)
+        return outcomes()
     if start_class == int(StateClass.UNSAFE):
-        status[:] = EXITED
-        return status, steps
-    if absorb_target and start_class == int(StateClass.TARGET):
-        status[:] = REACHED
-        return status, steps
+        live_status[:] = reach_status[:] = EXITED
+        live_steps[:] = reach_steps[:] = 0
+        return outcomes()
+    # open_[j]: live trial j has neither hit the target nor exited; None
+    # once no live trial is open
+    open_ = np.ones(n_trials, dtype=bool)
+    if start_class == int(StateClass.TARGET):
+        reach_status[:] = REACHED
+        reach_steps[:] = 0
+        open_ = None
 
     pick = _atom_picker(system.dist.cum_probs)
     atoms = system.dist.atoms
     live = np.arange(n_trials)  # indices of the live trials, increasing
     states = np.repeat(x0[:, None], n_trials, axis=1).T  # (live, n), column-contiguous
-    for t in range(horizon):
+    t = 0
+    while t < horizon:
         u = np.take(_step_uniforms(seed, t, n_trials), live)
         ths = np.take(atoms, pick(u), axis=0)
-        states = model_mod.step_batch(system, states, ths, strict=True)
-        cls = classify_batch(regions, states)
-        if absorb_target:
-            stop = cls != int(StateClass.SAFE)
-        else:
-            stop = cls == int(StateClass.UNSAFE)
-        if not stop.any():
+        try:
+            nxt = model_mod.step_batch(system, states, ths, strict=True)
+            cls = classify_batch(regions, nxt)
+        except EvalError as exc:
+            if live_error is not None:
+                reach_error = str(exc)
+                break
+            live_error = str(exc)
+            if open_ is None:
+                break
+            # take this step again with the open trials only
+            live = np.compress(open_, live)
+            states = np.compress(open_, states.T, axis=1).T
+            open_ = np.ones(live.size, dtype=bool)
             continue
-        stopped = np.compress(stop, live)
-        status[stopped] = np.where(np.compress(stop, cls) == int(StateClass.UNSAFE),
-                                   EXITED, REACHED)
-        steps[stopped] = t + 1
-        keep = ~stop
-        live = np.compress(keep, live)
+        states = nxt
+        t += 1
+        if open_ is not None:
+            done = open_ & (cls != int(StateClass.SAFE))
+            if done.any():
+                stopped = np.compress(done, live)
+                reach_status[stopped] = np.where(
+                    np.compress(done, cls) == int(StateClass.UNSAFE), EXITED, REACHED)
+                reach_steps[stopped] = t
+                open_ &= ~done
+        # liveness needs a trial until it exits; without it, only open ones
+        keep = cls != int(StateClass.UNSAFE) if live_error is None else open_
+        if not keep.all():
+            if live_error is None:
+                stopped = np.compress(~keep, live)
+                live_status[stopped] = EXITED
+                live_steps[stopped] = t
+            live = np.compress(keep, live)
+            states = np.compress(keep, states.T, axis=1).T
+            if open_ is not None:
+                open_ = np.compress(keep, open_)
+        if open_ is not None and not open_.any():
+            open_ = None
         if live.size == 0:
             break
-        states = np.compress(keep, states.T, axis=1).T
-    steps[live] = horizon
-    return status, steps
+    return outcomes()
+
+
+def estimate(system: SystemModel, regions: RegionSpec, x0, horizon: int, n_trials: int,
+             delta: float, seed: int) -> tuple[McEstimate, McEstimate]:
+    """Estimate liveness and reach-avoid from one set of trials.
+
+    Returns ``(liveness, reach_avoid)``.  Liveness is P(stay in X through
+    step K), an upper bound on the infinite-horizon liveness probability: a
+    trial counts until its first exit, and the target set plays no role.
+    Reach-avoid is P(hit X_r by step K while staying in X until the hit), a
+    lower bound on the infinite-horizon reach-avoid probability.  Both read
+    the same trajectories, so each equals a pass run for it alone.
+    """
+    if horizon < 1 or n_trials < 1:
+        raise ValueError("need horizon >= 1 and n_trials >= 1")
+    half = hoeffding_half_width(n_trials, delta)
+    live, reach = _run_trials(system, regions, x0, horizon, n_trials, seed)
+
+    def summary(outcome, success: int, direction: str) -> McEstimate:
+        status, _, error = outcome
+        if error is not None:
+            return McEstimate(0.0, n_trials, horizon, delta, half, 0, direction, error=error)
+        successes = int(np.count_nonzero(status == success))
+        return McEstimate(successes / n_trials, n_trials, horizon, delta, half,
+                          successes, direction)
+
+    return (summary(live, ACTIVE, "upper_biased_for_liveness"),
+            summary(reach, REACHED, "lower_biased_for_reach_avoid"))
 
 
 def estimate_liveness(system: SystemModel, regions: RegionSpec, x0, horizon: int,
                       n_trials: int, delta: float, seed: int) -> McEstimate:
-    """Estimate P(stay in X through step K), an upper bound on the
-    infinite-horizon liveness probability.  Trials stop at the first exit;
-    the target set plays no role."""
-    if horizon < 1 or n_trials < 1:
-        raise ValueError("need horizon >= 1 and n_trials >= 1")
-    half = hoeffding_half_width(n_trials, delta)
-    try:
-        status, _ = _run_trials(system, regions, x0, horizon, n_trials, seed,
-                                absorb_target=False)
-    except EvalError as exc:
-        return McEstimate(0.0, n_trials, horizon, delta, half, 0,
-                          "upper_biased_for_liveness", error=str(exc))
-    successes = int(np.count_nonzero(status == ACTIVE))
-    return McEstimate(successes / n_trials, n_trials, horizon, delta, half,
-                      successes, "upper_biased_for_liveness")
+    """The liveness half of ``estimate``."""
+    return estimate(system, regions, x0, horizon, n_trials, delta, seed)[0]
 
 
 def estimate_reach_avoid(system: SystemModel, regions: RegionSpec, x0, horizon: int,
                          n_trials: int, delta: float, seed: int) -> McEstimate:
-    """Estimate P(hit X_r by step K while staying in X until the hit), a lower
-    bound on the infinite-horizon reach-avoid probability.  Trials stop at the
-    first target hit or the first exit."""
-    if horizon < 1 or n_trials < 1:
-        raise ValueError("need horizon >= 1 and n_trials >= 1")
-    half = hoeffding_half_width(n_trials, delta)
-    try:
-        status, _ = _run_trials(system, regions, x0, horizon, n_trials, seed,
-                                absorb_target=True)
-    except EvalError as exc:
-        return McEstimate(0.0, n_trials, horizon, delta, half, 0,
-                          "lower_biased_for_reach_avoid", error=str(exc))
-    successes = int(np.count_nonzero(status == REACHED))
-    return McEstimate(successes / n_trials, n_trials, horizon, delta, half,
-                      successes, "lower_biased_for_reach_avoid")
+    """The reach-avoid half of ``estimate``."""
+    return estimate(system, regions, x0, horizon, n_trials, delta, seed)[1]

@@ -76,8 +76,7 @@ class Box:
 def classify_batch(regions: RegionSpec, xs: np.ndarray) -> np.ndarray:
     """Class codes for a (B, n) batch, as a StateClass-valued int array."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    in_target = expr.eval_predicate_batch(regions.target, xs)
-    in_safe = expr.eval_predicate_batch(regions.safe, xs)
+    in_target, in_safe = expr.eval_predicate_batch((regions.target, regions.safe), xs)
     # UNSAFE (2) counts down to SAFE (1) inside X and to TARGET (0) inside X_r
     codes = np.int8(StateClass.UNSAFE) - in_safe.view(np.int8)
     codes *= ~in_target
@@ -101,8 +100,7 @@ def validate_nesting(regions: RegionSpec, samples: np.ndarray) -> NestingReport:
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] == 0:
         raise ValueError("need a nonempty sample set")
-    in_target = expr.eval_predicate_batch(regions.target, samples)
-    in_safe = expr.eval_predicate_batch(regions.safe, samples)
+    in_target, in_safe = expr.eval_predicate_batch((regions.target, regions.safe), samples)
     bad = in_target & ~in_safe
     return NestingReport(
         passed=not bad.any(),

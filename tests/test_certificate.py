@@ -328,13 +328,43 @@ class TestSerialization:
                                     KIND_RA_LOWER_PAIR) else None
             omega = regions.Box([-1.2], [12.2]) if w is not None else None
             saved.append((Condition(kind, 0.0, gamma=gamma, omega=omega, w=w), cert))
+        # a 2-D grid, with the floats whose text PyYAML writes specially
+        specials = [1e-05, 1e+16, -0.0, 5e-324, np.inf, -np.inf, np.nan, 0.1, 1 / 3, 2.5e-300]
+        values = np.concatenate([specials, np.random.default_rng(3).normal(size=20) * 1e3])
+        grid2 = dp.build_grid([-1.0, -2.0], [1.0, 2.0], [5, 6])
+        disc = regions.RegionSpec(expr.parse_predicate("x1^2 + x2^2 < 1.0", 2),
+                                  expr.parse_predicate("x1^2 + x2^2 < 0.04", 2))
+        cert2 = GridCert(ValueField(values, grid2, outside_default=-0.0), regions=disc,
+                         target_value=1.0, unsafe_value=0.0)
+        w2 = GridCert(ValueField(values[::-1].copy(), grid2))
+        saved.append((Condition(KIND_RA_LOWER_A1, 0.2), cert2))
+        saved.append((Condition(KIND_RA_LOWER_PAIR, 0.0, gamma=0.5,
+                                omega=regions.Box([-1.5, -2.5], [1.5, 2.5]), w=w2), cert2))
+
+        def same(a, b):  # equality, with nan equal to nan
+            if isinstance(a, dict):
+                return isinstance(b, dict) and list(a) == list(b) and all(
+                    same(a[k], b[k]) for k in a)
+            if isinstance(a, list):
+                return isinstance(b, list) and len(a) == len(b) and all(map(same, a, b))
+            if isinstance(a, float) and np.isnan(a):
+                return isinstance(b, float) and np.isnan(b)
+            return type(a) is type(b) and a == b
+
         for i, (cond, cert) in enumerate(saved):
             path = tmp_path / f"cert{i}.yaml"
             save_certificate(path, cond, cert)
             text = path.read_text()
             doc = yaml.load(text, Loader=yaml.SafeLoader)
-            assert yaml.load(text, Loader=cm.YAML_LOADER) == doc
+            assert same(yaml.load(text, Loader=cm.YAML_LOADER), doc)
             assert yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False) == text
+        # the special values read back as written, -0.0 with its sign
+        doc = yaml.load(text, Loader=yaml.SafeLoader)
+        for body, want in ((doc["function"], values), (doc["pair_w"], values[::-1])):
+            got = np.array(body["values"])
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got[got == 0.0]), np.signbit(want[want == 0.0]))
+        assert np.signbit(doc["function"]["outside_default"])
 
 
 class TestConditionValidation:

@@ -506,7 +506,7 @@ _LOADED = "sorted(m for m in sys.modules if m.startswith('stochcert'))"
 _CORE = ["stochcert", "stochcert.certificate", "stochcert.cli", "stochcert.dp",
          "stochcert.expr", "stochcert.model", "stochcert.regions"]
 
-# the names the package exported before it resolved them lazily, by submodule
+# the names the package exports, by submodule
 _PUBLIC = {
     "certificate": ["ALL_KINDS", "Condition", "ConstCert", "GridCert", "PolyCert",
                     "best_threshold", "check_condition", "eval_cert", "extract_certificate",
@@ -515,7 +515,7 @@ _PUBLIC = {
            "check_assumption1", "eval_field", "solve_discounted", "solve_exact_small",
            "solve_reach_avoid", "solve_safety_exit"],
     "expr": ["parse_expr", "parse_predicate"],
-    "mc": ["McEstimate", "estimate_liveness", "estimate_reach_avoid"],
+    "mc": ["McEstimate", "estimate", "estimate_liveness", "estimate_reach_avoid"],
     "model": ["DisturbanceDist", "SystemModel", "Trajectory", "quantize_gaussian",
               "quantize_uniform", "simulate", "step_batch"],
     "regions": ["Box", "RegionSpec", "StateClass", "classify_batch", "compute_omega",

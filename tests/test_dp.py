@@ -329,6 +329,18 @@ class TestStayProbability:
         fld = dp.stay_probability(kernel, horizon)
         np.testing.assert_allclose(fld.values, expected, rtol=0, atol=1e-15)
 
+    def test_horizon_beyond_100k_sweeps(self):
+        # one transient node that stays with probability q per step, for more
+        # steps than any sweep cap short of the horizon would allow
+        q, horizon = 1.0 - 1e-5, 150_000
+        kernel = dp.TransitionKernel(
+            build_grid([0.0], [2.0], [2]), dp.MODE_REACH_AVOID, transient=np.array([0]),
+            one_nodes=np.array([1]), one_mass=np.array([1.0 - q]), zero_mass=np.array([0.0]),
+            P=dp.SlotMatrix(np.array([[0]]), np.array([[q]]), 2))
+        values = dp.stay_probability(kernel, horizon).values
+        assert values[1] == 0.0
+        assert values[0] == pytest.approx(q ** horizon, rel=1e-12, abs=0)
+
 
 class TestEvalField:
     def test_node_value(self, gambler):

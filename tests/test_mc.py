@@ -91,15 +91,12 @@ class TestGambler:
 
 class TestTrialConsistency:
     def test_reach_and_liveness_agree_per_trial(self, walk):
-        # same counter-based draws drive both runs, so trajectories are
-        # identical until absorption: a reached trial cannot have exited
-        # earlier, and an exit before any target hit shows up in both
+        # both outcomes read one trajectory per trial: a reached trial cannot
+        # have exited earlier, and an exit before any target hit shows up in both
         system, reg = walk
         n = 2000
-        reach_status, reach_steps = _run_trials(system, reg, [3.0], 500, n, 11,
-                                                absorb_target=True)
-        live_status, live_steps = _run_trials(system, reg, [3.0], 500, n, 11,
-                                              absorb_target=False)
+        (live_status, live_steps, _), (reach_status, reach_steps, _) = _run_trials(
+            system, reg, [3.0], 500, n, 11)
         assert not (reach_status == ACTIVE).any()
         for i in range(n):
             if reach_status[i] == REACHED:
@@ -111,7 +108,7 @@ class TestTrialConsistency:
 
     def test_no_trial_both_reached_and_stayed(self, walk):
         system, reg = walk
-        status, _ = _run_trials(system, reg, [3.0], 2000, 2000, 13, absorb_target=True)
+        _, (status, _, _) = _run_trials(system, reg, [3.0], 2000, 2000, 13)
         assert np.count_nonzero(status == REACHED) + np.count_nonzero(status == EXITED) \
             == 2000
 
@@ -145,6 +142,27 @@ class TestErrorPath:
         est = estimate_liveness(system, reg, [2.0], 10, 50, 0.05, 0)
         assert est.error is not None
 
+    def test_failure_after_target_hit(self):
+        # only liveness steps trials on from the target, where the dynamics
+        # fail; reach-avoid keeps its count.  Both recorded from separate passes.
+        live, reach = mc.estimate(failing_walk(), walk_regions(), [3.0], 300, 2000, 0.05, 11)
+        assert live.error == "division by zero" and live.successes == 0 and live.p_hat == 0.0
+        assert reach.error is None and reach.successes == 609
+        (_, _, live_error), (_, _, reach_error) = _run_trials(
+            failing_walk(), walk_regions(), [7.0], 60, 300, 6)
+        assert live_error == "division by zero" and reach_error is None
+
+    def test_each_error_names_a_row_of_its_own_trials(self):
+        # with -1/+2 steps, trials that hit the target come back to x = 9, where
+        # the dynamics overflow, while open ones reach it too: both outcomes
+        # fail, at rows of different live sets.  Recorded from separate passes.
+        dist = model.DisturbanceDist(atoms=[[-1.0], [2.0]], probs=[0.6, 0.4])
+        system = model.SystemModel(
+            1, 1, (expr.parse_expr("x1 + th1 + 0*exp(1000 - 1000*(x1 - 9)^2)", 1, 1),), dist)
+        live, reach = mc.estimate(system, walk_regions(), [4.0], 300, 200, 0.05, 2)
+        assert live.error == "non-finite result at row 1"
+        assert reach.error == "non-finite result at row 6"
+
 
 class TestExactCounts:
     """Success counts recorded before the live-trial compaction and the
@@ -167,43 +185,84 @@ class TestExactCounts:
         args = (system, reg, [0.6, 0.3], 500, 2000, 0.05, 20240001)
         assert estimate_liveness(*args).successes == 1898
         assert estimate_reach_avoid(*args).successes == 1964
-        live_status, live_steps = _run_trials(*args[:5], 20240001, absorb_target=False)
+        (live_status, live_steps, _), (reach_status, reach_steps, _) = _run_trials(
+            *args[:5], 20240001)
         assert int(live_steps.sum()) == 967626 and np.count_nonzero(live_status == EXITED) == 102
-        reach_status, reach_steps = _run_trials(*args[:5], 20240001, absorb_target=True)
         assert int(reach_steps.sum()) == 46506 and np.count_nonzero(reach_status == EXITED) == 36
 
 
-def reference_trials(system, reg, x0, horizon, n_trials, seed, absorb_target):
+def reference_trials(system, reg, x0, horizon, n_trials, seed):
     """One trial at a time with the scalar reference evaluator and
-    np.searchsorted: the oracle for ``_run_trials``."""
+    np.searchsorted: the oracle for ``_run_trials``.
+
+    Returns (liveness, reach_avoid), each (status, steps, failed): a trial
+    is stepped until it exits, and ``failed`` tells whether the dynamics
+    failed to evaluate at a state stepped from while the outcome was open.
+    """
     draws = [_step_uniforms(seed, t, n_trials) for t in range(horizon)]
     cum = system.dist.cum_probs
-    status = np.full(n_trials, ACTIVE, dtype=np.int8)
-    steps = np.full(n_trials, horizon, dtype=np.int64)
+    live = [np.full(n_trials, ACTIVE, dtype=np.int8), np.full(n_trials, horizon), False]
+    reach = [np.full(n_trials, ACTIVE, dtype=np.int8), np.full(n_trials, horizon), False]
+
+    def unsafe(x):
+        return not scalar_predicate(reg.safe, x) and not scalar_predicate(reg.target, x)
+
     for i in range(n_trials):
         x = list(x0)
+        if unsafe(x):
+            live[0][i] = reach[0][i] = EXITED
+            live[1][i] = reach[1][i] = 0
+            continue
+        reach_open = not scalar_predicate(reg.target, x)
+        if not reach_open:
+            reach[0][i], reach[1][i] = REACHED, 0
         for t in range(horizon):
             th = system.dist.atoms[np.searchsorted(cum, draws[t][i], side="right")]
-            x = [scalar_expr(f, x, th) for f in system.dynamics]
-            if not scalar_predicate(reg.safe, x) and not scalar_predicate(reg.target, x):
-                status[i], steps[i] = EXITED, t + 1
+            try:
+                x = [scalar_expr(f, x, th) for f in system.dynamics]
+            except (ZeroDivisionError, OverflowError):
+                live[2] = True
+                reach[2] = reach[2] or reach_open
                 break
-            if absorb_target and scalar_predicate(reg.target, x):
-                status[i], steps[i] = REACHED, t + 1
+            if unsafe(x):
+                live[0][i], live[1][i] = EXITED, t + 1
+                if reach_open:
+                    reach[0][i], reach[1][i] = EXITED, t + 1
                 break
-    return status, steps
+            if reach_open and scalar_predicate(reg.target, x):
+                reach[0][i], reach[1][i] = REACHED, t + 1
+                reach_open = False
+    return tuple(live), tuple(reach)
 
 
-@pytest.mark.parametrize("absorb_target", [False, True])
-def test_trials_match_one_at_a_time_reference(absorb_target):
+def failing_walk():
+    """The symmetric walk with dynamics that fail to evaluate at x = 10, in
+    the target: only trials that already hit the target step from there."""
+    dist = model.DisturbanceDist(atoms=[[-1.0], [1.0]], probs=[0.5, 0.5])
+    return model.SystemModel(1, 1, (expr.parse_expr("x1 + th1 + 0/(x1 - 10)", 1, 1),),
+                             dist)
+
+
+@pytest.mark.parametrize("case", [
+    (make_walk(0.5), walk_regions(), [3.0], 60, 300, 3),
+    (make_walk(0.6), walk_regions(), [3.0], 60, 300, 3),
+    (*disc_walk(), [0.6, 0.3], 80, 300, 4),
+    (make_walk(0.5), walk_regions(), [10.0], 60, 300, 5),
+    (make_walk(0.5), walk_regions(), [12.0], 60, 300, 5),
+    (*disc_walk(), [1.0, 0.5], 60, 300, 5),
+    (failing_walk(), walk_regions(), [7.0], 60, 300, 6),
+], ids=["symmetric-walk", "biased-walk", "disc-walk", "target-start", "unsafe-start",
+        "disc-unsafe-start", "fails-after-target"])
+def test_trials_match_one_at_a_time_reference(case):
     # affine dynamics and a squared-radius predicate are exact in both
-    # evaluators here, so statuses and exit steps agree trial for trial
-    cases = [(make_walk(0.6), walk_regions(), [3.0], 60, 300, 3),
-             (*disc_walk(), [0.6, 0.3], 80, 300, 4)]
-    for system, reg, x0, horizon, n, seed in cases:
-        got = _run_trials(system, reg, x0, horizon, n, seed, absorb_target)
-        want = reference_trials(system, reg, x0, horizon, n, seed, absorb_target)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # evaluators here, so statuses and steps agree trial for trial
+    system, reg, x0, horizon, n, seed = case
+    got = _run_trials(system, reg, x0, horizon, n, seed)
+    want = reference_trials(system, reg, x0, horizon, n, seed)
+    for (status, steps, error), (want_status, want_steps, failed) in zip(got, want):
+        assert (error is not None) == failed
+        if not failed:
+            assert np.array_equal(status, want_status) and np.array_equal(steps, want_steps)
 
 
 def _cum(probs) -> np.ndarray:
@@ -234,9 +293,12 @@ def test_atom_picker_equals_searchsorted(cum):
 def test_estimate_compiles_each_tree_once(monkeypatch):
     builds = []
     build = expr._build
-    monkeypatch.setattr(expr, "_build", lambda ast: builds.append(ast) or build(ast))
+    monkeypatch.setattr(expr, "_build", lambda *asts: builds.append(asts) or build(*asts))
     system, reg = disc_walk()  # fresh trees, not yet compiled
     estimate_liveness(system, reg, [0.6, 0.3], 500, 2000, 0.05, 1)
     estimate_reach_avoid(system, reg, [0.6, 0.3], 500, 2000, 0.05, 1)
-    assert len(builds) == system.n + 2
-    assert {id(t) for t in builds} == {id(t) for t in (*system.dynamics, reg.safe, reg.target)}
+    # one program per dynamics component, and one for the two region predicates
+    assert sorted(map(len, builds)) == [1] * system.n + [2]
+    trees = [t for asts in builds for t in asts]
+    assert len(trees) == system.n + 2
+    assert {id(t) for t in trees} == {id(t) for t in (*system.dynamics, reg.safe, reg.target)}

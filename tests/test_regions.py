@@ -69,6 +69,65 @@ class TestNesting:
             regions.validate_nesting(walk_regions(), np.empty((0, 1)))
 
 
+def _separate_codes(reg, xs):
+    """Class codes from the target and then the safe predicate, each
+    evaluated alone, or the message of the first EvalError."""
+    try:
+        in_target = expr.eval_predicate_batch(reg.target, xs)
+        in_safe = expr.eval_predicate_batch(reg.safe, xs)
+    except expr.EvalError as exc:
+        return str(exc)
+    return np.where(in_target, StateClass.TARGET,
+                    np.where(in_safe, StateClass.SAFE, StateClass.UNSAFE))
+
+
+class TestSharedSubexpressions:
+    def test_disc_squares_each_coordinate_once(self, monkeypatch):
+        bases = []
+        power = expr._UFUNCS["^"]
+        monkeypatch.setitem(expr._UFUNCS, "^",
+                            lambda *args, **kw: bases.append(args[0]) or power(*args, **kw))
+        # fresh trees, compiled under the counting power
+        reg = regions.RegionSpec(expr.parse_predicate("x1^2 + x2^2 < 1.0", 2),
+                                 expr.parse_predicate("x1^2 + x2^2 < 0.04", 2))
+        xs = np.random.default_rng(0).uniform(-1.2, 1.2, size=(200, 2))
+        codes = classify_batch(reg, xs)
+        assert len(bases) == 2
+        assert np.array_equal(bases[0], xs[:, 0]) and np.array_equal(bases[1], xs[:, 1])
+        assert np.array_equal(codes, _separate_codes(reg, xs))
+
+    @pytest.mark.parametrize("safe, target", [
+        ("x1^2 + x2^2 < 1.0", "x1^2 + x2^2 < 0.04"),
+        ("x1^2 + x2^2 < 1.0 && 1/(x1 - 0.5) > -40", "1/(x1 - 0.5) > 40 || x1^2 + x2^2 < 0.04"),
+        ("x1^2 + x2^2 < 1.0 && 1/(x2 - 0.5) > -40", "x1^2 + x2^2 < 0.04"),
+        ("!(exp(400*x1) > 1e30) && abs(x2) < 1", "exp(400*x1) < 2 && !(abs(x2) < 1 && x2 > 0.5)"),
+        # the target tolerates the overflow that the safe set raises on
+        ("exp(400*x1) - 1 < x1^2 + 5", "min(exp(400*x1), 1) < 2 && x1^2 < 0.5"),
+    ])
+    def test_codes_and_errors_match_separate_evaluation(self, safe, target):
+        # grid-rounded points put some rows on the poles and past the
+        # overflow, so some batches raise and some do not
+        reg = regions.RegionSpec(expr.parse_predicate(safe, 2), expr.parse_predicate(target, 2))
+        rng = np.random.default_rng(9)
+        raised = 0
+        for _ in range(60):
+            xs = np.round(rng.uniform(-2, 2, size=(10, 2)), 1)
+            want = _separate_codes(reg, xs)
+            try:
+                got = classify_batch(reg, xs)
+            except expr.EvalError as exc:
+                got = str(exc)
+            if isinstance(want, str):
+                raised += 1
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
+                assert got.tolist() == [StateClass.TARGET if scalar_predicate(reg.target, x)
+                                        else StateClass.SAFE if scalar_predicate(reg.safe, x)
+                                        else StateClass.UNSAFE for x in xs]
+        assert raised < 60
+
+
 def _box_samples(box: Box, n: int, seed: int) -> np.ndarray:
     return box.sample(n, np.random.default_rng(seed))
 
