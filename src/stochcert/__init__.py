@@ -26,8 +26,7 @@ _ORIGIN = {
         "check_assumption1", "eval_field", "solve_discounted", "solve_exact_small",
         "solve_reach_avoid", "solve_safety_exit"), "dp"),
     **dict.fromkeys(("parse_expr", "parse_predicate"), "expr"),
-    **dict.fromkeys(
-        ("McEstimate", "estimate", "estimate_liveness", "estimate_reach_avoid"), "mc"),
+    **dict.fromkeys(("McEstimate", "estimate"), "mc"),
     **dict.fromkeys((
         "DisturbanceDist", "SystemModel", "Trajectory", "quantize_gaussian",
         "quantize_uniform", "simulate", "step_batch"), "model"),

@@ -163,10 +163,13 @@ _INITIAL_SIDES = {
 }
 
 
-def tight_threshold(kind: str, v_x0):
-    """The threshold at which ``v_x0`` meets the initial clause of ``kind``
-    with equality."""
-    return 1.0 - v_x0 if KINDS[kind]["initial"] == INIT_COMPLEMENT else v_x0
+def tight_threshold(kind: str, v_x0s) -> float:
+    """The threshold at which the values ``v_x0s`` at the initial states meet
+    the initial clause of ``kind`` at every state, with equality at the worst:
+    the least value for lower-bound kinds, the greatest otherwise."""
+    v_x0s = np.asarray(v_x0s, dtype=float)
+    worst = float(v_x0s.min() if KINDS[kind]["initial"] == INIT_LOWER else v_x0s.max())
+    return 1.0 - worst if KINDS[kind]["initial"] == INIT_COMPLEMENT else worst
 
 
 def point_classes(points: np.ndarray, codes: np.ndarray) -> dict:
@@ -431,18 +434,15 @@ def best_threshold(
     w: CertFunction | None = None,
 ) -> float:
     """Extremal threshold making the initial-state clause tight, provided the
-    structural clauses pass: 1 - v(x0) for the safety lower bound, v(x0)
-    otherwise (min over multiple initial states for lower-bound kinds, max for
-    upper-bound kinds)."""
+    structural clauses pass: ``tight_threshold`` of the certificate's values
+    at the initial states."""
     probe = Condition(kind, 0.0, gamma=gamma, omega=omega, w=w)
     report = check_condition(system, regions, cert, probe, x0, points,
                              tolerance, _skip_threshold=True)
     if not report.passed:
         failing = [c.name for c in report.clauses if c.min_slack < -tolerance]
         raise CertificateError(f"certificate fails structural clauses: {failing}")
-    values = eval_cert_batch(cert, np.atleast_2d(np.asarray(x0, dtype=float)))
-    lower = KINDS[kind]["initial"] == INIT_LOWER
-    return float(tight_threshold(kind, values.min() if lower else values.max()))
+    return tight_threshold(kind, eval_cert_batch(cert, x0))
 
 
 def build_check_points(

@@ -1,10 +1,12 @@
 """Scenario loading, command dispatch, and report emission.
 
 Scenarios are YAML files with nested blocks (system, regions, grid, mc,
-check); everything downstream is derived from them, seeds included, so a
-command run twice produces identical output.  Exit codes: 0 success, 2
-scenario validation error, 3 certificate rejected by verify, 4 numeric
-failure.
+check, thresholds); everything downstream is derived from them, seeds
+included, so a command run twice produces identical output.  Each numeric
+field is one row of the table ``_FIELDS``, which validation and the
+construction of ``Scenario`` both read: a new setting is a new row there.
+Exit codes: 0 success, 2 scenario validation error, 3 certificate rejected
+by verify, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -172,9 +174,84 @@ def _prob(value: float, method: str) -> dict:
 # scenario loading -----------------------------------------------------
 
 
+# a value's type, as its error message names it
+_INT, _NUM, _NUMS = "an integer", "a number", "a list of numbers"
+
+
+def _interval(text: str) -> tuple:
+    """``"[lo, hi)"`` as (text, lo, hi, lo included, hi included)."""
+    lo, hi = (2 ** int(end[2:]) if end[:2] == "2^" else float(end)
+              for end in text[1:-1].split(", "))
+    return text, lo, hi, text[0] == "[", text[-1] == "]"
+
+
+_ANY, _COUNT = _interval("(-inf, inf)"), _interval("[1, inf)")
+
+# One row per numeric scenario field: (block, key, attribute, type, default,
+# allowed interval).  Block "" is the top level, None marks a required field,
+# and the value fills the Scenario attribute (n, m and grid.* build the system
+# and the grid).
+_FIELDS = (
+    ("system", "n", "n", _INT, None, _COUNT),
+    ("system", "m", "m", _INT, None, _COUNT),
+    ("grid", "lower", "lower", _NUMS, None, _ANY),
+    ("grid", "upper", "upper", _NUMS, None, _ANY),
+    ("grid", "cells", "cells", _NUMS, None, _COUNT),
+    ("thresholds", "epsilon1", "epsilon1", _NUM, 0.0, _interval("[0, 1]")),
+    ("thresholds", "epsilon2", "epsilon2", _NUM, 0.0, _interval("[0, 1]")),
+    ("", "gamma", "gamma", _NUM, 0.5, _interval("[0, 1)")),
+    ("mc", "horizon", "mc_horizon", _INT, None, _COUNT),
+    ("mc", "trials", "mc_trials", _INT, None, _COUNT),
+    ("mc", "delta", "mc_delta", _NUM, 0.05, _interval("(0, 1)")),
+    ("mc", "seed", "mc_seed", _INT, 0, _interval("[0, 2^64)")),
+    ("check", "tolerance", "tolerance", _NUM, 1e-6, _interval("(0, 1]")),
+    ("check", "extra_points", "extra_points", _INT, 200, _interval("[0, inf)")),
+    ("check", "point_seed", "point_seed", _INT, 1, _interval("[0, 2^64)")),
+)
+
+# system.disturbance kind -> (constructor, its required keys in argument
+# order as (key, type, allowed interval)); finite atoms give one row per prob
+# (one row when there is none, for DisturbanceDist to reject)
+_DISTURBANCES = {
+    "finite": (lambda atoms, probs: DisturbanceDist(atoms.reshape(len(probs) or 1, -1), probs),
+               (("atoms", _NUMS, _ANY), ("probs", _NUMS, _interval("(0, 1]")))),
+    "uniform": (model_mod.quantize_uniform,
+                (("lo", _NUM, _ANY), ("hi", _NUM, _ANY), ("atoms", _INT, _COUNT))),
+    "gaussian": (model_mod.quantize_gaussian,
+                 (("mean", _NUM, _ANY), ("std", _NUM, _interval("(0, inf)")),
+                  ("atoms", _INT, _COUNT))),
+}
+
+
+def _number(val, integer: bool):
+    """``val`` as an int when ``integer``, else as a float; raises for a bool,
+    for text that is no number and for a fraction where an integer is asked."""
+    if isinstance(val, bool) or integer and not float(val).is_integer():
+        raise ValueError(val)
+    return (val if isinstance(val, int) else int(float(val))) if integer else float(val)
+
+
+def _read(src: dict, key: str, desc: str, typ: str, default, interval, errors: list):
+    """The field ``src[key]`` as ``typ``, or None after appending its one error;
+    a list may also be given as rows of numbers, or as one number."""
+    val = src.get(key, default)
+    try:
+        rows = val if typ == _NUMS and isinstance(val, list) else [val]
+        nums = [_number(x, typ == _INT) for row in rows
+                for x in (row if typ == _NUMS and isinstance(row, list) else [row])]
+    except (TypeError, ValueError, OverflowError):
+        errors.append(f"{desc} must be {typ}")
+        return None
+    text, lo, hi, lo_in, hi_in = interval
+    if not all((lo < v or lo_in and v == lo) and (v < hi or hi_in and v == hi) for v in nums):
+        errors.append(f"{desc} must lie in {text}")
+        return None
+    return np.array(nums) if typ == _NUMS else nums[0]
+
+
 def load_scenario(path) -> Scenario:
     """Parse and fully cross-validate a scenario file; raises ScenarioError
-    carrying every problem found."""
+    carrying every problem found, at most one per field."""
     path = Path(path)
     try:
         raw = yaml.load(path.read_text(), Loader=YAML_LOADER)
@@ -186,79 +263,47 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(["scenario file must contain a mapping"])
 
     errors: list[str] = []
-    warnings: list[str] = []
+    blocks = {"": raw}
+    for block in ("system", "regions", "grid", "mc", "check", "thresholds"):
+        blocks[block] = raw.get(block) or {}  # a block left out reports its required fields
+        if not isinstance(blocks[block], dict):
+            errors.append(f"malformed block: {block}")
+            blocks[block] = {}
+    values = {attr: _read(blocks[block], key, f"{block}.{key}" if block else key,
+                          typ, default, interval, errors)
+              for block, key, attr, typ, default, interval in _FIELDS}
+    n, m = values.pop("n"), values.pop("m")
+    box = values.pop("lower"), values.pop("upper"), values.pop("cells")
 
-    def need(block: str) -> dict:
-        val = raw.get(block)
-        if not isinstance(val, dict):
-            errors.append(f"missing or malformed block: {block}")
-            return {}
-        return val
-
-    sys_block = need("system")
-    reg_block = need("regions")
-    grid_block = need("grid")
-    mc_block = need("mc")
-    check_block = need("check")
-    thresholds = raw.get("thresholds") or {}
-    if not isinstance(thresholds, dict):
-        errors.append("malformed block: thresholds")
-        thresholds = {}
-
-    def _int(block, key, default, desc):
-        val = block.get(key, default)
+    dist, grid = None, None
+    dist_block = blocks["system"].get("disturbance") or {}
+    if not isinstance(dist_block, dict):
+        errors.append("system.disturbance must be a mapping")
+    elif dist_block.get("kind") not in _DISTURBANCES:
+        errors.append(f"disturbance.kind must be {'/'.join(_DISTURBANCES)}, "
+                      f"got {dist_block.get('kind')!r}")
+    else:
+        make, keys = _DISTURBANCES[dist_block["kind"]]
+        args = [_read(dist_block, key, f"system.disturbance.{key}", typ, None, interval, errors)
+                for key, typ, interval in keys]
         try:
-            if int(val) == float(val):
-                return int(val)
-        except (TypeError, ValueError, OverflowError):
-            pass
-        errors.append(f"{desc} must be an integer")
-        return default
-
-    def _float(block, key, default, lo, hi, desc):
-        try:
-            val = float(block.get(key, default))
-        except (TypeError, ValueError):
-            errors.append(f"{desc} must be a number")
-            return default
-        if not lo <= val <= hi:
-            errors.append(f"{desc} must lie in [{lo}, {hi}]")
-        return val
-
-    n = _int(sys_block, "n", 0, "system.n")
-    m = _int(sys_block, "m", 0, "system.m")
-    if n < 1:
-        errors.append("system.n must be a positive integer")
-
-    dist = None
-    dist_block = sys_block.get("disturbance") or {}
-    kind = dist_block.get("kind") if isinstance(dist_block, dict) else None
+            dist = make(*args) if all(arg is not None for arg in args) else None
+        except ValueError as exc:
+            errors.append(f"disturbance: {exc}")
     try:
-        if not isinstance(dist_block, dict):
-            errors.append("system.disturbance must be a mapping")
-        elif kind == "finite":
-            dist = DisturbanceDist(
-                atoms=np.asarray(dist_block["atoms"], dtype=float).reshape(-1, max(m, 0)),
-                probs=np.asarray(dist_block["probs"], dtype=float),
-            )
-        elif kind == "uniform":
-            dist = model_mod.quantize_uniform(
-                float(dist_block["lo"]), float(dist_block["hi"]), int(dist_block["atoms"])
-            )
-        elif kind == "gaussian":
-            dist = model_mod.quantize_gaussian(
-                float(dist_block["mean"]), float(dist_block["std"]), int(dist_block["atoms"])
-            )
-        else:
-            errors.append(f"disturbance.kind must be finite/uniform/gaussian, got {kind!r}")
-        if dist is not None and dist.m != m:
-            errors.append(f"disturbance dimension {dist.m} != system.m = {m}")
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"disturbance: {exc}")
+        grid = dp.build_grid(*box) if all(v is not None for v in box) else None
+    except ValueError as exc:
+        errors.append(f"grid: {exc}")
+    if n is None or m is None:  # every check below reads the dimensions
+        raise ScenarioError(errors)
 
+    if dist is not None and dist.m != m:
+        errors.append(f"disturbance dimension {dist.m} != system.m = {m}")
+    if grid is not None and grid.n != n:
+        errors.append(f"grid dimension {grid.n} != system.n = {n}")
     dynamics = []
-    dyn_src = sys_block.get("dynamics", [])
-    if not isinstance(dyn_src, list) or len(dyn_src) != max(n, 0):
+    dyn_src = blocks["system"].get("dynamics", [])
+    if not isinstance(dyn_src, list) or len(dyn_src) != n:
         errors.append(f"system.dynamics must list {n} expressions")
     else:
         for i, text in enumerate(dyn_src):
@@ -266,63 +311,23 @@ def load_scenario(path) -> Scenario:
                 dynamics.append(parse_expr(str(text), n, m))
             except ExprError as exc:
                 errors.append(f"dynamics[{i}]: {exc}")
-
-    reg = None
     try:
-        safe_ast = parse_predicate(str(reg_block.get("safe", "")), n)
-        target_ast = parse_predicate(str(reg_block.get("target", "")), n)
-        reg = RegionSpec(safe=safe_ast, target=target_ast)
+        reg = RegionSpec(safe=parse_predicate(str(blocks["regions"].get("safe", "")), n),
+                         target=parse_predicate(str(blocks["regions"].get("target", "")), n))
     except ExprError as exc:
         errors.append(f"regions: {exc}")
-
-    grid = None
-    try:
-        grid = dp.build_grid(grid_block["lower"], grid_block["upper"], grid_block["cells"])
-        if grid.n != n:
-            errors.append(f"grid dimension {grid.n} != system.n = {n}")
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"grid: {exc}")
-
     try:
         x0s = np.atleast_2d(np.asarray(
             raw.get("initial_states", raw.get("initial_state", [])), dtype=float))
     except (TypeError, ValueError):
         x0s = np.empty((0, 0))
-    if x0s.size == 0 or x0s.shape[1] != max(n, 1):
+    if x0s.size == 0 or x0s.shape[1] != n:
         errors.append("initial_state must give one (or more) length-n state(s)")
 
-    epsilon1 = _float(thresholds, "epsilon1", 0.0, 0.0, 1.0, "thresholds.epsilon1")
-    epsilon2 = _float(thresholds, "epsilon2", 0.0, 0.0, 1.0, "thresholds.epsilon2")
-    gamma = _float(raw, "gamma", 0.5, 0.0, 1.0, "gamma")
-    if gamma >= 1.0:
-        errors.append("gamma must be < 1")
-
-    mc_horizon = _int(mc_block, "horizon", 0, "mc.horizon")
-    mc_trials = _int(mc_block, "trials", 0, "mc.trials")
-    mc_delta = _float(mc_block, "delta", 0.05, 0.0, 1.0, "mc.delta")
-    mc_seed = _int(mc_block, "seed", 0, "mc.seed")
-    if mc_horizon < 1:
-        errors.append("mc.horizon must be >= 1")
-    if mc_trials < 1:
-        errors.append("mc.trials must be >= 1")
-    if not 0.0 < mc_delta < 1.0:
-        errors.append("mc.delta must lie in (0, 1)")
-
-    tolerance = _float(check_block, "tolerance", 1e-6, 0.0, 1.0, "check.tolerance")
-    extra_points = _int(check_block, "extra_points", 200, "check.extra_points")
-    point_seed = _int(check_block, "point_seed", 1, "check.point_seed")
-    for desc, seed in (("mc.seed", mc_seed), ("check.point_seed", point_seed)):
-        if not 0 <= seed < 2 ** 64:
-            errors.append(f"{desc} must lie in [0, 2^64)")
-    if tolerance <= 0:
-        errors.append("check.tolerance must be positive")
-    if extra_points < 0:
-        errors.append("check.extra_points must be >= 0")
-
-    system = None
-    if not errors and dist is not None and reg is not None and grid is not None:
+    warnings: list[str] = []
+    if not errors:
         system = SystemModel(n=n, m=m, dynamics=tuple(dynamics), dist=dist)
-        rng = np.random.default_rng(point_seed)
+        rng = np.random.default_rng(values["point_seed"])
         samples = np.vstack([grid.nodes(), grid.box.inflate(0.2).sample(4000, rng)])
         nesting = regions_mod.validate_nesting(reg, samples)
         if not nesting.passed:
@@ -331,8 +336,7 @@ def load_scenario(path) -> Scenario:
         elif nesting.vacuous:
             warnings.append("target predicate is empty over the sampled box")
         outside = grid.box.inflate(0.5).sample(4000, rng)
-        codes = regions_mod.classify_batch(reg, outside)
-        in_x = codes != int(StateClass.UNSAFE)
+        in_x = regions_mod.classify_batch(reg, outside) != int(StateClass.UNSAFE)
         stray = in_x & ~grid.box.contains(outside)
         if stray.any():
             witness = outside[stray][0].tolist()
@@ -340,25 +344,8 @@ def load_scenario(path) -> Scenario:
 
     if errors:
         raise ScenarioError(errors)
-
-    return Scenario(
-        name=str(raw.get("name", path.stem)),
-        system=system,
-        regions=reg,
-        x0s=x0s,
-        epsilon1=epsilon1,
-        epsilon2=epsilon2,
-        grid=grid,
-        gamma=gamma,
-        mc_horizon=mc_horizon,
-        mc_trials=mc_trials,
-        mc_delta=mc_delta,
-        mc_seed=mc_seed,
-        tolerance=tolerance,
-        extra_points=extra_points,
-        point_seed=point_seed,
-        warnings=warnings,
-    )
+    return Scenario(name=str(raw.get("name", path.stem)), system=system, regions=reg,
+                    x0s=x0s, grid=grid, warnings=warnings, **values)
 
 
 # shared pipeline pieces ------------------------------------------------
@@ -371,16 +358,15 @@ def _kernels(sc: Scenario):
 
 
 def _solve_fields(sc: Scenario, reach_kernel, safety_kernel) -> dict:
-    fields = {
+    return {
         "reach_avoid": dp.solve_reach_avoid(reach_kernel),
         "safety_exit": dp.solve_safety_exit(safety_kernel),
         "discounted": dp.solve_discounted(reach_kernel, sc.gamma),
         "discounted_exit": dp.solve_discounted(safety_kernel, sc.gamma),
         "gamma": sc.gamma,
         "regions": sc.regions,
+        "assumption1": dp.check_assumption1(reach_kernel),
     }
-    fields["assumption1"] = dp.check_assumption1(reach_kernel)
-    return fields
 
 
 def _omega(sc: Scenario, transient_only: bool) -> regions_mod.Box:
@@ -392,10 +378,10 @@ def _omega(sc: Scenario, transient_only: bool) -> regions_mod.Box:
 
 
 def _threshold_verdicts(sc: Scenario, fields: dict) -> dict:
-    """The scenario's verification questions answered from the DP fields."""
-    x0 = sc.x0s[0]
-    live = 1.0 - dp.eval_field(fields["safety_exit"], x0)
-    reach = dp.eval_field(fields["reach_avoid"], x0)
+    """The scenario's verification questions answered from the DP fields at
+    the worst initial state: a threshold is certified when every one clears it."""
+    live = float(np.min(1.0 - dp.eval_field_batch(fields["safety_exit"], sc.x0s)))
+    reach = float(np.min(dp.eval_field_batch(fields["reach_avoid"], sc.x0s)))
     return {
         "liveness": {"value": live, "epsilon1": sc.epsilon1,
                      "certified": bool(live >= sc.epsilon1), "method": "dp"},
@@ -424,10 +410,7 @@ def _cmd_simulate(sc: Scenario, out_dir: Path | None) -> Report:
         data = np.column_stack([np.arange(traj.states.shape[0]), traj.states])
         np.savetxt(path, data, delimiter=",", header=header, comments="")
         section["csv"] = str(path)
-    report = Report("simulate", sc.name, {"trajectory": section})
-    if traj.error:
-        report.passed = False
-    return report
+    return Report("simulate", sc.name, {"trajectory": section}, passed=not traj.error)
 
 
 def _cmd_solve(sc: Scenario, out_dir: Path | None) -> Report:
@@ -442,7 +425,7 @@ def _cmd_solve(sc: Scenario, out_dir: Path | None) -> Report:
     exact_ok = reach_kernel.n_transient <= dp.EXACT_NODE_LIMIT
     per_x0 = []
     for x0 in sc.x0s:
-        entry = {
+        per_x0.append({
             "x0": x0.tolist(),
             "reach_avoid": _prob(dp.eval_field(fields["reach_avoid"], x0), "dp"),
             "exit": _prob(dp.eval_field(fields["safety_exit"], x0), "dp"),
@@ -450,8 +433,7 @@ def _cmd_solve(sc: Scenario, out_dir: Path | None) -> Report:
             f"discounted(gamma={sc.gamma:g})": _prob(
                 dp.eval_field(fields["discounted"], x0), "dp"
             ),
-        }
-        per_x0.append(entry)
+        })
     sections["values"] = per_x0
     sections["thresholds"] = _threshold_verdicts(sc, fields)
     if exact_ok:
@@ -501,10 +483,8 @@ def _cmd_estimate(sc: Scenario) -> Report:
         "finite-horizon estimates bracket the infinite-horizon probabilities "
         "(see direction notes)"
     ]
-    report = Report("estimate", sc.name, {"estimates": per_x0}, caveats)
-    if any(e["liveness"]["error"] or e["reach_avoid"]["error"] for e in per_x0):
-        report.passed = False
-    return report
+    return Report("estimate", sc.name, {"estimates": per_x0}, caveats, passed=not any(
+        e["liveness"]["error"] or e["reach_avoid"]["error"] for e in per_x0))
 
 
 def _cmd_assumption1(sc: Scenario) -> Report:
@@ -541,11 +521,11 @@ def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
                                          interior_random=False)
     results = {}
     for kind in kinds:
-        # the value function meets its condition with equality, so its own
-        # value at x0 gives the tightest threshold it supports; kinds read
-        # from a discounted field carry the scenario's gamma
+        # the value function meets its condition with equality, so its values
+        # at the initial states give the tightest threshold it supports at
+        # all of them; kinds read from a discounted field carry the scenario's gamma
         name = KINDS[kind]["source"][0]
-        tight = cert_mod.tight_threshold(kind, dp.eval_field(fields[name], sc.x0s[0]))
+        tight = cert_mod.tight_threshold(kind, dp.eval_field_batch(fields[name], sc.x0s))
         tight = max(0.0, tight) if KINDS[kind]["initial"] == INIT_LOWER else min(1.0, tight)
         gamma = sc.gamma if name.startswith("discounted") else None
         cert, w = cert_mod.extract_certificate(fields, kind), None
@@ -553,7 +533,7 @@ def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
             cert, w = cert
         cond = Condition(kind, tight, gamma=gamma, omega=None if w is None else omega, w=w)
         rep = cert_mod.check_condition(sc.system, sc.regions, cert, cond,
-                                       sc.x0s[0], points, sc.tolerance)
+                                       sc.x0s, points, sc.tolerance)
         path = None
         if out_dir:
             path = out_dir / f"certificate_{kind}.yaml"
@@ -582,9 +562,8 @@ def _cmd_extract(sc: Scenario, out_dir: Path | None, only_kind: str | None) -> R
         }
         if path:
             sections[kind]["file"] = str(path)
-    report = Report("extract", sc.name, sections, caveats)
-    report.passed = all(v["self_check"] == "pass" for v in sections.values())
-    return report
+    return Report("extract", sc.name, sections, caveats,
+                  passed=all(v["self_check"] == "pass" for v in sections.values()))
 
 
 def _cmd_verify(sc: Scenario, certificate_path: str | None, only_kind: str | None) -> Report:
@@ -593,8 +572,7 @@ def _cmd_verify(sc: Scenario, certificate_path: str | None, only_kind: str | Non
     try:
         cond, cert = cert_mod.load_certificate(certificate_path)
         if only_kind and only_kind != cond.kind:
-            cond = Condition(only_kind, cond.epsilon, gamma=cond.gamma,
-                             omega=cond.omega, w=cond.w)
+            cond = replace(cond, kind=only_kind)
     except (OSError, yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError([f"certificate {certificate_path}: {exc}"]) from exc
     points = cert_mod.build_check_points(sc.grid, _omega(sc, transient_only=False),
@@ -704,9 +682,8 @@ def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
         })
     sections["dp_vs_mc"] = agreement
 
-    verdicts = _threshold_verdicts(sc, fields)
-    sections["thresholds"] = verdicts
-    ok = ok and all(entry["certified"] for entry in verdicts.values())
+    sections["thresholds"] = _threshold_verdicts(sc, fields)
+    ok = ok and all(entry["certified"] for entry in sections["thresholds"].values())
 
     a1 = fields["assumption1"]
     sections["assumption1"] = {"holds": a1.holds, "sup_stay_probability": a1.sup_stay_prob}
@@ -759,9 +736,8 @@ def run(command: str, scenario: Scenario, certificate: str | None = None,
         if condition not in synth.SYNTH_KINDS:
             raise ScenarioError([f"synthesize cannot take condition kind {condition!r}, "
                                  f"expected one of {', '.join(synth.SYNTH_KINDS)}"])
-    out_path = None
-    if out_dir:
-        out_path = Path(out_dir)
+    out_path = Path(out_dir) if out_dir else None
+    if out_path:
         out_path.mkdir(parents=True, exist_ok=True)
     if command == "simulate":
         return _cmd_simulate(scenario, out_path)
@@ -817,8 +793,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
     if args.out:
-        out_path = Path(args.out)
-        out_path.mkdir(parents=True, exist_ok=True)
+        out_path = Path(args.out)  # run() made it
         (out_path / "report.txt").write_text(report.to_text())
         (out_path / "report.json").write_text(report.to_json())
     if not args.quiet:

@@ -35,8 +35,6 @@ __all__ = [
     "McEstimate",
     "hoeffding_half_width",
     "estimate",
-    "estimate_liveness",
-    "estimate_reach_avoid",
 ]
 
 # per-trial outcome codes
@@ -224,14 +222,3 @@ def estimate(system: SystemModel, regions: RegionSpec, x0, horizon: int, n_trial
     return (summary(live, ACTIVE, "upper_biased_for_liveness"),
             summary(reach, REACHED, "lower_biased_for_reach_avoid"))
 
-
-def estimate_liveness(system: SystemModel, regions: RegionSpec, x0, horizon: int,
-                      n_trials: int, delta: float, seed: int) -> McEstimate:
-    """The liveness half of ``estimate``."""
-    return estimate(system, regions, x0, horizon, n_trials, delta, seed)[0]
-
-
-def estimate_reach_avoid(system: SystemModel, regions: RegionSpec, x0, horizon: int,
-                         n_trials: int, delta: float, seed: int) -> McEstimate:
-    """The reach-avoid half of ``estimate``."""
-    return estimate(system, regions, x0, horizon, n_trials, delta, seed)[1]

@@ -104,8 +104,8 @@ def test_criterion_3_exit_plus_liveness_is_one(gambler, biased):
     for fix, seed in ((gambler, 301), (biased, 302)):
         exit_fld = dp.solve_safety_exit(fix["safety_kernel"], tol=1e-12)
         for x in (2.0, 5.0, 8.0):
-            est = mc.estimate_liveness(fix["system"], fix["regions"], [x],
-                                       horizon, trials, delta, seed)
+            est = mc.estimate(fix["system"], fix["regions"], [x],
+                              horizon, trials, delta, seed)[0]
             slack = _stay_prob(fix["safety_kernel"], x, horizon)
             gap = abs(eval_field(exit_fld, [x]) + est.p_hat - 1.0)
             margin = est.half_width + slack
@@ -318,8 +318,8 @@ def test_criterion_10_mc_calibration_and_budget(gambler):
     trials, horizon, delta = 2000, 2000, 0.05
     covered = 0
     for r in range(replications):
-        est = mc.estimate_reach_avoid(gambler["system"], gambler["regions"], [3.0],
-                                      horizon, trials, delta, seed=1000 + r)
+        est = mc.estimate(gambler["system"], gambler["regions"], [3.0],
+                          horizon, trials, delta, seed=1000 + r)[1]
         if abs(est.p_hat - 0.3) <= est.half_width:
             covered += 1
     coverage = covered / replications

@@ -27,6 +27,14 @@ def _walk_doc() -> dict:
     return yaml.safe_load((SCENARIOS / "symmetric_walk.yaml").read_text())
 
 
+def _two_starts_doc() -> dict:
+    """The symmetric walk from x0 = 3 and x0 = 1, where RA(1) = 0.1 < epsilon2."""
+    doc = _walk_doc()
+    del doc["initial_state"]
+    doc["initial_states"] = [[3.0], [1.0]]
+    return doc
+
+
 def _write(tmp_path: Path, doc: dict, name="scenario.yaml") -> Path:
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
@@ -129,6 +137,14 @@ class TestLoading:
         ("check", "point_seed", 2 ** 64, "check.point_seed must lie in [0, 2^64)"),
         ("system", "disturbance", [[-1.0], [1.0]], "system.disturbance must be a mapping"),
         ("grid", "cells", [12.5], "grid: cells must be integers"),
+        (None, "gamma", 2.0, "gamma must lie in [0, 1)"),
+        ("grid", "upper", ["x"], "grid.upper must be a list of numbers"),
+        ("system", "disturbance", {"kind": "finite", "atoms": [["a"], [1.0]], "probs": [0.5, 0.5]},
+         "system.disturbance.atoms must be a list of numbers"),
+        ("system", "disturbance", {"kind": "uniform", "lo": -1.0, "hi": 1.0, "atoms": 2.5},
+         "system.disturbance.atoms must be an integer"),
+        ("mc", "horizon", True, "mc.horizon must be an integer"),
+        ("system", "n", True, "system.n must be an integer"),
     ])
     def test_malformed_value_exits_with_validation_error(self, tmp_path, capsys,
                                                          block, key, value, message):
@@ -140,8 +156,50 @@ class TestLoading:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert message in err
+        assert err.count(message.split(" must ")[0]) == 1  # one error names the field
         assert "mc.delta must lie in (0, 1)" in err
+        assert err.count("mc.delta") == 1
         assert "Traceback" not in err
+        assert "np." not in err and "could not convert" not in err
+
+    @pytest.mark.parametrize("row", cli._FIELDS, ids=lambda row: ".".join(filter(None, row[:2])))
+    def test_field_table_row(self, tmp_path, row):
+        block, key, attr, typ, default, (text, lo, hi, lo_in, hi_in) = row
+        name = f"{block}.{key}" if block else key
+        vector = typ == cli._NUMS
+
+        def load(value):
+            doc = _walk_doc()
+            (doc[block] if block else doc)[key] = [value] if vector else value
+            return load_scenario(_write(tmp_path, doc))
+
+        def errors(value):
+            with pytest.raises(ScenarioError) as err:
+                load(value)
+            return err.value.errors
+
+        assert errors("x") == [f"{name} must be {typ}"]
+        integer = typ == cli._INT
+        outside = [(lo - 1 if integer else float(np.nextafter(lo, -np.inf))) if lo_in else lo,
+                   (hi + 1 if integer else float(np.nextafter(hi, np.inf))) if hi_in else hi]
+        for value in outside:
+            if not (integer and abs(value) == np.inf):  # no integer lies beyond inf
+                assert errors(value) == [f"{name} must lie in {text}"], value
+        for end, closed in ((lo, lo_in), (hi, hi_in)):
+            if closed:
+                load(end)
+        if default is not None:
+            doc = _walk_doc()
+            del (doc[block] if block else doc)[key]
+            value = getattr(load_scenario(_write(tmp_path, doc)), attr)
+            assert value == default and type(value) is type(default)
+
+    def test_readme_lists_every_field(self):
+        readme = (SCENARIOS.parent / "README.md").read_text()
+        for block, key, _, typ, default, (text, *_) in cli._FIELDS:
+            name = f"{block}.{key}" if block else key
+            shown = "required" if default is None else repr(default)
+            assert f"| `{name}` | {typ.split(' ', 1)[1]} | {shown} | `{text}` |" in readme
 
     def test_gaussian_disturbance_block(self, tmp_path):
         doc = _walk_doc()
@@ -251,11 +309,21 @@ class TestCommands:
         assert verify.sections["verify"]["kind"] == "ra_lower_a1"
 
     def test_every_extracted_kind_verifies_from_file(self, tmp_path):
-        sc = load_scenario(SCENARIOS / "symmetric_walk.yaml")
-        run("extract", sc, out_dir=tmp_path)
-        for cert_file in sorted(tmp_path.glob("certificate_*.yaml")):
-            verify = run("verify", sc, certificate=str(cert_file))
-            assert verify.passed, f"{cert_file.name}: {verify.to_text()}"
+        # extract passes, so verify must accept every file it wrote: also with
+        # several initial states, where the worst one sets each threshold
+        for path in [*sorted(SCENARIOS.glob("*.yaml")), _write(tmp_path, _two_starts_doc())]:
+            sc = load_scenario(path)
+            out = tmp_path / path.stem
+            assert run("extract", sc, out_dir=out).passed
+            for cert_file in sorted(out.glob("certificate_*.yaml")):
+                verify = run("verify", sc, certificate=str(cert_file))
+                assert verify.passed, f"{path.name} {cert_file.name}: {verify.to_text()}"
+
+    def test_threshold_verdicts_take_the_worst_initial_state(self, tmp_path):
+        sc = load_scenario(_write(tmp_path, _two_starts_doc()))
+        verdict = run("solve", sc).sections["thresholds"]
+        assert verdict["reach_avoid"]["value"] == pytest.approx(0.1, abs=1e-9)
+        assert not verdict["reach_avoid"]["certified"]  # RA(1.0) = 0.1 < epsilon2 = 0.29
 
     def test_verify_rejects_corrupted_certificate(self, tmp_path):
         sc = load_scenario(SCENARIOS / "symmetric_walk.yaml")
@@ -515,7 +583,7 @@ _PUBLIC = {
            "check_assumption1", "eval_field", "solve_discounted", "solve_exact_small",
            "solve_reach_avoid", "solve_safety_exit"],
     "expr": ["parse_expr", "parse_predicate"],
-    "mc": ["McEstimate", "estimate", "estimate_liveness", "estimate_reach_avoid"],
+    "mc": ["McEstimate", "estimate"],
     "model": ["DisturbanceDist", "SystemModel", "Trajectory", "quantize_gaussian",
               "quantize_uniform", "simulate", "step_batch"],
     "regions": ["Box", "RegionSpec", "StateClass", "classify_batch", "compute_omega",

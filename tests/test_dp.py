@@ -374,8 +374,8 @@ class TestComplementIdentity:
 
         exit_fld = solve_safety_exit(gambler["safety_kernel"])
         for x in (2.0, 5.0, 8.0):
-            est = mc.estimate_liveness(gambler["system"], gambler["regions"], [x],
-                                       horizon=2000, n_trials=4000, delta=0.05, seed=31)
+            est = mc.estimate(gambler["system"], gambler["regions"], [x],
+                              horizon=2000, n_trials=4000, delta=0.05, seed=31)[0]
             total = eval_field(exit_fld, [x]) + est.p_hat
             assert abs(total - 1.0) <= est.half_width + 1e-6
 
@@ -435,5 +435,5 @@ class TestTwoDimensional:
 
         system, reg, kernel = lattice
         exact = solve_exact_small(kernel, "reach_avoid")
-        est = mc.estimate_reach_avoid(system, reg, [2.0, 4.0], 4000, 40000, 0.05, 77)
+        est = mc.estimate(system, reg, [2.0, 4.0], 4000, 40000, 0.05, 77)[1]
         assert abs(eval_field(exact, [2.0, 4.0]) - est.p_hat) <= est.half_width

@@ -7,7 +7,7 @@ import pytest
 from stochcert import expr, mc, model, regions
 from stochcert.cli import load_scenario
 from stochcert.mc import (ACTIVE, EXITED, REACHED, _atom_picker, _run_trials, _step_uniforms,
-                          estimate_liveness, estimate_reach_avoid)
+                          estimate)
 
 from conftest import make_contraction, make_walk, ruin_probability, walk_regions
 from scalar_reference import scalar_expr, scalar_predicate
@@ -34,57 +34,56 @@ def walk():
 class TestDegenerateStarts:
     def test_unsafe_start_liveness_zero(self, walk):
         system, reg = walk
-        est = estimate_liveness(system, reg, [-1.0], 10, 100, 0.05, 0)
+        est = estimate(system, reg, [-1.0], 10, 100, 0.05, 0)[0]
         assert est.p_hat == 0.0
 
     def test_unsafe_start_reach_zero(self, walk):
         system, reg = walk
-        est = estimate_reach_avoid(system, reg, [12.0], 10, 100, 0.05, 0)
+        est = estimate(system, reg, [12.0], 10, 100, 0.05, 0)[1]
         assert est.p_hat == 0.0
 
     def test_target_start_reach_one(self, walk):
         system, reg = walk
-        est = estimate_reach_avoid(system, reg, [10.5], 10, 100, 0.05, 0)
+        est = estimate(system, reg, [10.5], 10, 100, 0.05, 0)[1]
         assert est.p_hat == 1.0
 
 
 class TestInvariantContraction:
     def test_liveness_exactly_one(self):
         system, reg, _ = make_contraction()
-        est = estimate_liveness(system, reg, [0.8], 50, 2000, 0.05, 1)
+        est = estimate(system, reg, [0.8], 50, 2000, 0.05, 1)[0]
         assert est.p_hat == 1.0
 
     def test_reach_one(self):
         system, reg, _ = make_contraction()
-        est = estimate_reach_avoid(system, reg, [0.8], 50, 2000, 0.05, 1)
+        est = estimate(system, reg, [0.8], 50, 2000, 0.05, 1)[1]
         assert est.p_hat == 1.0
 
 
 class TestGambler:
     def test_reach_covers_ruin_value(self, walk):
         system, reg = walk
-        est = estimate_reach_avoid(system, reg, [3.0], 10_000, 100_000, 0.05, 42)
+        est = estimate(system, reg, [3.0], 10_000, 100_000, 0.05, 42)[1]
         # truncation slack at this horizon is astronomically small
         assert abs(est.p_hat - ruin_probability(3, 10, 0.5)) <= est.half_width + 1e-6
 
     def test_liveness_near_zero(self, walk):
         system, reg = walk
-        est = estimate_liveness(system, reg, [3.0], 10_000, 100_000, 0.05, 42)
+        est = estimate(system, reg, [3.0], 10_000, 100_000, 0.05, 42)[0]
         assert est.p_hat < 0.01
 
     def test_deterministic_per_seed(self, walk):
         system, reg = walk
-        a = estimate_reach_avoid(system, reg, [3.0], 500, 5000, 0.05, 7)
-        b = estimate_reach_avoid(system, reg, [3.0], 500, 5000, 0.05, 7)
+        a = estimate(system, reg, [3.0], 500, 5000, 0.05, 7)[1]
+        b = estimate(system, reg, [3.0], 500, 5000, 0.05, 7)[1]
         assert a.p_hat == b.p_hat and a.successes == b.successes
 
     def test_monotone_in_horizon(self, walk):
         system, reg = walk
         horizons = [5, 10, 25, 50, 100, 400]
-        live = [estimate_liveness(system, reg, [3.0], K, 4000, 0.05, 9).p_hat
-                for K in horizons]
-        reach = [estimate_reach_avoid(system, reg, [3.0], K, 4000, 0.05, 9).p_hat
-                 for K in horizons]
+        ests = [estimate(system, reg, [3.0], K, 4000, 0.05, 9) for K in horizons]
+        live = [est[0].p_hat for est in ests]
+        reach = [est[1].p_hat for est in ests]
         assert all(a >= b for a, b in zip(live, live[1:]))
         assert all(a <= b for a, b in zip(reach, reach[1:]))
 
@@ -120,16 +119,16 @@ class TestHalfWidth:
 
     def test_stored_half_width_matches(self, walk):
         system, reg = walk
-        est = estimate_liveness(system, reg, [3.0], 10, 321, 0.07, 0)
+        est = estimate(system, reg, [3.0], 10, 321, 0.07, 0)[0]
         assert est.half_width == pytest.approx(
             math.sqrt(math.log(2 / 0.07) / (2 * 321)), abs=1e-15)
 
     def test_parameter_validation(self, walk):
         system, reg = walk
         with pytest.raises(ValueError):
-            estimate_liveness(system, reg, [3.0], 0, 10, 0.05, 0)
+            estimate(system, reg, [3.0], 0, 10, 0.05, 0)
         with pytest.raises(ValueError):
-            estimate_reach_avoid(system, reg, [3.0], 10, 0, 0.05, 0)
+            estimate(system, reg, [3.0], 10, 0, 0.05, 0)
         with pytest.raises(ValueError):
             mc.hoeffding_half_width(10, 1.5)
 
@@ -139,7 +138,7 @@ class TestErrorPath:
         dist = model.DisturbanceDist(atoms=[[0.0]], probs=[1.0])
         system = model.SystemModel(1, 1, (expr.parse_expr("1/(x1 - 1)", 1, 1),), dist)
         reg = walk_regions()
-        est = estimate_liveness(system, reg, [2.0], 10, 50, 0.05, 0)
+        est = estimate(system, reg, [2.0], 10, 50, 0.05, 0)[0]
         assert est.error is not None
 
     def test_failure_after_target_hit(self):
@@ -177,14 +176,16 @@ class TestExactCounts:
         sc = load_scenario(SCENARIOS / f"{name}.yaml")
         args = (sc.system, sc.regions, sc.x0s[0], sc.mc_horizon, sc.mc_trials, sc.mc_delta,
                 sc.mc_seed)
-        assert estimate_liveness(*args).successes == live
-        assert estimate_reach_avoid(*args).successes == reach
+        live_est, reach_est = estimate(*args)
+        assert live_est.successes == live
+        assert reach_est.successes == reach
 
     def test_disc_walk(self):
         system, reg = disc_walk()
         args = (system, reg, [0.6, 0.3], 500, 2000, 0.05, 20240001)
-        assert estimate_liveness(*args).successes == 1898
-        assert estimate_reach_avoid(*args).successes == 1964
+        live_est, reach_est = estimate(*args)
+        assert live_est.successes == 1898
+        assert reach_est.successes == 1964
         (live_status, live_steps, _), (reach_status, reach_steps, _) = _run_trials(
             *args[:5], 20240001)
         assert int(live_steps.sum()) == 967626 and np.count_nonzero(live_status == EXITED) == 102
@@ -295,8 +296,8 @@ def test_estimate_compiles_each_tree_once(monkeypatch):
     build = expr._build
     monkeypatch.setattr(expr, "_build", lambda *asts: builds.append(asts) or build(*asts))
     system, reg = disc_walk()  # fresh trees, not yet compiled
-    estimate_liveness(system, reg, [0.6, 0.3], 500, 2000, 0.05, 1)
-    estimate_reach_avoid(system, reg, [0.6, 0.3], 500, 2000, 0.05, 1)
+    estimate(system, reg, [0.6, 0.3], 500, 2000, 0.05, 1)
+    estimate(system, reg, [0.6, 0.3], 500, 2000, 0.05, 1)
     # one program per dynamics component, and one for the two region predicates
     assert sorted(map(len, builds)) == [1] * system.n + [2]
     trees = [t for asts in builds for t in asts]
