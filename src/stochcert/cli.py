@@ -316,12 +316,13 @@ def load_scenario(path) -> Scenario:
                          target=parse_predicate(str(blocks["regions"].get("target", "")), n))
     except ExprError as exc:
         errors.append(f"regions: {exc}")
-    try:
-        x0s = np.atleast_2d(np.asarray(
-            raw.get("initial_states", raw.get("initial_state", [])), dtype=float))
+    try:  # each coordinate read like a table field's number
+        coords = np.atleast_2d(np.asarray(
+            raw.get("initial_states", raw.get("initial_state", [])), dtype=object))
+        x0s = np.array([_number(x, False) for x in coords.ravel()]).reshape(coords.shape)
     except (TypeError, ValueError):
         x0s = np.empty((0, 0))
-    if x0s.size == 0 or x0s.shape[1] != n:
+    if x0s.ndim != 2 or x0s.size == 0 or x0s.shape[1] != n or not np.isfinite(x0s).all():
         errors.append("initial_state must give one (or more) length-n state(s)")
 
     warnings: list[str] = []
@@ -438,7 +439,7 @@ def _cmd_solve(sc: Scenario, out_dir: Path | None) -> Report:
     sections["thresholds"] = _threshold_verdicts(sc, fields)
     if exact_ok:
         try:
-            exact = dp.solve_exact_small(reach_kernel, "reach_avoid")
+            exact = dp.solve_exact_small(reach_kernel)
             gap = float(np.max(np.abs(exact.values - fields["reach_avoid"].values)))
             sections["cross_check"] = {
                 "exact_vs_iterative_sup_gap": gap,
@@ -618,7 +619,7 @@ def _cmd_synthesize(sc: Scenario, out_dir: Path | None, only_kind: str | None) -
     gamma = sc.gamma if KINDS[kind]["gamma"] else None
     points = _synth_points(sc, kind)
     result = synth.synthesize(
-        sc.system, sc.regions, kind, template, points, sc.x0s[0],
+        sc.system, sc.regions, kind, template, points, sc.x0s,
         tolerance=sc.tolerance, gamma=gamma, margin=0.01,
         revalidation_seed=sc.point_seed + 2,
     )

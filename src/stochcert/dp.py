@@ -4,7 +4,10 @@ The continuous system is restricted to an absorbing chain on grid-cell
 centers: one-step images that land in an absorbing class (target or unsafe,
 depending on the kernel mode) absorb their probability mass, images that stay
 transient are spread over the surrounding nodes by multilinear interpolation.
-Three value problems share one fixed point:
+The chain is stored in its canonical form (Kemeny & Snell, Finite Markov
+Chains, ch. III): the transient-to-transient block P, with the interpolation
+weight that lands on absorbing nodes folded into the absorbed masses.  Three
+value problems share one fixed point:
 
     v = gamma * (b + P v)   on transient nodes,
 
@@ -54,6 +57,13 @@ __all__ = [
 
 MODE_REACH_AVOID = "reach_avoid"  # absorb at target and unsafe
 MODE_SAFETY = "safety"  # absorb at unsafe only; target plays no role
+
+# mode -> (class absorbed with value one, class absorbed with value zero);
+# -1 is no class: a safety kernel absorbs only at the unsafe set
+_ABSORBING = {
+    MODE_REACH_AVOID: (int(StateClass.TARGET), int(StateClass.UNSAFE)),
+    MODE_SAFETY: (int(StateClass.UNSAFE), -1),
+}
 
 _MASS_TOL = 1e-9
 EXACT_NODE_LIMIT = 5000
@@ -186,12 +196,8 @@ def field_to_csv(fld: ValueField, path) -> None:
     """Dump node coordinates and values for external plotting."""
     nodes = fld.grid.nodes()
     header = ",".join(f"x{d + 1}" for d in range(fld.grid.n)) + ",value"
-    data = np.column_stack([nodes, fld.values])
-    if hasattr(path, "write"):
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-    else:
-        with open(path, "w") as fh:
-            np.savetxt(fh, data, delimiter=",", header=header, comments="")
+    np.savetxt(path, np.column_stack([nodes, fld.values]), delimiter=",", header=header,
+               comments="")
 
 
 class SlotMatrix:
@@ -233,8 +239,9 @@ class TransitionKernel:
     """Finite absorbing-chain restriction of the one-step dynamics.
 
     ``one_mass[t]`` / ``zero_mass[t]`` are the per-transient-node probabilities
-    absorbed directly into the value-one / value-zero class; ``P`` spreads the
-    remaining mass over nodes (columns indexed by global node id).
+    of a step into the value-one / value-zero class, interpolation weight on
+    absorbing nodes included; ``P`` is the transient-to-transient block (both
+    axes indexed by position in ``transient``) that carries the rest.
     """
 
     grid: Grid
@@ -243,11 +250,17 @@ class TransitionKernel:
     one_nodes: np.ndarray  # absorbing nodes with value 1
     one_mass: np.ndarray  # (T,)
     zero_mass: np.ndarray  # (T,)
-    P: SlotMatrix  # (T, N)
+    P: SlotMatrix  # (T, T)
 
     @property
     def n_transient(self) -> int:
         return self.transient.shape[0]
+
+    @property
+    def outside(self) -> float:
+        """The value of a state outside the grid box, which is unsafe: one
+        where the unsafe class is worth one (the exit value), else zero."""
+        return float(_ABSORBING[self.mode][0] == int(StateClass.UNSAFE))
 
     def absorbed_values(self) -> np.ndarray:
         """Full-length value vector with absorbing entries at their fixed
@@ -263,43 +276,32 @@ def build_kernel(
     regions: RegionSpec,
     mode: str = MODE_REACH_AVOID,
 ) -> TransitionKernel:
-    """Classify nodes, push each transient node through every atom, and
-    assemble absorption masses plus the interpolation matrix.
+    """Classify nodes and push each transient node through every atom: mass
+    that an image absorbs or interpolates onto absorbing nodes goes to the
+    absorbed masses, the rest to the transient-to-transient block ``P``.
 
     Raises GridTooSmallError when a safe image leaves the grid box.
     """
-    if mode not in (MODE_REACH_AVOID, MODE_SAFETY):
+    if mode not in _ABSORBING:
         raise ValueError(f"unknown kernel mode {mode!r}")
+    one_cls, zero_cls = _ABSORBING[mode]
     nodes = grid.nodes()
     node_class = classify_batch(regions, nodes)
-    if mode == MODE_REACH_AVOID:
-        transient_mask = node_class == int(StateClass.SAFE)
-        one_mask = node_class == int(StateClass.TARGET)
-    else:
-        transient_mask = node_class != int(StateClass.UNSAFE)
-        one_mask = node_class == int(StateClass.UNSAFE)
-
-    transient = np.flatnonzero(transient_mask)
+    one_mask, zero_mask = node_class == one_cls, node_class == zero_cls
+    transient = np.flatnonzero(~(one_mask | zero_mask))
     n_tr = transient.shape[0]
-    one_mass = np.zeros(n_tr)
-    zero_mass = np.zeros(n_tr)
+    one_mass, zero_mass = np.zeros(n_tr), np.zeros(n_tr)
     # atom a spreads its images over slots a * 2^n ... (a + 1) * 2^n - 1
     corners = 1 << grid.n
-    n_slots = system.dist.atoms.shape[0] * corners
-    idx = np.zeros((n_tr, n_slots), dtype=np.int64)
-    w = np.zeros((n_tr, n_slots))
+    idx = np.zeros((n_tr, system.dist.atoms.shape[0] * corners), dtype=np.int64)
+    w = np.zeros(idx.shape)
     xs = nodes[transient]
 
     for a, (atom, p) in enumerate(zip(system.dist.atoms, system.dist.probs)):
         ths = np.broadcast_to(atom, (n_tr, system.m))
         ys = model_mod.step_batch(system, xs, ths, strict=True)
         img_class = classify_batch(regions, ys)
-        if mode == MODE_REACH_AVOID:
-            absorb_one = img_class == int(StateClass.TARGET)
-            absorb_zero = img_class == int(StateClass.UNSAFE)
-        else:
-            absorb_one = img_class == int(StateClass.UNSAFE)
-            absorb_zero = np.zeros(n_tr, dtype=bool)
+        absorb_one, absorb_zero = img_class == one_cls, img_class == zero_cls
         mix = ~(absorb_one | absorb_zero)
         inside = grid.box.contains(ys)
         stray = mix & ~inside
@@ -318,8 +320,11 @@ def build_kernel(
             w[mix, slots] = p * corner_w
 
     P = SlotMatrix(idx, w, grid.n_nodes)
-    total = one_mass + zero_mass + P.dot(np.ones(grid.n_nodes))
-    if n_tr and np.max(np.abs(total - 1.0)) > _MASS_TOL:
+    one_mass = one_mass + P.dot(one_mask.astype(float))
+    zero_mass = zero_mass + P.dot(zero_mask.astype(float))
+    P = P.block(slice(None), transient)
+    total = one_mass + zero_mass + P.dot(np.ones(n_tr))
+    if np.abs(total - 1.0).max(initial=0.0) > _MASS_TOL:
         raise AssertionError("kernel mass not conserved within 1e-9")
 
     return TransitionKernel(
@@ -336,10 +341,8 @@ def build_kernel(
 def apply_bellman(kernel: TransitionKernel, values: np.ndarray, gamma: float = 1.0) -> np.ndarray:
     """One sweep of v = gamma * (b + P v) on transient nodes; absorbing nodes
     are pinned to their fixed values."""
-    out = np.zeros(kernel.grid.n_nodes)
-    out[kernel.one_nodes] = 1.0
-    if kernel.n_transient:
-        out[kernel.transient] = gamma * (kernel.one_mass + kernel.P.dot(values))
+    out = kernel.absorbed_values()
+    out[kernel.transient] = gamma * (kernel.one_mass + kernel.P.dot(values[kernel.transient]))
     return out
 
 
@@ -387,8 +390,7 @@ def _bicgstab(A, b: np.ndarray, target: float, max_iter: int):
     return x, res, iters
 
 
-def _solve(kernel: TransitionKernel, gamma: float, tol: float, max_iter: int,
-           outside: float) -> ValueField:
+def _solve(kernel: TransitionKernel, gamma: float, tol: float, max_iter: int) -> ValueField:
     """Value of v = gamma * (b + P v) on transient nodes.
 
     Prob0: nodes with no path into the value-one class get exactly 0.  The
@@ -400,10 +402,9 @@ def _solve(kernel: TransitionKernel, gamma: float, tol: float, max_iter: int,
     to [0, 1], where the true ones lie, which cannot add error.
     """
     values = kernel.absorbed_values()
-    Ptt = kernel.P.block(slice(None), kernel.transient)
-    b = kernel.one_mass + kernel.P.dot(values)
-    live = _reach(Ptt, b > 0)[0]
-    Pkk = Ptt.block(live, live)
+    b = kernel.one_mass
+    live = _reach(kernel.P, b > 0)[0]
+    Pkk = kernel.P.block(live, live)
 
     def A(x):
         return x - gamma * Pkk.dot(x)
@@ -417,7 +418,7 @@ def _solve(kernel: TransitionKernel, gamma: float, tol: float, max_iter: int,
     v, res, it = _bicgstab(A, gamma * b[live], tol / scale, max_iter - iters)
     bound = res * scale if res else 0.0
     values[kernel.transient[live]] = np.clip(v, 0.0, 1.0)
-    return ValueField(values, kernel.grid, outside_default=outside,
+    return ValueField(values, kernel.grid, outside_default=kernel.outside,
                       converged=bound <= tol, iterations=iters + it, error_bound=bound)
 
 
@@ -429,7 +430,7 @@ def solve_reach_avoid(kernel: TransitionKernel, tol: float = 1e-9,
     iterations."""
     if kernel.mode != MODE_REACH_AVOID:
         raise ValueError("solve_reach_avoid needs a reach_avoid-mode kernel")
-    return _solve(kernel, 1.0, tol, max_iter, outside=0.0)
+    return _solve(kernel, 1.0, tol, max_iter)
 
 
 def solve_safety_exit(kernel: TransitionKernel, tol: float = 1e-9,
@@ -438,7 +439,7 @@ def solve_safety_exit(kernel: TransitionKernel, tol: float = 1e-9,
     The liveness probability is one minus this field."""
     if kernel.mode != MODE_SAFETY:
         raise ValueError("solve_safety_exit needs a safety-mode kernel")
-    return _solve(kernel, 1.0, tol, max_iter, outside=1.0)
+    return _solve(kernel, 1.0, tol, max_iter)
 
 
 def solve_discounted(kernel: TransitionKernel, gamma: float, tol: float = 1e-9,
@@ -451,56 +452,37 @@ def solve_discounted(kernel: TransitionKernel, gamma: float, tol: float = 1e-9,
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1); at 1 the solution is not unique")
-    return _solve(kernel, gamma, tol, max_iter,
-                  outside=0.0 if kernel.mode == MODE_REACH_AVOID else 1.0)
+    return _solve(kernel, gamma, tol, max_iter)
 
 
-def solve_exact_small(kernel: TransitionKernel, objective: str = "reach_avoid",
-                      gamma: float = 1.0) -> ValueField:
-    """Dense linear solve of (I - gamma P) v = gamma b on the transient block.
+def solve_exact_small(kernel: TransitionKernel, gamma: float = 1.0) -> ValueField:
+    """Dense linear solve of (I - gamma P) v = gamma b on the transient block:
+    the reach-avoid or exit value of the kernel's mode, discounted when
+    gamma < 1.
 
     Brute-force oracle for the Krylov solvers; limited to EXACT_NODE_LIMIT
     transient nodes.  A singular system at gamma = 1 means mass can stay
     transient forever, i.e. the finite-time-exit assumption fails numerically.
     """
-    if objective == "reach_avoid":
-        if kernel.mode != MODE_REACH_AVOID:
-            raise ValueError("reach_avoid objective needs a reach_avoid kernel")
-        gamma = 1.0
-    elif objective == "safety_exit":
-        if kernel.mode != MODE_SAFETY:
-            raise ValueError("safety_exit objective needs a safety kernel")
-        gamma = 1.0
-    elif objective == "discounted":
-        if not 0.0 <= gamma < 1.0:
-            raise ValueError("discounted objective needs gamma in [0, 1)")
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma must lie in [0, 1]")
     n_tr = kernel.n_transient
     if n_tr > EXACT_NODE_LIMIT:
         raise ValueError(f"{n_tr} transient nodes exceed the dense-solve limit")
+    A = np.eye(n_tr) - gamma * kernel.P.toarray()
+    rhs = gamma * kernel.one_mass
+    try:
+        v = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError("finite-time-exit assumption (numerically) violated at "
+                                  "gamma=1: singular system") from exc
+    residual = float(np.abs(A @ v - rhs).max(initial=0.0))
+    if not np.all(np.isfinite(v)) or residual > 1e-8:
+        raise SingularSystemError("finite-time-exit assumption (numerically) violated at "
+                                  f"gamma=1: solve residual {residual:.3e}")
     values = kernel.absorbed_values()
-    if n_tr:
-        Pd = kernel.P.toarray()
-        A = np.eye(n_tr) - gamma * Pd[:, kernel.transient]
-        rhs = gamma * (kernel.one_mass + Pd[:, kernel.one_nodes].sum(axis=1))
-        try:
-            v = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                "finite-time-exit assumption (numerically) violated at gamma=1: "
-                "singular system"
-            ) from exc
-        residual = float(np.max(np.abs(A @ v - rhs))) if n_tr else 0.0
-        if not np.all(np.isfinite(v)) or residual > 1e-8:
-            raise SingularSystemError(
-                "finite-time-exit assumption (numerically) violated at gamma=1: "
-                f"solve residual {residual:.3e}"
-            )
-        values[kernel.transient] = v
-    outside = 0.0 if kernel.mode == MODE_REACH_AVOID else 1.0
-    return ValueField(values, kernel.grid, outside_default=outside)
+    values[kernel.transient] = v
+    return ValueField(values, kernel.grid, outside_default=kernel.outside)
 
 
 @dataclass
@@ -520,10 +502,7 @@ def check_assumption1(kernel: TransitionKernel) -> Assumption1Result:
     """
     if kernel.mode != MODE_REACH_AVOID:
         raise ValueError("check_assumption1 needs a reach_avoid-mode kernel")
-    absorbing = np.ones(kernel.grid.n_nodes)
-    absorbing[kernel.transient] = 0.0
-    leak = kernel.one_mass + kernel.zero_mass + kernel.P.dot(absorbing) > 0
-    exits, rounds = _reach(kernel.P.block(slice(None), kernel.transient), leak)
+    exits, rounds = _reach(kernel.P, kernel.one_mass + kernel.zero_mass > 0)
     holds = bool(exits.all())
     return Assumption1Result(holds, 0.0 if holds else 1.0, rounds, True)
 
@@ -533,12 +512,11 @@ def stay_probability(kernel: TransitionKernel, horizon: int) -> ValueField:
     slack separating a finite-horizon Monte Carlo estimate from its limit.
     It does not depend on the initial state, so one field serves every x0;
     evaluated values may leave [0, 1] by rounding and are clipped by callers."""
-    Ptt = kernel.P.block(slice(None), kernel.transient)
     s = np.ones(kernel.n_transient)
     for _ in range(horizon):
         if s.size == 0 or s.max() < 1e-15:
             break
-        s = Ptt.dot(s)
+        s = kernel.P.dot(s)
     values = np.zeros(kernel.grid.n_nodes)
     values[kernel.transient] = s
     return ValueField(values, kernel.grid)

@@ -2,13 +2,13 @@
 
 Every clause of the barrier-like conditions is linear in the template
 coefficients (one-step expectations are finite sums of evaluations), so
-maximizing the threshold at the initial state over a sampled point set is a
-plain LP: each clause of the kind's entry in ``certificate.KINDS`` becomes
-one block of design-matrix rows.  The LP is tall and thin (a few template
-coefficients against thousands of sampled rows), so it is solved by an
-embedded dual simplex over the coefficients: an active set of one row per
-coefficient, started at the dual-feasible box vertex, with Bland's rule on the
-dual so it terminates.
+maximizing the certificate's values at the initial states over a sampled
+point set is a plain LP: each clause of the kind's entry in
+``certificate.KINDS`` becomes one block of design-matrix rows.  The LP is
+tall and thin (a few template coefficients against thousands of sampled
+rows), so it is solved by an embedded dual simplex over the coefficients: an
+active set of one row per coefficient, started at the dual-feasible box
+vertex, with Bland's rule on the dual so it terminates.
 Coefficient bounds keep it bounded.  Both answers are checked before they are
 returned: an optimal vertex satisfies every row within 1e-7 and has
 non-negative duals, and an infeasible verdict carries a Farkas certificate.
@@ -291,11 +291,13 @@ def synthesize(
     """Optimize the template against the sampled clauses of ``kind`` and
     re-validate the winner on an independent denser point set.
 
-    ``margin`` tightens the set-membership clauses (v <= 1, v <= 0, ...) in
-    the LP only; the expectation clauses stay exact because martingale-like
-    certificates meet them with equality and any margin would exclude them.
-    The initial state is appended to the sample set so its own structural
-    clause constrains the optimum.
+    ``x0`` is a single state or a list of states; the LP optimizes the sum of
+    the certificate's values at them, and the threshold is the tightest one
+    that holds at every state.  ``margin`` tightens the set-membership
+    clauses (v <= 1, v <= 0, ...) in the LP only; the expectation clauses
+    stay exact because martingale-like certificates meet them with equality
+    and any margin would exclude them.  The initial states are appended to
+    the sample set so their own structural clauses constrain the optimum.
     """
     if kind not in SYNTH_KINDS:
         raise ValueError(f"cannot synthesize {kind!r}: synthesis takes "
@@ -305,8 +307,8 @@ def synthesize(
     if spec["gamma"] and (gamma is None or not 0.0 < gamma < 1.0):
         raise ValueError(f"{kind} synthesis needs gamma in (0, 1)")
 
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    points = np.vstack([np.atleast_2d(np.asarray(points, dtype=float)), x0.reshape(1, -1)])
+    x0s = np.atleast_2d(np.asarray(x0, dtype=float))
+    points = np.vstack([np.atleast_2d(np.asarray(points, dtype=float)), x0s])
     classes = point_classes(points, classify_batch(regions, points))
 
     def design(term, pts):
@@ -316,11 +318,12 @@ def synthesize(
         return expected if term == "E[v o f]" else gamma * expected
 
     # keep the optimum where its threshold is meaningful: lower-bound kinds
-    # need v(x0) >= 0, upper-bound kinds v(x0) <= 1, else the tight threshold
-    # clamps into [0, 1] and the initial-state clause would fail re-validation
+    # need v(x0) >= 0, upper-bound kinds v(x0) <= 1 at every x0, else the
+    # tight threshold clamps into [0, 1] and the initial-state clause would
+    # fail re-validation
     maximize = spec["initial"] == INIT_LOWER
-    x0_row = template.design_matrix(x0.reshape(1, -1))
-    blocks = [(x0_row, ">=", 0.0) if maximize else (x0_row, "<=", 1.0)]
+    x0_rows = template.design_matrix(x0s)
+    blocks = [(x0_rows, ">=", 0.0) if maximize else (x0_rows, "<=", 1.0)]
     for _, cls, lhs, rhs in spec["clauses"]:
         pts = classes[cls]
         if not len(pts):
@@ -335,7 +338,7 @@ def synthesize(
     counts = [len(mat) for mat, _, _ in blocks]
     J = template.size
     problem = LpProblem(
-        objective=x0_row[0],
+        objective=x0_rows.sum(axis=0),
         rows=np.vstack([mat for mat, _, _ in blocks]),
         senses=np.repeat([sense for _, sense, _ in blocks], counts),
         rhs=np.repeat([b for _, _, b in blocks], counts),
@@ -350,13 +353,14 @@ def synthesize(
         )
 
     cert = PolyCert(template.exponents, tuple(solution.x))
-    threshold = float(np.clip(tight_threshold(kind, float(solution.objective)), 0.0, 1.0))
+    v_x0s = [row @ solution.x for row in x0_rows]
+    threshold = float(np.clip(tight_threshold(kind, v_x0s), 0.0, 1.0))
 
     rng = np.random.default_rng(revalidation_seed)
     sample_box = Box(points.min(axis=0), points.max(axis=0))
     revalidation_points = sample_box.sample(4 * points.shape[0] + 256, rng)
     cond = Condition(kind, threshold, gamma=gamma)
-    report = check_condition(system, regions, cert, cond, x0,
+    report = check_condition(system, regions, cert, cond, x0s,
                              revalidation_points, tolerance)
     status = "validated" if report.passed else "sample_optimistic"
     return SynthesisResult(cert, threshold, status, report, solution, problem)

@@ -40,8 +40,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def _stay_prob(kernel, x: float, steps: int) -> float:
-    tr = kernel.P.toarray()[:, kernel.transient]
-    v = np.ones(kernel.n_transient)
+    tr, v = kernel.P.toarray(), np.ones(kernel.n_transient)
     for _ in range(steps):
         v = tr @ v
         if v.max() < 1e-18:
@@ -53,11 +52,10 @@ def _stay_prob(kernel, x: float, steps: int) -> float:
 
 def _solved_fields(fix, gamma):
     return {
-        "reach_avoid": solve_exact_small(fix["reach_kernel"], "reach_avoid"),
+        "reach_avoid": solve_exact_small(fix["reach_kernel"]),
         "safety_exit": dp.solve_safety_exit(fix["safety_kernel"], tol=1e-12),
-        "discounted": solve_exact_small(fix["reach_kernel"], "discounted", gamma=gamma),
-        "discounted_exit": solve_exact_small(fix["safety_kernel"], "discounted",
-                                             gamma=gamma),
+        "discounted": solve_exact_small(fix["reach_kernel"], gamma=gamma),
+        "discounted_exit": solve_exact_small(fix["safety_kernel"], gamma=gamma),
         "gamma": gamma,
         "regions": fix["regions"],
         "assumption1": dp.check_assumption1(fix["reach_kernel"]),
@@ -71,7 +69,7 @@ def _node_points(fix):
 def test_criterion_1_gamblers_ruin_exactness(gambler):
     start = time.monotonic()
     iterative = dp.solve_reach_avoid(gambler["reach_kernel"], tol=1e-9)
-    exact = solve_exact_small(gambler["reach_kernel"], "reach_avoid")
+    exact = solve_exact_small(gambler["reach_kernel"])
     gap_iter = abs(eval_field(iterative, [3.0]) - eval_field(exact, [3.0]))
     gap_closed = max(
         abs(eval_field(exact, [float(i)]) - ruin_probability(i, 10, 0.5))
@@ -89,7 +87,7 @@ def test_criterion_2_biased_walk_oracle(biased):
     closed = (1.0 - r ** 3) / (1.0 - r ** 10)
     tridiag = chain_solve(0.6)[2]
     assert abs(closed - tridiag) <= 1e-12  # two independent oracles agree
-    exact = solve_exact_small(biased["reach_kernel"], "reach_avoid")
+    exact = solve_exact_small(biased["reach_kernel"])
     iterative = dp.solve_reach_avoid(biased["reach_kernel"], tol=1e-9)
     gap_exact = abs(eval_field(exact, [3.0]) - closed)
     gap_iter = abs(eval_field(iterative, [3.0]) - closed)
@@ -121,11 +119,11 @@ def test_criterion_4_discounted_ordering_and_limit(gambler):
     zero = solve_discounted(k, 0.0)
     indicator_ok = np.array_equal(zero.values, k.absorbed_values())
     gammas = [0.0, 0.5, 0.9, 0.99, 0.999]
-    fields = [solve_exact_small(k, "discounted", gamma=g).values for g in gammas]
+    fields = [solve_exact_small(k, gamma=g).values for g in gammas]
     monotone_ok = all(
         (hi - lo >= -1e-12).all() for lo, hi in zip(fields, fields[1:])
     )
-    reach = solve_exact_small(k, "reach_avoid")
+    reach = solve_exact_small(k)
     below_ok = all((f <= reach.values + 1e-12).all() for f in fields)
     limit_gap = abs(fields[-1][3] - reach.values[3])  # node index 3 is x0=3
     elapsed = time.monotonic() - start
@@ -184,8 +182,7 @@ def test_criterion_7_necessity_round_trips(gambler, contraction):
     ]
     # a discounted exit bound needs gamma close to 1 to be nontrivial
     g_fields_999 = dict(g_fields)
-    g_fields_999["discounted_exit"] = solve_exact_small(
-        gambler["safety_kernel"], "discounted", gamma=0.999)
+    g_fields_999["discounted_exit"] = solve_exact_small(gambler["safety_kernel"], gamma=0.999)
     g_fields_999["gamma"] = 0.999
     cases.append(
         (gambler, g_fields_999, g_pts, [3.0], KIND_LIVENESS_UPPER_DISCOUNTED,

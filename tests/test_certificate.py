@@ -31,10 +31,10 @@ from conftest import make_identity, one_step_mean, ruin_probability
 
 def solved_fields(fix, gamma=0.5):
     return {
-        "reach_avoid": solve_exact_small(fix["reach_kernel"], "reach_avoid"),
+        "reach_avoid": solve_exact_small(fix["reach_kernel"]),
         "safety_exit": dp.solve_safety_exit(fix["safety_kernel"], tol=1e-12),
-        "discounted": solve_exact_small(fix["reach_kernel"], "discounted", gamma=gamma),
-        "discounted_exit": solve_exact_small(fix["safety_kernel"], "discounted", gamma=gamma),
+        "discounted": solve_exact_small(fix["reach_kernel"], gamma=gamma),
+        "discounted_exit": solve_exact_small(fix["safety_kernel"], gamma=gamma),
         "gamma": gamma,
         "regions": fix["regions"],
         "assumption1": dp.check_assumption1(fix["reach_kernel"]),

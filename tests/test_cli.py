@@ -145,6 +145,7 @@ class TestLoading:
          "system.disturbance.atoms must be an integer"),
         ("mc", "horizon", True, "mc.horizon must be an integer"),
         ("system", "n", True, "system.n must be an integer"),
+        (None, "initial_state", [True], "initial_state must give"),
     ])
     def test_malformed_value_exits_with_validation_error(self, tmp_path, capsys,
                                                          block, key, value, message):
@@ -324,6 +325,18 @@ class TestCommands:
         verdict = run("solve", sc).sections["thresholds"]
         assert verdict["reach_avoid"]["value"] == pytest.approx(0.1, abs=1e-9)
         assert not verdict["reach_avoid"]["certified"]  # RA(1.0) = 0.1 < epsilon2 = 0.29
+
+    def test_synthesized_threshold_holds_at_every_initial_state(self, tmp_path):
+        # RA(1.0) is far below RA(3.0): a threshold set from x0 = 3 alone
+        # fails the initial clause at x0 = 1
+        sc = load_scenario(_write(tmp_path, _two_starts_doc()))
+        out = tmp_path / "d"
+        run("synthesize", sc, condition="ra_lower_a1", out_dir=out)
+        verify = run("verify", sc, certificate=str(out / "synthesized_ra_lower_a1.yaml"))
+        clauses = {c["clause"]: c for c in verify.sections["verify"]["clauses"]}
+        initial = clauses["initial: v(x0) >= eps"]
+        assert initial["points"] == 2
+        assert initial["min_slack"] >= -sc.tolerance
 
     def test_verify_rejects_corrupted_certificate(self, tmp_path):
         sc = load_scenario(SCENARIOS / "symmetric_walk.yaml")

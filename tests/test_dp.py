@@ -22,12 +22,9 @@ from conftest import chain_solve, make_walk, ruin_probability, walk_grid, walk_r
 def jacobi(kernel, gamma=1.0, sweeps=5000):
     """Reference fixed point: plain Jacobi sweeps of v = gamma * (b + P v)
     from the absorbed values, far past convergence on the small fixtures."""
-    v = np.zeros(kernel.grid.n_nodes)
-    v[kernel.one_nodes] = 1.0
+    v = kernel.absorbed_values()
     for _ in range(sweeps):
-        nxt = v.copy()
-        nxt[kernel.transient] = gamma * (kernel.one_mass + kernel.P.dot(v))
-        v = nxt
+        v[kernel.transient] = gamma * (kernel.one_mass + kernel.P.dot(v[kernel.transient]))
     return v
 
 
@@ -54,8 +51,8 @@ class TestGrid:
             build_grid([1.0], [0.0], [4])
 
 
-def _kernel_2d():
-    """Reach-avoid kernel of a 2-D affine walk with three atoms, 25^2 cells."""
+def _walk_2d():
+    """A 2-D affine walk with three atoms, its regions and a 25^2-cell grid."""
     dist = model.DisturbanceDist(atoms=[[-0.3, 0.1], [0.2, -0.2], [0.0, 0.3]],
                                  probs=[0.25, 0.35, 0.4])
     system = model.SystemModel(
@@ -68,6 +65,12 @@ def _kernel_2d():
         target=expr.parse_predicate("x1^2 + x2^2 < 0.25", 2),
     )
     grid = build_grid([-2.5, -2.5], [2.5, 2.5], [25, 25])
+    return system, reg, grid
+
+
+def _kernel_2d():
+    """Reach-avoid kernel of ``_walk_2d``."""
+    system, reg, grid = _walk_2d()
     return build_kernel(system, grid, reg, dp.MODE_REACH_AVOID)
 
 
@@ -78,8 +81,8 @@ class TestKernel:
         # interior node 3: both atoms stay transient, each landing exactly on
         # a node, so half the mass goes to node 2 and half to node 4
         spread = k.P.toarray()[row[3]]
-        assert np.flatnonzero(spread).tolist() == [2, 4]
-        np.testing.assert_allclose(spread[[2, 4]], 0.5, atol=1e-12)
+        assert np.flatnonzero(spread).tolist() == [row[2], row[4]]
+        np.testing.assert_allclose(spread[[row[2], row[4]]], 0.5, atol=1e-12)
         assert k.one_mass[row[3]] == 0.0 and k.zero_mass[row[3]] == 0.0
         # node 9: +1 hits the target
         assert k.one_mass[row[9]] == pytest.approx(0.5)
@@ -98,19 +101,34 @@ class TestKernel:
         idx, w = dp._interp_weights(k.grid, k.grid.nodes()[:50])
         assert (w >= 0).all()
 
+    def test_absorbing_nodes_fold_into_masses(self):
+        # images near the target disc interpolate partly onto target nodes:
+        # that weight joins one_mass, and P keeps the transient block only
+        # (test_mass_conserved_2d checks that each row still sums to one)
+        system, reg, grid = _walk_2d()
+        k = build_kernel(system, grid, reg, dp.MODE_REACH_AVOID)
+        assert k.P.shape == (k.n_transient, k.n_transient)
+        xs = grid.nodes()[k.transient]
+        direct = np.zeros(k.n_transient)
+        for atom, p in zip(system.dist.atoms, system.dist.probs):
+            ys = model.step_batch(system, xs, np.broadcast_to(atom, (len(xs), 2)))
+            direct += p * (regions.classify_batch(reg, ys) == int(regions.StateClass.TARGET))
+        assert (k.one_mass >= direct - 1e-15).all()
+        assert (k.one_mass > direct + 1e-3).any()
+
     def test_slot_matrix_matches_dense(self):
         k = _kernel_2d()
         dense = k.P.toarray()
-        assert dense.shape == (k.n_transient, k.grid.n_nodes)
+        assert dense.shape == (k.n_transient, k.n_transient)
         assert np.count_nonzero(dense) <= k.P.nnz <= k.P.w.size
         # each row carries the mass that is not absorbed
         np.testing.assert_allclose(dense.sum(axis=1), 1.0 - k.one_mass - k.zero_mass,
                                    atol=1e-12)
-        x = np.random.default_rng(0).random(k.grid.n_nodes)
+        x = np.random.default_rng(0).random(k.n_transient)
         np.testing.assert_allclose(k.P.dot(x), dense @ x, rtol=0, atol=1e-14)
         # every third transient column kept: weights into dropped columns vanish
         rows = np.flatnonzero(np.arange(k.n_transient) % 2 == 0)
-        cols = k.transient[::3]
+        cols = np.arange(k.n_transient)[::3]
         sub = k.P.block(rows, cols)
         expected = dense[rows][:, cols]
         assert sub.shape == expected.shape
@@ -121,7 +139,7 @@ class TestKernel:
         # boolean masks select the same block as index arrays
         row_mask = np.zeros(k.n_transient, dtype=bool)
         row_mask[rows] = True
-        col_mask = np.zeros(k.grid.n_nodes, dtype=bool)
+        col_mask = np.zeros(k.n_transient, dtype=bool)
         col_mask[cols] = True
         np.testing.assert_array_equal(k.P.block(row_mask, col_mask).toarray(), expected)
 
@@ -186,7 +204,7 @@ class TestSolvers:
         oracle = chain_solve(0.5, gamma=0.99)
         fld = solve_discounted(gambler["reach_kernel"], 0.99, tol=1e-12)
         assert eval_field(fld, [3.0]) == pytest.approx(oracle[2], abs=1e-9)
-        exact = solve_exact_small(gambler["reach_kernel"], "discounted", gamma=0.99)
+        exact = solve_exact_small(gambler["reach_kernel"], gamma=0.99)
         assert eval_field(exact, [3.0]) == pytest.approx(oracle[2], abs=1e-12)
 
     def test_discounted_below_undiscounted(self, gambler):
@@ -262,13 +280,13 @@ class TestLongChain:
 
 class TestExactSolve:
     def test_symmetric_closed_form(self, gambler):
-        fld = solve_exact_small(gambler["reach_kernel"], "reach_avoid")
+        fld = solve_exact_small(gambler["reach_kernel"])
         for i in range(1, 10):
             assert eval_field(fld, [float(i)]) == pytest.approx(
                 ruin_probability(i, 10, 0.5), abs=1e-12)
 
     def test_biased_closed_form(self, biased):
-        fld = solve_exact_small(biased["reach_kernel"], "reach_avoid")
+        fld = solve_exact_small(biased["reach_kernel"])
         oracle = chain_solve(0.6)
         for i in range(1, 10):
             assert eval_field(fld, [float(i)]) == pytest.approx(
@@ -279,19 +297,29 @@ class TestExactSolve:
         for fix in (gambler, biased):
             tol = 1e-9
             it = solve_reach_avoid(fix["reach_kernel"], tol=tol)
-            ex = solve_exact_small(fix["reach_kernel"], "reach_avoid")
+            ex = solve_exact_small(fix["reach_kernel"])
             assert np.max(np.abs(it.values - ex.values)) <= 10 * tol
 
     def test_all_mass_transient_is_singular(self, identity):
         with pytest.raises(SingularSystemError, match="finite-time-exit"):
-            solve_exact_small(identity["reach_kernel"], "reach_avoid")
+            solve_exact_small(identity["reach_kernel"])
+
+    def test_kernel_mode_fixes_the_problem(self, gambler):
+        # a safety kernel gives the exit value, a state outside the box exits
+        exact = solve_exact_small(gambler["safety_kernel"])
+        it = solve_safety_exit(gambler["safety_kernel"], tol=1e-12)
+        assert np.max(np.abs(exact.values - it.values)) <= 1e-9
+        assert exact.outside_default == it.outside_default == 1.0
+        assert solve_exact_small(gambler["reach_kernel"]).outside_default == 0.0
+        for gamma in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="gamma"):
+                solve_exact_small(gambler["reach_kernel"], gamma=gamma)
 
     def test_node_limit(self, gambler):
         k = gambler["reach_kernel"]
         big = build_grid([-0.5], [11.5], [12000])
         with pytest.raises(ValueError, match="dense-solve"):
-            solve_exact_small(
-                build_kernel(gambler["system"], big, gambler["regions"]), "reach_avoid")
+            solve_exact_small(build_kernel(gambler["system"], big, gambler["regions"]))
         del k
 
 
@@ -323,7 +351,7 @@ class TestStayProbability:
     @pytest.mark.parametrize("horizon", [0, 1, 7, 500])
     def test_matches_dense_matrix_power(self, gambler, horizon):
         kernel = gambler["reach_kernel"]
-        dense = kernel.P.block(slice(None), kernel.transient).toarray()
+        dense = kernel.P.toarray()
         expected = np.zeros(kernel.grid.n_nodes)
         expected[kernel.transient] = np.linalg.matrix_power(dense, horizon).sum(axis=1)
         fld = dp.stay_probability(kernel, horizon)
@@ -336,7 +364,7 @@ class TestStayProbability:
         kernel = dp.TransitionKernel(
             build_grid([0.0], [2.0], [2]), dp.MODE_REACH_AVOID, transient=np.array([0]),
             one_nodes=np.array([1]), one_mass=np.array([1.0 - q]), zero_mass=np.array([0.0]),
-            P=dp.SlotMatrix(np.array([[0]]), np.array([[q]]), 2))
+            P=dp.SlotMatrix(np.array([[0]]), np.array([[q]]), 1))
         values = dp.stay_probability(kernel, horizon).values
         assert values[1] == 0.0
         assert values[0] == pytest.approx(q ** horizon, rel=1e-12, abs=0)
@@ -419,7 +447,7 @@ class TestTwoDimensional:
 
     def test_exact_matches_hand_built_chain(self, lattice):
         _, _, kernel = lattice
-        exact = solve_exact_small(kernel, "reach_avoid")
+        exact = solve_exact_small(kernel)
         for start in ((2, 4), (5, 1), (3, 7)):
             assert eval_field(exact, list(map(float, start))) == pytest.approx(
                 self._hand_chain_value(start), abs=1e-12)
@@ -427,13 +455,13 @@ class TestTwoDimensional:
     def test_iterative_matches_exact(self, lattice):
         _, _, kernel = lattice
         it = solve_reach_avoid(kernel, tol=1e-9)
-        ex = solve_exact_small(kernel, "reach_avoid")
+        ex = solve_exact_small(kernel)
         assert np.max(np.abs(it.values - ex.values)) <= 1e-8
 
     def test_mc_agrees(self, lattice):
         from stochcert import mc
 
         system, reg, kernel = lattice
-        exact = solve_exact_small(kernel, "reach_avoid")
+        exact = solve_exact_small(kernel)
         est = mc.estimate(system, reg, [2.0, 4.0], 4000, 40000, 0.05, 77)[1]
         assert abs(eval_field(exact, [2.0, 4.0]) - est.p_hat) <= est.half_width

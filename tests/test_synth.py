@@ -383,7 +383,7 @@ class TestSynthesize:
         assert report.passed
 
     def test_threshold_never_beats_exact_value(self, gambler):
-        exact = dp.solve_exact_small(gambler["reach_kernel"], "reach_avoid")
+        exact = dp.solve_exact_small(gambler["reach_kernel"])
         result = synthesize(
             gambler["system"], gambler["regions"], KIND_RA_LOWER_A1,
             Template(n=1, degree=1), _synth_points(gambler), [3.0],
