@@ -13,14 +13,13 @@ faithfully yields a certificate at the tightest threshold the field supports.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
 from . import dp, expr as expr_mod, model as model_mod
 from .dp import Grid, ValueField, eval_field_batch
-from .expr import NumericError
+from .expr import NumericError, Record
 from .model import SystemModel
 from .regions import Box, RegionSpec, StateClass, classify_batch
 
@@ -187,8 +186,7 @@ class CertificateError(NumericError, RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class GridCert:
+class GridCert(Record, frozen=True):
     """Grid-interpolated certificate function.
 
     Extracted certificates additionally pin the indicator regions of their
@@ -204,8 +202,7 @@ class GridCert:
     unsafe_value: float | None = None
 
 
-@dataclass(frozen=True)
-class PolyCert:
+class PolyCert(Record, frozen=True):
     """Polynomial sum_j coeffs[j] * prod_d x_d^exponents[j][d]."""
 
     exponents: tuple[tuple[int, ...], ...]
@@ -221,8 +218,7 @@ class PolyCert:
             raise ValueError("coefficient count must match the monomial count")
 
 
-@dataclass(frozen=True)
-class ConstCert:
+class ConstCert(Record, frozen=True):
     value: float
 
 
@@ -255,8 +251,7 @@ def eval_cert_batch(cert: CertFunction, xs: np.ndarray) -> np.ndarray:
     raise TypeError(f"not a certificate function: {cert!r}")
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Record, frozen=True):
     """A condition kind with its parameters; ``w`` is the companion function
     of the pair kind and ``omega`` its reachable-superset box."""
 
@@ -277,22 +272,20 @@ class Condition:
             raise ValueError("pair condition needs the companion function w")
 
 
-@dataclass
-class ClauseResult:
+class ClauseResult(Record):
     name: str
     n_points: int
     min_slack: float  # negative = violation
     worst_point: np.ndarray | None
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     passed: bool
     tolerance: float
     clauses: list[ClauseResult]
     witnesses: list[tuple[np.ndarray, str, float, float]]  # point, clause, lhs, rhs
     n_points: int
-    caveats: list[str] = field(default_factory=list)
+    caveats: list[str] = []
 
     @property
     def min_slack(self) -> float:

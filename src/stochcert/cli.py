@@ -15,7 +15,6 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ from .certificate import (
     Condition,
     GridCert,
 )
-from .expr import ExprError, NumericError, parse_expr, parse_predicate
+from .expr import ExprError, NumericError, Record, parse_expr, parse_predicate
 from .model import DisturbanceDist, SystemModel
 from .regions import RegionSpec, StateClass
 
@@ -65,8 +64,7 @@ class ScenarioError(ValueError):
         self.errors = errors
 
 
-@dataclass
-class Scenario:
+class Scenario(Record):
     name: str
     system: SystemModel
     regions: RegionSpec
@@ -82,15 +80,14 @@ class Scenario:
     tolerance: float
     extra_points: int
     point_seed: int
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str] = []
 
 
-@dataclass
-class Report:
+class Report(Record):
     command: str
     scenario: str
     sections: dict
-    caveats: list[str] = field(default_factory=list)
+    caveats: list[str] = []
     passed: bool = True
 
     def to_json(self) -> str:
@@ -254,9 +251,13 @@ def load_scenario(path) -> Scenario:
     carrying every problem found, at most one per field."""
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(), Loader=YAML_LOADER)
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ScenarioError([f"scenario file not found: {path}"])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError([f"cannot read scenario file {path}: {exc}"])
+    try:
+        raw = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError([f"scenario parse error: {exc}"])
     if not isinstance(raw, dict):
@@ -573,7 +574,7 @@ def _cmd_verify(sc: Scenario, certificate_path: str | None, only_kind: str | Non
     try:
         cond, cert = cert_mod.load_certificate(certificate_path)
         if only_kind and only_kind != cond.kind:
-            cond = replace(cond, kind=only_kind)
+            cond = cond.replace(kind=only_kind)
     except (OSError, yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError([f"certificate {certificate_path}: {exc}"]) from exc
     points = cert_mod.build_check_points(sc.grid, _omega(sc, transient_only=False),
@@ -739,7 +740,10 @@ def run(command: str, scenario: Scenario, certificate: str | None = None,
                                  f"expected one of {', '.join(synth.SYNTH_KINDS)}"])
     out_path = Path(out_dir) if out_dir else None
     if out_path:
-        out_path.mkdir(parents=True, exist_ok=True)
+        try:
+            out_path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ScenarioError([f"--out {out_path}: {exc}"])
     if command == "simulate":
         return _cmd_simulate(scenario, out_path)
     if command == "solve":

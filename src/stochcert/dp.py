@@ -24,12 +24,11 @@ most atoms * 2^n entries, so fixed slots need no sparse-matrix library.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as model_mod
-from .expr import NumericError
+from .expr import NumericError, Record
 from .model import SystemModel
 from .regions import Box, RegionSpec, StateClass, classify_batch
 
@@ -78,8 +77,7 @@ class SingularSystemError(NumericError, RuntimeError):
     """Dense solve hit a (numerically) singular system at gamma = 1."""
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record, frozen=True):
     """Cell-center grid over an axis-aligned box, nodes enumerated row-major
     (first dimension slowest)."""
 
@@ -161,8 +159,7 @@ def _interp_weights(grid: Grid, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return idx, w
 
 
-@dataclass
-class ValueField:
+class ValueField(Record):
     """Node values with multilinear interpolation and an outside-box default."""
 
     values: np.ndarray
@@ -234,8 +231,7 @@ class SlotMatrix:
         return out
 
 
-@dataclass
-class TransitionKernel:
+class TransitionKernel(Record):
     """Finite absorbing-chain restriction of the one-step dynamics.
 
     ``one_mass[t]`` / ``zero_mass[t]`` are the per-transient-node probabilities
@@ -485,8 +481,7 @@ def solve_exact_small(kernel: TransitionKernel, gamma: float = 1.0) -> ValueFiel
     return ValueField(values, kernel.grid, outside_default=kernel.outside)
 
 
-@dataclass
-class Assumption1Result:
+class Assumption1Result(Record):
     holds: bool
     sup_stay_prob: float  # exactly 0.0 or 1.0: a graph fact, not an estimate
     iterations: int  # graph rounds

@@ -22,12 +22,11 @@ cumulative probabilities.  Neither changes a draw or an outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as model_mod
-from .expr import EvalError
+from .expr import EvalError, Record
 from .model import SystemModel
 from .regions import RegionSpec, StateClass, classify_batch
 
@@ -49,8 +48,7 @@ def hoeffding_half_width(n_trials: int, delta: float) -> float:
     return float(np.sqrt(np.log(2.0 / delta) / (2.0 * n_trials)))
 
 
-@dataclass
-class McEstimate:
+class McEstimate(Record):
     p_hat: float
     n_trials: int
     horizon: int

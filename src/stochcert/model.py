@@ -9,12 +9,11 @@ takes an explicit seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr
-from .expr import EvalError, ExprAst
+from .expr import EvalError, ExprAst, Record
 
 __all__ = [
     "DisturbanceDist",
@@ -30,8 +29,7 @@ __all__ = [
 _PROB_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DisturbanceDist:
+class DisturbanceDist(Record, frozen=True):
     """Finite-support disturbance distribution: atom k drawn with probs[k]."""
 
     atoms: np.ndarray  # (K, m)
@@ -63,8 +61,7 @@ class DisturbanceDist:
         return cum
 
 
-@dataclass(frozen=True)
-class SystemModel:
+class SystemModel(Record, frozen=True):
     """Dynamics f given coordinate-wise as expression ASTs plus the disturbance law."""
 
     n: int
@@ -80,8 +77,7 @@ class SystemModel:
             raise ValueError(f"disturbance dimension {self.dist.m} != m={self.m}")
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Simulated path; states[l+1] = f(states[l], disturbances[l]) re-evaluates exactly."""
 
     states: np.ndarray  # (L+1, n)

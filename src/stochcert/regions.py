@@ -7,13 +7,12 @@ X_r within X is validated by sampling, not symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 from . import expr, model
-from .expr import PredicateAst
+from .expr import PredicateAst, Record
 
 __all__ = [
     "StateClass",
@@ -32,14 +31,12 @@ class StateClass(IntEnum):
     UNSAFE = 2
 
 
-@dataclass(frozen=True)
-class RegionSpec:
+class RegionSpec(Record, frozen=True):
     safe: PredicateAst  # set X
     target: PredicateAst  # set X_r, expected to satisfy X_r within X
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record, frozen=True):
     """Axis-aligned box, closed on both sides."""
 
     lower: np.ndarray
@@ -83,8 +80,7 @@ def classify_batch(regions: RegionSpec, xs: np.ndarray) -> np.ndarray:
     return codes
 
 
-@dataclass
-class NestingReport:
+class NestingReport(Record):
     passed: bool
     witnesses: np.ndarray  # points with target(x) and not safe(x)
     target_seen: bool  # False = target empty over the samples (vacuous pass)

@@ -22,7 +22,6 @@ status ``sample_optimistic`` and the violation witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .certificate import (
     point_classes,
     tight_threshold,
 )
-from .expr import NumericError
+from .expr import NumericError, Record
 from .model import SystemModel
 from .regions import Box, RegionSpec, classify_batch
 
@@ -73,8 +72,7 @@ class SynthesisInfeasibleError(NumericError, RuntimeError):
     pass
 
 
-@dataclass
-class LpProblem:
+class LpProblem(Record):
     """max (or min) objective . x subject to rows and finite variable bounds.
 
     Row i reads ``rows[i] . x  senses[i]  rhs[i]``: ``rows`` is an (m, n)
@@ -119,8 +117,7 @@ class LpProblem:
         return self.objective.shape[0]
 
 
-@dataclass
-class LpSolution:
+class LpSolution(Record):
     """Solver outcome.  ``farkas`` is set when ``status == "infeasible"``:
     non-negative weights on the rows of ``problem`` stacked as ``M x <= h``
     (the ``<=`` and ``==`` rows as written, then the ``>=`` and ``==`` rows
@@ -225,8 +222,7 @@ def _monomials_up_to(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(dict.fromkeys(out))
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(Record, frozen=True):
     """All monomials up to a total degree, coefficients confined to [-B, B]."""
 
     n: int
@@ -256,8 +252,7 @@ class Template:
         return np.prod(xs[:, None, :] ** exps[None, :, :], axis=2)
 
 
-@dataclass
-class SynthesisResult:
+class SynthesisResult(Record):
     cert: PolyCert
     threshold: float
     status: str  # validated | sample_optimistic

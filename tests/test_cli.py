@@ -60,9 +60,19 @@ class TestLoading:
         sc = load_scenario(SCENARIOS / "symmetric_walk.yaml")
         assert sc.grid.cells.tolist() == [12]
 
-    def test_missing_file(self):
-        with pytest.raises(ScenarioError, match="not found"):
-            load_scenario("/nonexistent/path.yaml")
+    @pytest.mark.parametrize("name, content, message", [
+        ("absent.yaml", None, "scenario file not found: "),
+        ("", None, "cannot read scenario file "),  # the directory itself
+        ("utf16.yaml", b"\xff\xfe\x00", "cannot read scenario file "),
+    ], ids=["missing", "directory", "not_utf8"])
+    def test_missing_file(self, tmp_path, capsys, name, content, message):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(path)
+        assert main(["--scenario", str(path), "--command", "solve"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {message}{path}")
 
     def test_bad_probs_reported(self, tmp_path):
         doc = _walk_doc()
@@ -482,6 +492,27 @@ class TestMain:
         assert code == EXIT_VALIDATION
         assert "sum" in capsys.readouterr().err
 
+    def test_out_naming_a_file_exits_before_any_work(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        monkeypatch.setattr(cli, "_cmd_solve", lambda *args: pytest.fail("solve ran"))
+        code = main(["--scenario", str(SCENARIOS / "symmetric_walk.yaml"),
+                     "--command", "solve", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: ")
+        assert out.read_text() == "kept"
+
+    def test_records_copy_list_defaults_and_replace_keeps_fields(self):
+        first, second = cli.Report("solve", "walk", {}), cli.Report("solve", "walk", {})
+        first.caveats.append("note")
+        assert second.caveats == [] and first.passed and second.passed
+        with pytest.raises(TypeError):
+            hash(first)
+        cond = certificate.Condition("ra_lower_discounted", 0.4, gamma=0.5)
+        changed = cond.replace(kind="liveness_upper_discounted")
+        assert changed == certificate.Condition("liveness_upper_discounted", 0.4, gamma=0.5)
+        assert cond.kind == "ra_lower_discounted"
+
     def test_verify_failure_exit(self, tmp_path):
         main(["--scenario", str(SCENARIOS / "symmetric_walk.yaml"),
               "--command", "extract", "--out", str(tmp_path), "--quiet"])
@@ -628,9 +659,10 @@ class TestStartUp:
             "import json, sys; from stochcert import cli\n"
             "code = cli.main(['--scenario', %r, '--command', %r, '--out', %r,"
             " '--certificate', %r, '--quiet'])\n"
-            "print(json.dumps([code, %s]))\n"
+            "print(json.dumps([code, %s, 'dataclasses' in sys.modules]))\n"
         ) % (walk, command, str(tmp_path), str(cert), _LOADED)
-        assert json.loads(_fresh_interpreter(code)) == [EXIT_OK, sorted(_CORE + extra)]
+        # records derive from expr.Record: dataclasses costs ~27 ms of start-up
+        assert json.loads(_fresh_interpreter(code)) == [EXIT_OK, sorted(_CORE + extra), False]
 
     def test_bare_import_loads_no_submodule(self):
         code = "import json, sys, stochcert\nprint(json.dumps(%s))\n" % _LOADED

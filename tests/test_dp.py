@@ -42,6 +42,12 @@ class TestGrid:
         ]
         np.testing.assert_allclose(grid.nodes(), expected)
 
+    def test_fields_normalized_and_frozen(self):
+        grid = dp.Grid([0.0], [1.0], [2.0])  # __post_init__ converts each field
+        assert grid.cells.dtype == np.int64 and grid.lower.dtype == float
+        with pytest.raises(AttributeError):
+            grid.cells = np.array([3])
+
     def test_zero_cells_rejected(self):
         with pytest.raises(ValueError):
             build_grid([0.0], [1.0], [0])

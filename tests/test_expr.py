@@ -50,6 +50,15 @@ class TestParse:
             BinOp("^", StateVar(2), Const(2.0)),
         )
 
+    def test_trees_are_frozen_records(self):
+        ast = parse_expr("x1 + 2", 1, 0)
+        assert repr(ast) == "BinOp(op='+', left=StateVar(index=1), right=Const(value=2.0))"
+        twin = parse_expr("x1+2.0", 1, 0)
+        assert twin == ast and twin is not ast and hash(twin) == hash(ast)
+        assert StateVar(1) == StateVar(1) and StateVar(1) != DisturbVar(1)
+        with pytest.raises(AttributeError):
+            ast.op = "-"
+
     def test_syntax_error_offset(self):
         with pytest.raises(ExprError) as err:
             parse_expr("x1 +", 1, 1)
