@@ -298,9 +298,7 @@ def _expected_next(system: SystemModel, cert: CertFunction, xs: np.ndarray) -> n
     xs = np.atleast_2d(xs)
     total = np.zeros(xs.shape[0])
     bad = np.zeros(xs.shape[0], dtype=bool)
-    for atom, p in zip(system.dist.atoms, system.dist.probs):
-        ths = np.broadcast_to(atom, (xs.shape[0], system.m))
-        ys = model_mod.step_batch(system, xs, ths, strict=False)
+    for p, ys in zip(system.dist.probs, model_mod.successors(system, xs, strict=False)):
         row_bad = ~np.isfinite(ys).all(axis=1)
         bad |= row_bad
         safe_ys = np.where(row_bad[:, None], 0.0, ys)

@@ -285,36 +285,30 @@ def build_kernel(
     node_class = classify_batch(regions, nodes)
     one_mask, zero_mask = node_class == one_cls, node_class == zero_cls
     transient = np.flatnonzero(~(one_mask | zero_mask))
-    n_tr = transient.shape[0]
-    one_mass, zero_mass = np.zeros(n_tr), np.zeros(n_tr)
-    # atom a spreads its images over slots a * 2^n ... (a + 1) * 2^n - 1
-    corners = 1 << grid.n
-    idx = np.zeros((n_tr, system.dist.atoms.shape[0] * corners), dtype=np.int64)
-    w = np.zeros(idx.shape)
+    n_tr, n_atoms = transient.shape[0], system.dist.atoms.shape[0]
     xs = nodes[transient]
-
-    for a, (atom, p) in enumerate(zip(system.dist.atoms, system.dist.probs)):
-        ths = np.broadcast_to(atom, (n_tr, system.m))
-        ys = model_mod.step_batch(system, xs, ths, strict=True)
-        img_class = classify_batch(regions, ys)
-        absorb_one, absorb_zero = img_class == one_cls, img_class == zero_cls
-        mix = ~(absorb_one | absorb_zero)
-        inside = grid.box.contains(ys)
-        stray = mix & ~inside
-        if stray.any():
-            i = int(np.flatnonzero(stray)[0])
-            raise GridTooSmallError(
-                f"grid too small: node {xs[i].tolist()} maps to safe point "
-                f"{ys[i].tolist()} outside the grid box under atom {atom.tolist()}"
-            )
-        one_mass[absorb_one] += p
-        zero_mass[absorb_zero] += p
-        if mix.any():
-            slots = slice(a * corners, (a + 1) * corners)
-            corner_idx, corner_w = _interp_weights(grid, ys[mix])
-            idx[mix, slots] = corner_idx
-            w[mix, slots] = p * corner_w
-
+    images = model_mod.successors(system, xs)
+    # classified atom by atom, so an EvalError names the row of one atom's batch
+    img_class = np.concatenate([classify_batch(regions, ys) for ys in images])
+    ys = np.concatenate(images)  # row a * T + i: node i under atom a
+    mix = (img_class != one_cls) & (img_class != zero_cls)
+    stray = mix & ~grid.box.contains(ys)
+    if stray.any():
+        a, i = divmod(int(np.flatnonzero(stray)[0]), n_tr)
+        raise GridTooSmallError(
+            f"grid too small: node {xs[i].tolist()} maps to safe point {images[a][i].tolist()} "
+            f"outside the grid box under atom {system.dist.atoms[a].tolist()}"
+        )
+    one_mass, zero_mass = np.zeros(n_tr), np.zeros(n_tr)
+    for p, cls in zip(system.dist.probs, img_class.reshape(n_atoms, n_tr)):
+        one_mass[cls == one_cls] += p
+        zero_mass[cls == zero_cls] += p
+    idx, w = _interp_weights(grid, ys)
+    w *= np.where(mix, np.repeat(system.dist.probs, n_tr), 0.0)[:, None]
+    # slot a * 2^n + c of node i holds corner c of its image under atom a
+    corners = 1 << grid.n
+    idx, w = (arr.reshape(n_atoms, n_tr, corners).swapaxes(0, 1).reshape(n_tr, n_atoms * corners)
+              for arr in (idx, w))
     P = SlotMatrix(idx, w, grid.n_nodes)
     one_mass = one_mass + P.dot(one_mask.astype(float))
     zero_mass = zero_mass + P.dot(zero_mask.astype(float))

@@ -20,6 +20,7 @@ __all__ = [
     "SystemModel",
     "Trajectory",
     "step_batch",
+    "successors",
     "sample_disturbance",
     "simulate",
     "quantize_uniform",
@@ -95,6 +96,13 @@ def step_batch(model: SystemModel, xs: np.ndarray, ths: np.ndarray,
     xs = np.asarray(xs, dtype=float)
     return np.array([expr.eval_expr_batch(f, xs, ths, strict=strict)
                      for f in model.dynamics]).T
+
+
+def successors(model: SystemModel, xs: np.ndarray, strict: bool = True) -> list[np.ndarray]:
+    """The one-step images of a (B, n) batch under every atom: one
+    ``step_batch`` result per atom, in atom order."""
+    return [step_batch(model, xs, np.broadcast_to(atom, (len(xs), model.m)), strict=strict)
+            for atom in model.dist.atoms]
 
 
 def sample_disturbance(dist: DisturbanceDist, rng: np.random.Generator) -> np.ndarray:

@@ -133,12 +133,6 @@ def compute_omega(
     inside = samples[keep]
     if inside.shape[0] == 0:
         raise ValueError("no sample points fall inside the safe set")
-    lo = inside.min(axis=0)
-    hi = inside.max(axis=0)
-    for atom in system.dist.atoms:
-        ths = np.broadcast_to(atom, (inside.shape[0], system.m))
-        images = model.step_batch(system, inside, ths, strict=True)
-        lo = np.minimum(lo, images.min(axis=0))
-        hi = np.maximum(hi, images.max(axis=0))
-    box = Box(lo, hi)
+    covered = np.vstack([inside, *model.successors(system, inside)])
+    box = Box(covered.min(axis=0), covered.max(axis=0))
     return box.inflate(pad) if pad else box

@@ -264,9 +264,7 @@ class SynthesisResult(Record):
 def _expected_design(system: SystemModel, template: Template, xs: np.ndarray) -> np.ndarray:
     """E over atoms of the monomial design matrix at the one-step images."""
     total = np.zeros((xs.shape[0], template.size))
-    for atom, p in zip(system.dist.atoms, system.dist.probs):
-        ths = np.broadcast_to(atom, (xs.shape[0], system.m))
-        ys = model_mod.step_batch(system, xs, ths, strict=True)
+    for p, ys in zip(system.dist.probs, model_mod.successors(system, xs)):
         total += float(p) * template.design_matrix(ys)
     return total
 

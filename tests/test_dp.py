@@ -122,6 +122,48 @@ class TestKernel:
         assert (k.one_mass >= direct - 1e-15).all()
         assert (k.one_mass > direct + 1e-3).any()
 
+    @pytest.mark.parametrize("mode", [dp.MODE_REACH_AVOID, dp.MODE_SAFETY])
+    def test_matches_per_atom_reference(self, mode, monkeypatch):
+        # the kernel built atom by atom: each atom's images classified and
+        # interpolated on their own, weighted by p_a into slots a*2^n + c,
+        # then folded onto the absorbing nodes and cut to the transient block
+        system, reg, grid = _walk_2d()
+        one_cls, zero_cls = dp._ABSORBING[mode]
+        nodes = grid.nodes()
+        node_class = regions.classify_batch(reg, nodes)
+        one_mask, zero_mask = node_class == one_cls, node_class == zero_cls
+        transient = np.flatnonzero(~(one_mask | zero_mask))
+        xs = nodes[transient]
+        corners = 1 << grid.n
+        one_mass, zero_mass = np.zeros(len(xs)), np.zeros(len(xs))
+        idx = np.zeros((len(xs), len(system.dist.probs) * corners), dtype=np.int64)
+        w = np.zeros(idx.shape)
+        for a, (atom, p) in enumerate(zip(system.dist.atoms, system.dist.probs)):
+            ys = model.step_batch(system, xs, np.broadcast_to(atom, (len(xs), system.m)))
+            img_class = regions.classify_batch(reg, ys)
+            one_mass[img_class == one_cls] += p
+            zero_mass[img_class == zero_cls] += p
+            mix = (img_class != one_cls) & (img_class != zero_cls)
+            slots = slice(a * corners, (a + 1) * corners)
+            idx[mix, slots], corner_w = dp._interp_weights(grid, ys[mix])
+            w[mix, slots] = p * corner_w
+        full = dp.SlotMatrix(idx, w, grid.n_nodes)
+        one_mass += full.dot(one_mask.astype(float))
+        zero_mass += full.dot(zero_mask.astype(float))
+        want = full.block(slice(None), transient)
+
+        calls = []
+        interp = dp._interp_weights
+        monkeypatch.setattr(dp, "_interp_weights",
+                            lambda *args: calls.append(args) or interp(*args))
+        k = build_kernel(system, grid, reg, mode)
+        assert len(calls) == 1
+        assert np.array_equal(k.transient, transient)
+        assert np.array_equal(k.one_mass, one_mass)
+        assert np.array_equal(k.zero_mass, zero_mass)
+        assert np.array_equal(k.P.w, want.w)
+        assert np.array_equal(k.P.toarray(), want.toarray())
+
     def test_slot_matrix_matches_dense(self):
         k = _kernel_2d()
         dense = k.P.toarray()
