@@ -201,6 +201,10 @@ class GridCert(Record, frozen=True):
     target_value: float | None = None
     unsafe_value: float | None = None
 
+    @property
+    def n(self) -> int:
+        return self.fld.grid.n
+
 
 class PolyCert(Record, frozen=True):
     """Polynomial sum_j coeffs[j] * prod_d x_d^exponents[j][d]."""
@@ -214,12 +218,21 @@ class PolyCert(Record, frozen=True):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(set(exps)) != len(exps):
             raise ValueError("duplicate monomials in polynomial certificate")
+        if len({len(row) for row in exps}) > 1:
+            raise ValueError("exponent rows must have equal length")
         if len(self.coeffs) != len(exps):
             raise ValueError("coefficient count must match the monomial count")
+
+    @property
+    def n(self) -> int | None:
+        """The dimension; None for a polynomial without monomials."""
+        return len(self.exponents[0]) if self.exponents else None
 
 
 class ConstCert(Record, frozen=True):
     value: float
+
+    n = None  # a constant has no dimension
 
 
 CertFunction = GridCert | PolyCert | ConstCert
@@ -500,6 +513,8 @@ def _cert_to_dict(cert: CertFunction) -> dict:
 
 
 def _cert_from_dict(data: dict) -> CertFunction:
+    if not isinstance(data, dict):
+        raise ValueError("certificate function must be a mapping")
     rep = data.get("representation")
     if rep == "grid":
         grid = dp.build_grid(data["lower"], data["upper"], data["cells"])

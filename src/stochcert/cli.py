@@ -332,7 +332,9 @@ def load_scenario(path) -> Scenario:
         rng = np.random.default_rng(values["point_seed"])
         samples = np.vstack([grid.nodes(), grid.box.inflate(0.2).sample(4000, rng)])
         nesting = regions_mod.validate_nesting(reg, samples)
-        if not nesting.passed:
+        if not nesting.safe_seen:
+            errors.append("safe set is empty over the sampled box")
+        elif not nesting.passed:
             witness = nesting.witnesses[0].tolist()
             errors.append(f"target set not contained in safe set, witness {witness}")
         elif nesting.vacuous:
@@ -575,6 +577,10 @@ def _cmd_verify(sc: Scenario, certificate_path: str | None, only_kind: str | Non
         cond, cert = cert_mod.load_certificate(certificate_path)
         if only_kind and only_kind != cond.kind:
             cond = cond.replace(kind=only_kind)
+        for part, obj in (("function", cert), ("pair_w", cond.w), ("omega", cond.omega)):
+            if obj is not None and obj.n not in (None, sc.system.n):
+                raise ValueError(f"{part} has dimension {obj.n}, "
+                                 f"but the scenario has system.n = {sc.system.n}")
     except (OSError, yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError([f"certificate {certificate_path}: {exc}"]) from exc
     points = cert_mod.build_check_points(sc.grid, _omega(sc, transient_only=False),

@@ -84,6 +84,7 @@ class NestingReport(Record):
     passed: bool
     witnesses: np.ndarray  # points with target(x) and not safe(x)
     target_seen: bool  # False = target empty over the samples (vacuous pass)
+    safe_seen: bool  # False = safe set empty over the samples
     n_samples: int
 
     @property
@@ -102,6 +103,7 @@ def validate_nesting(regions: RegionSpec, samples: np.ndarray) -> NestingReport:
         passed=not bad.any(),
         witnesses=samples[bad],
         target_seen=bool(in_target.any()),
+        safe_seen=bool(in_safe.any()),
         n_samples=samples.shape[0],
     )
 

@@ -223,24 +223,19 @@ def _monomials_up_to(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 class Template(Record, frozen=True):
-    """All monomials up to a total degree, coefficients confined to [-B, B]."""
+    """All monomials up to a total degree, coefficients confined to [-B, B];
+    ``exponents`` lists the monomials, constant first."""
 
     n: int
     degree: int
     bound: float = 1e3
-    exponents: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         if self.degree < 0 or self.n < 1:
             raise ValueError("need degree >= 0 and at least one variable")
         if not np.isfinite(self.bound) or self.bound < 0:
             raise ValueError("coefficient bound must be finite and non-negative")
-        exps = self.exponents or _monomials_up_to(self.n, self.degree)
-        if (0,) * self.n not in exps:
-            raise ValueError("template must include the constant monomial")
-        if len(set(exps)) != len(exps):
-            raise ValueError("duplicate monomials in template")
-        object.__setattr__(self, "exponents", tuple(exps))
+        object.__setattr__(self, "exponents", _monomials_up_to(self.n, self.degree))
 
     @property
     def size(self) -> int:

@@ -101,6 +101,15 @@ class TestLoading:
             load_scenario(_write(tmp_path, doc))
         assert len(err.value.errors) >= 3
 
+    def test_empty_safe_set_rejected(self, tmp_path, capsys):
+        doc = _walk_doc()
+        doc["regions"] = {"safe": "x1 > 100", "target": "x1 > 200"}
+        path = _write(tmp_path, doc)
+        with pytest.raises(ScenarioError, match="safe set is empty over the sampled box"):
+            load_scenario(path)
+        assert main(["--scenario", str(path), "--command", "extract"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: safe set is empty over the sampled box\n"
+
     def test_safe_set_outside_grid_box(self, tmp_path):
         doc = _walk_doc()
         doc["grid"] = {"lower": [-0.5], "upper": [8.5], "cells": [9]}
@@ -542,8 +551,30 @@ class TestMain:
         (None, lambda d: d.pop("epsilon"), "missing field(s) epsilon"),
         (None, lambda d: d.update(kind="bogus"), "unknown condition kind"),
         (None, lambda d: d["function"].update(representation="spline"), "representation"),
+        (None, lambda d: d.update(function=[1, 2]), "function must be a mapping"),
+        (None, lambda d: d.update(pair_w=7), "function must be a mapping"),
+        (None, lambda d: d.update(function={"representation": "polynomial",
+                                            "exponents": [[0], [1, 0]], "coefficients": [1, 2]}),
+         "exponent rows must have equal length"),
+        (None, lambda d: d.update(function={"representation": "polynomial",
+                                            "exponents": [[0, 0], [1, 0]],
+                                            "coefficients": [1, 2]}),
+         "function has dimension 2, but the scenario has system.n = 1"),
+        (None, lambda d: d.update(function={"representation": "grid", "lower": [0, 0],
+                                            "upper": [1, 1], "cells": [2, 2],
+                                            "values": [0, 0, 0, 0]}),
+         "function has dimension 2"),
+        (None, lambda d: d.update(pair_w={"representation": "polynomial",
+                                          "exponents": [[0, 0]], "coefficients": [0]}),
+         "pair_w has dimension 2"),
+        ("ra_lower_pair", lambda d: d.update(omega={"lower": [0, 0], "upper": [11, 11]},
+                                             pair_w={"representation": "constant", "value": 0}),
+         "omega has dimension 2"),
     ], ids=["ra_discounted_without_gamma", "liveness_discounted_without_gamma", "no_function",
-            "no_kind", "no_epsilon", "unknown_kind", "unknown_representation"])
+            "no_kind", "no_epsilon", "unknown_kind", "unknown_representation",
+            "function_not_mapping", "pair_w_not_mapping", "ragged_exponents",
+            "polynomial_of_other_dimension", "grid_of_other_dimension",
+            "pair_w_of_other_dimension", "omega_of_other_dimension"])
     def test_malformed_certificate_exits_with_validation_error(
             self, tmp_path, capsys, condition, edit, message):
         walk = str(SCENARIOS / "symmetric_walk.yaml")
