@@ -2,13 +2,14 @@
 
 One pass runs, in-process through ``cli.main``, the commands simulate,
 solve, estimate, assumption1, extract, synthesize and report-all on each
-bundled scenario, plus verify of every certificate that extract writes.
+bundled scenario, plus verify of every certificate that extract writes and
+synthesize of every condition kind (the pair kind is rejected, exit 2).
 Each invocation's stdout, stderr, exit code and every ``--out`` file are
 compared byte for byte, floats included, with the files under
 ``tests/golden/<scenario>/<invocation>/``.  The temporary output directory
 and the scenario directory are replaced by fixed tokens first.  Files over
 8 KB are kept as digests, and stdout is kept only where it is not the
-written ``report.txt``, which holds the golden data under 500 KB.
+written ``report.txt``, which holds the golden files to about 180 KB.
 
 Rewrite the golden files after an intended output change with
 
@@ -50,6 +51,8 @@ def run_pass(walk: str, work: Path) -> dict[str, dict[str, str]]:
     """Run one pass on ``walk`` with outputs under ``work``; returns, per
     invocation, its console files and ``--out`` files as text, paths made
     neutral."""
+    from stochcert.certificate import ALL_KINDS
+
     scenario = SCENARIOS / f"{walk}.yaml"
 
     def neutral(text: str) -> str:
@@ -58,19 +61,22 @@ def run_pass(walk: str, work: Path) -> dict[str, dict[str, str]]:
     def runs():  # a generator: verify reads the files extract has just written
         for command in COMMANDS:
             if command != "verify":
-                yield command, command, None
+                yield command, command, []
                 continue
             for cert in sorted((work / "extract").glob("certificate_*.yaml")):
-                yield f"verify_{cert.stem[len('certificate_'):]}", command, cert
+                yield (f"verify_{cert.stem[len('certificate_'):]}", command,
+                       ["--certificate", str(cert)])
+        for kind in ALL_KINDS:
+            yield f"synthesize_{kind}", "synthesize", ["--condition", kind]
 
     results = {}
-    for name, command, cert in runs():
-        argv = ["--scenario", str(scenario), "--command", command, "--out", str(work / name)]
-        if cert is not None:
-            argv += ["--certificate", str(cert)]
-        stdout, stderr, code = _invoke(argv)
+    for name, command, extra in runs():
+        out = work / name
+        stdout, stderr, code = _invoke(["--scenario", str(scenario), "--command", command,
+                                        "--out", str(out), *extra])
         files = {"stdout.txt": stdout, "stderr.txt": stderr, "exit_code.txt": f"{code}\n"}
-        for path in sorted((work / name).iterdir()):
+        # a rejected invocation makes no --out directory
+        for path in sorted(out.iterdir()) if out.is_dir() else ():
             files[f"out/{path.name}"] = path.read_text()
         results[name] = _stored({key: neutral(text) for key, text in files.items()})
     return results

@@ -329,6 +329,74 @@ class TestClauseTable:
             start += clause.n_points
         assert start == len(problem.rows)
 
+    @pytest.mark.parametrize("kind", SYNTH_KINDS)
+    @pytest.mark.parametrize("name", ["symmetric_walk", "biased_walk",
+                                      "invariant_contraction"])
+    def test_lp_rows_match_reference(self, name, kind, monkeypatch):
+        problems = []
+
+        def recording(problem, max_iter=None):
+            problems.append(problem)
+            return simplex_solve(problem, max_iter)
+
+        monkeypatch.setattr(synth, "simplex_solve", recording)
+        sc = cli.load_scenario(SCENARIOS / f"{name}.yaml")
+        template = Template(n=1, degree=2)
+        points = cli._synth_points(sc, kind)
+        gamma = sc.gamma if cm.KINDS[kind]["gamma"] else None
+        try:
+            synthesize(sc.system, sc.regions, kind, template, points, sc.x0s,
+                       gamma=gamma, margin=0.01)
+        except SynthesisInfeasibleError:
+            pass
+        (problem,) = problems
+        rows, senses, rhs = _reference_lp(sc, kind, template, points, gamma, 0.01)
+        assert np.array_equal(problem.rows, rows)
+        assert np.array_equal(problem.senses, senses)
+        assert np.array_equal(problem.rhs, rhs)
+
+
+def _reference_lp(sc, kind, template, points, gamma, margin):
+    """The rows, senses and right-hand sides of the synthesis LP, built one
+    atom and one monomial at a time: the x0 rows, then one block per clause."""
+    system = sc.system
+    # an exponent array, not per-column scalars: numpy raises to a scalar 2.0
+    # by squaring, which can differ from pow() in the last bit
+    exps = np.asarray(template.exponents, dtype=float)
+
+    def design(xs):
+        return np.prod(np.power(xs[:, None, :], exps[None, :, :]), axis=2)
+
+    def expected(xs):
+        total = np.zeros((len(xs), template.size))
+        for atom, p in zip(system.dist.atoms, system.dist.probs):
+            ys = model.step_batch(system, xs, np.broadcast_to(atom, (len(xs), system.m)))
+            total += float(p) * design(ys)
+        return total
+
+    sides = {"v": design, "E[v o f]": expected,
+             "gamma E[v o f]": lambda xs: gamma * expected(xs)}
+    spec = cm.KINDS[kind]
+    pts = np.vstack([points, sc.x0s])
+    classes = cm.point_classes(pts, regions.classify_batch(sc.regions, pts))
+    x0_rows = design(sc.x0s)
+    blocks = [(x0_rows, ">=", 0.0) if spec["initial"] == cm.INIT_LOWER
+              else (x0_rows, "<=", 1.0)]
+    for _, cls, lhs, rhs in spec["clauses"]:
+        xs = classes[cls]
+        if not len(xs):
+            continue
+        if not isinstance(rhs, str):
+            blocks.append((sides[lhs](xs), "<=", rhs - margin))
+        elif not isinstance(lhs, str):
+            blocks.append((sides[rhs](xs), ">=", lhs + margin))
+        else:
+            blocks.append((sides[rhs](xs) - sides[lhs](xs), ">=", 0.0))
+    rows = np.vstack([mat for mat, _, _ in blocks]) + 0.0
+    senses = np.concatenate([[sense] * len(mat) for mat, sense, _ in blocks])
+    rhs = np.concatenate([np.full(len(mat), b) for mat, _, b in blocks])
+    return rows, senses, rhs
+
 
 class TestTemplate:
     def test_monomial_count(self):
