@@ -12,6 +12,7 @@ faithfully yields a certificate at the tightest threshold the field supports.
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -50,6 +51,8 @@ __all__ = [
     "INIT_COMPLEMENT",
     "tight_threshold",
     "point_classes",
+    "monomials",
+    "clause_side",
     "eval_cert",
     "eval_cert_batch",
     "check_condition",
@@ -164,11 +167,12 @@ _INITIAL_SIDES = {
 
 def tight_threshold(kind: str, v_x0s) -> float:
     """The threshold at which the values ``v_x0s`` at the initial states meet
-    the initial clause of ``kind`` at every state, with equality at the worst:
-    the least value for lower-bound kinds, the greatest otherwise."""
+    the initial clause of ``kind`` at every state, with equality at the worst
+    (the least value for lower-bound kinds, the greatest otherwise), clipped to [0, 1]."""
     v_x0s = np.asarray(v_x0s, dtype=float)
     worst = float(v_x0s.min() if KINDS[kind]["initial"] == INIT_LOWER else v_x0s.max())
-    return 1.0 - worst if KINDS[kind]["initial"] == INIT_COMPLEMENT else worst
+    tight = 1.0 - worst if KINDS[kind]["initial"] == INIT_COMPLEMENT else worst
+    return float(np.clip(tight, 0.0, 1.0))
 
 
 def point_classes(points: np.ndarray, codes: np.ndarray) -> dict:
@@ -256,12 +260,16 @@ def eval_cert_batch(cert: CertFunction, xs: np.ndarray) -> np.ndarray:
     if isinstance(cert, ConstCert):
         return np.full(xs.shape[0], cert.value)
     if isinstance(cert, PolyCert):
-        exps = np.asarray(cert.exponents, dtype=float)
-        coeffs = np.asarray(cert.coeffs)
         with np.errstate(all="ignore"):
-            mono = np.prod(xs[:, None, :] ** exps[None, :, :], axis=2)
-            return mono @ coeffs
+            return monomials(xs, cert.exponents) @ np.asarray(cert.coeffs)
     raise TypeError(f"not a certificate function: {cert!r}")
+
+
+def monomials(xs: np.ndarray, exponents) -> np.ndarray:
+    """The (B, J) values at a (B, n) batch of the J monomials whose powers
+    are the rows of ``exponents``."""
+    exps = np.asarray(exponents, dtype=float)
+    return np.prod(xs[:, None, :] ** exps[None, :, :], axis=2)
 
 
 class Condition(Record, frozen=True):
@@ -305,18 +313,30 @@ class CheckReport(Record):
         return min((c.min_slack for c in self.clauses), default=float("inf"))
 
 
-def _expected_next(system: SystemModel, cert: CertFunction, xs: np.ndarray) -> np.ndarray:
-    """E[cert(f(x, th))] over the atoms; NaN on rows whose image failed to
-    evaluate."""
-    xs = np.atleast_2d(xs)
-    total = np.zeros(xs.shape[0])
-    bad = np.zeros(xs.shape[0], dtype=bool)
-    for p, ys in zip(system.dist.probs, model_mod.successors(system, xs, strict=False)):
+def clause_side(term: str, system: SystemModel, pts: np.ndarray, v, w=None,
+                gamma: float | None = None, strict: bool = False) -> np.ndarray:
+    """The function side ``term`` of a clause at the (B, n) points ``pts``.
+    ``v`` and ``w`` map a batch to values (B,), or to design rows (B, J) when
+    the side is linear in J unknown coefficients; a row whose image fails to
+    evaluate reads NaN, or with ``strict`` raises EvalError."""
+    if term == "v":
+        return v(pts)
+    if term == "E[v o f]":
+        return _expectation(system, v, pts, strict)
+    if term == "gamma E[v o f]":
+        return gamma * _expectation(system, v, pts, strict)
+    return _expectation(system, w, pts, strict) - w(pts)  # E[w o f] - w
+
+
+def _expectation(system: SystemModel, fn, xs: np.ndarray, strict: bool) -> np.ndarray:
+    """E[fn(f(x, th))] over the atoms, in atom order."""
+    total, bad = 0.0, np.zeros(len(xs), dtype=bool)
+    for p, ys in zip(system.dist.probs, model_mod.successors(system, xs, strict=strict)):
         row_bad = ~np.isfinite(ys).all(axis=1)
         bad |= row_bad
-        safe_ys = np.where(row_bad[:, None], 0.0, ys)
-        total += float(p) * eval_cert_batch(cert, safe_ys)
-    return np.where(bad, np.nan, total)
+        total = total + float(p) * fn(np.where(row_bad[:, None], 0.0, ys))
+    total[bad] = np.nan
+    return total
 
 
 def check_condition(
@@ -327,7 +347,6 @@ def check_condition(
     x0,
     points: np.ndarray,
     tolerance: float = 1e-6,
-    _skip_threshold: bool = False,
 ) -> CheckReport:
     """Evaluate every clause of ``cond`` (its kind's entry in ``KINDS``) for
     ``cert`` on the classified point set plus the initial state(s).
@@ -344,10 +363,8 @@ def check_condition(
         points = points[cond.omega.contains(points)]
     classes = point_classes(points, classify_batch(regions, points))
     classes["x0"] = x0s
-    clauses = spec["clauses"]
-    if not _skip_threshold:
-        form = spec["initial"]
-        clauses = (("initial: " + form, "x0", *_INITIAL_SIDES[form]),) + clauses
+    form = spec["initial"]
+    clauses = (("initial: " + form, "x0", *_INITIAL_SIDES[form]),) + spec["clauses"]
 
     def side(term, pts):
         if not isinstance(term, str):
@@ -356,13 +373,8 @@ def check_condition(
             return np.full(len(pts), cond.epsilon)
         if term == "1 - eps":
             return np.full(len(pts), 1.0 - cond.epsilon)
-        if term == "v":
-            return eval_cert_batch(cert, pts)
-        if term == "E[v o f]":
-            return _expected_next(system, cert, pts)
-        if term == "gamma E[v o f]":
-            return cond.gamma * _expected_next(system, cert, pts)
-        return _expected_next(system, cond.w, pts) - eval_cert_batch(cond.w, pts)  # E[w o f] - w
+        return clause_side(term, system, pts, functools.partial(eval_cert_batch, cert),
+                           functools.partial(eval_cert_batch, cond.w), cond.gamma)
 
     results, witnesses = [], []
     for name, cls, lhs_term, rhs_term in clauses:
@@ -437,14 +449,13 @@ def best_threshold(
     omega: Box | None = None,
     w: CertFunction | None = None,
 ) -> float:
-    """Extremal threshold making the initial-state clause tight, provided the
-    structural clauses pass: ``tight_threshold`` of the certificate's values
-    at the initial states."""
+    """Extremal threshold making the initial-state clause (clause 0 of the
+    check) tight, provided the structural clauses pass: ``tight_threshold``
+    of the certificate's values at the initial states."""
     probe = Condition(kind, 0.0, gamma=gamma, omega=omega, w=w)
-    report = check_condition(system, regions, cert, probe, x0, points,
-                             tolerance, _skip_threshold=True)
-    if not report.passed:
-        failing = [c.name for c in report.clauses if c.min_slack < -tolerance]
+    report = check_condition(system, regions, cert, probe, x0, points, tolerance)
+    failing = [c.name for c in report.clauses[1:] if c.min_slack < -tolerance]
+    if failing:
         raise CertificateError(f"certificate fails structural clauses: {failing}")
     return tight_threshold(kind, eval_cert_batch(cert, x0))
 

@@ -25,7 +25,6 @@ from . import certificate as cert_mod
 from . import dp, model as model_mod, regions as regions_mod
 from .certificate import (
     ALL_KINDS,
-    INIT_LOWER,
     KIND_RA_LOWER_A1,
     KINDS,
     YAML_LOADER,
@@ -530,7 +529,6 @@ def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
         # all of them; kinds read from a discounted field carry the scenario's gamma
         name = KINDS[kind]["source"][0]
         tight = cert_mod.tight_threshold(kind, dp.eval_field_batch(fields[name], sc.x0s))
-        tight = max(0.0, tight) if KINDS[kind]["initial"] == INIT_LOWER else min(1.0, tight)
         gamma = sc.gamma if name.startswith("discounted") else None
         cert, w = cert_mod.extract_certificate(fields, kind), None
         if isinstance(cert, tuple):  # the pair kind's (v, w)

@@ -25,7 +25,6 @@ import itertools
 
 import numpy as np
 
-from . import model as model_mod
 from .certificate import (
     INIT_LOWER,
     KINDS,
@@ -33,6 +32,8 @@ from .certificate import (
     Condition,
     PolyCert,
     check_condition,
+    clause_side,
+    monomials,
     point_classes,
     tight_threshold,
 )
@@ -242,9 +243,7 @@ class Template(Record, frozen=True):
         return len(self.exponents)
 
     def design_matrix(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        exps = np.asarray(self.exponents, dtype=float)
-        return np.prod(xs[:, None, :] ** exps[None, :, :], axis=2)
+        return monomials(np.atleast_2d(np.asarray(xs, dtype=float)), self.exponents)
 
 
 class SynthesisResult(Record):
@@ -254,14 +253,6 @@ class SynthesisResult(Record):
     report: CheckReport
     lp: LpSolution
     problem: LpProblem
-
-
-def _expected_design(system: SystemModel, template: Template, xs: np.ndarray) -> np.ndarray:
-    """E over atoms of the monomial design matrix at the one-step images."""
-    total = np.zeros((xs.shape[0], template.size))
-    for p, ys in zip(system.dist.probs, model_mod.successors(system, xs)):
-        total += float(p) * template.design_matrix(ys)
-    return total
 
 
 def synthesize(
@@ -300,10 +291,7 @@ def synthesize(
     classes = point_classes(points, classify_batch(regions, points))
 
     def design(term, pts):
-        if term == "v":
-            return template.design_matrix(pts)
-        expected = _expected_design(system, template, pts)
-        return expected if term == "E[v o f]" else gamma * expected
+        return clause_side(term, system, pts, template.design_matrix, gamma=gamma, strict=True)
 
     # keep the optimum where its threshold is meaningful: lower-bound kinds
     # need v(x0) >= 0, upper-bound kinds v(x0) <= 1 at every x0, else the
@@ -342,7 +330,7 @@ def synthesize(
 
     cert = PolyCert(template.exponents, tuple(solution.x))
     v_x0s = [row @ solution.x for row in x0_rows]
-    threshold = float(np.clip(tight_threshold(kind, v_x0s), 0.0, 1.0))
+    threshold = tight_threshold(kind, v_x0s)
 
     rng = np.random.default_rng(revalidation_seed)
     sample_box = Box(points.min(axis=0), points.max(axis=0))

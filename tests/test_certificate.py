@@ -257,6 +257,37 @@ class TestBestThreshold:
             best_threshold(gambler["system"], gambler["regions"], bad,
                            KIND_RA_LOWER_A1, [3.0], check_points(gambler, interior=True))
 
+    def test_upper_kind_ignores_the_probe_initial_clause(self, gambler):
+        # the probe checks at eps = 0, where v(x0) <= eps fails for v(x0) > 0
+        cert = extract_certificate(solved_fields(gambler), KIND_UNSAFE_REACH_UPPER)
+        points = check_points(gambler)
+        probe = check_condition(gambler["system"], gambler["regions"], cert,
+                                Condition(KIND_UNSAFE_REACH_UPPER, 0.0), [3.0], points)
+        initial, *structural = probe.clauses
+        assert initial.min_slack < -0.1
+        assert all(c.min_slack >= -1e-6 for c in structural)
+        eps = best_threshold(gambler["system"], gambler["regions"], cert,
+                             KIND_UNSAFE_REACH_UPPER, [3.0], points)
+        assert eps == pytest.approx(0.3, abs=1e-9)
+
+
+class TestTightThreshold:
+    def test_worst_initial_state(self):
+        assert cm.tight_threshold(KIND_RA_LOWER_A1, [0.5, 0.25]) == 0.25
+        assert cm.tight_threshold(KIND_UNSAFE_REACH_UPPER, [0.5, 0.25]) == 0.5
+        assert cm.tight_threshold(KIND_SAFETY_LOWER, [0.5, 0.25]) == 0.5
+
+    @pytest.mark.parametrize("kind, values, clipped", [
+        (KIND_RA_LOWER_A1, [-0.2, 0.5], 0.0),
+        (KIND_RA_LOWER_A1, [1.5, 1.2], 1.0),
+        (KIND_UNSAFE_REACH_UPPER, [-0.4], 0.0),
+        (KIND_UNSAFE_REACH_UPPER, [0.5, 1.3], 1.0),
+        (KIND_SAFETY_LOWER, [0.5, 1.5], 0.0),
+        (KIND_SAFETY_LOWER, [-0.5], 1.0),
+    ])
+    def test_clipped_to_unit_interval(self, kind, values, clipped):
+        assert cm.tight_threshold(kind, values) == clipped
+
 
 class TestSoundness:
     def test_accepted_thresholds_below_oracle(self, gambler):
