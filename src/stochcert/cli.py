@@ -376,7 +376,7 @@ def _omega(sc: Scenario, transient_only: bool) -> regions_mod.Box:
     """The sampled reachable-superset box; see regions.compute_omega."""
     rng = np.random.default_rng(sc.point_seed)
     samples = np.vstack([sc.grid.nodes(), sc.grid.box.sample(2000, rng)])
-    return regions_mod.compute_omega(sc.system, sc.grid.box, sc.regions, samples,
+    return regions_mod.compute_omega(sc.system, sc.regions, samples,
                                      transient_only=transient_only)
 
 
@@ -610,7 +610,10 @@ def _synth_points(sc: Scenario, kind: str) -> np.ndarray:
     (images of X minus the target for the kinds whose expectation clause
     ranges over X minus the target), not the full one-step superset:
     unreachable unsafe samples would reject valid templates."""
-    omega = _omega(sc, any(cls == "saf" for _, cls, _, _ in KINDS[kind]["clauses"]))
+    try:
+        omega = _omega(sc, any(cls == "saf" for _, cls, _, _ in KINDS[kind]["clauses"]))
+    except ValueError as exc:  # no sample in X \ X_r: the target covers X
+        raise ScenarioError([f"synthesize {kind}: {exc}"]) from exc
     rng = np.random.default_rng(sc.point_seed + 1)
     count = max(sc.extra_points, 200)
     return omega.sample(count, rng)
@@ -720,6 +723,8 @@ def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
     except synth.SimplexStalledError as exc:
         sections["synthesis"] = {"status": "stalled", "detail": str(exc)}
         ok = False
+    except ScenarioError as exc:
+        sections["synthesis"] = {"status": "skipped", "detail": str(exc)}
 
     caveats.append("certificate checks are pointwise: validated on the listed "
                    "point sets, not proven over all states")

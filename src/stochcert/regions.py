@@ -108,15 +108,18 @@ def validate_nesting(regions: RegionSpec, samples: np.ndarray) -> NestingReport:
     )
 
 
+# the fraction of its sides by which the box over X and its images is padded
+OMEGA_PAD = 0.01
+
+
 def compute_omega(
     system: model.SystemModel,
-    grid_box: Box,
     regions: RegionSpec,
     samples: np.ndarray,
-    pad: float = 0.01,
     transient_only: bool = False,
 ) -> Box:
-    """Sampled-image bounding box covering one-step successors of X, union X.
+    """Sampled-image bounding box covering one-step successors of X, union X,
+    padded by ``OMEGA_PAD``.
 
     ``samples`` are candidate points (grid nodes plus random draws); only
     those classified inside X contribute.  With ``transient_only`` the image
@@ -129,12 +132,12 @@ def compute_omega(
     codes = classify_batch(regions, samples)
     if transient_only:
         keep = codes == int(StateClass.SAFE)
-        pad = 0.0
     else:
         keep = codes != int(StateClass.UNSAFE)
     inside = samples[keep]
     if inside.shape[0] == 0:
-        raise ValueError("no sample points fall inside the safe set")
+        raise ValueError("no sample point falls in X \\ X_r" if transient_only
+                         else "no sample points fall inside the safe set")
     covered = np.vstack([inside, *model.successors(system, inside)])
     box = Box(covered.min(axis=0), covered.max(axis=0))
-    return box.inflate(pad) if pad else box
+    return box if transient_only else box.inflate(OMEGA_PAD)

@@ -278,8 +278,8 @@ def test_criterion_9_synthesis(gambler):
         gambler["grid"].nodes(),
         gambler["grid"].box.sample(2000, np.random.default_rng(90)),
     ])
-    omega = regions.compute_omega(gambler["system"], gambler["grid"].box,
-                                  gambler["regions"], samples, transient_only=True)
+    omega = regions.compute_omega(gambler["system"], gambler["regions"], samples,
+                                  transient_only=True)
     points = omega.sample(300, np.random.default_rng(91))
     result = synth.synthesize(
         gambler["system"], gambler["regions"], KIND_RA_LOWER_A1,

@@ -46,7 +46,7 @@ def check_points(fix, interior=False, n_random=200, seed=7):
         fix["grid"].nodes(),
         fix["grid"].box.sample(2000, np.random.default_rng(seed)),
     ])
-    omega = regions.compute_omega(fix["system"], fix["grid"].box, fix["regions"], samples)
+    omega = regions.compute_omega(fix["system"], fix["regions"], samples)
     return build_check_points(fix["grid"], omega, n_random, seed, interior_random=interior)
 
 

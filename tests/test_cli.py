@@ -380,6 +380,24 @@ class TestCommands:
         assert sect["lp_cols"] == 2
         assert sect["lp_rows"] == len(dump) - 1 - sect["lp_cols"]
 
+    def test_target_covering_safe_set_skips_synthesis(self, tmp_path, capsys):
+        # with X_r = X no sample falls in X \ X_r, where synthesis samples
+        doc = _walk_doc()
+        doc["regions"]["target"] = doc["regions"]["safe"]
+        scenario = str(_write(tmp_path, doc))
+        message = "synthesize ra_lower_a1: no sample point falls in X \\ X_r"
+        code = main(["--scenario", scenario, "--command", "synthesize", "--quiet"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        out = tmp_path / "out"
+        code = main(["--scenario", scenario, "--command", "report-all",
+                     "--out", str(out), "--quiet"])
+        assert code == EXIT_OK
+        sections = json.loads((out / "report.json").read_text())["sections"]
+        assert sections["synthesis"] == {"status": "skipped", "detail": message}
+        assert list(sections) == ["dp_vs_mc", "thresholds", "assumption1",
+                                  "certificates", "synthesis"]
+
     def test_report_all_survives_stalled_lp(self, monkeypatch, tmp_path):
         def stall(problem, max_iter=None):
             raise synth.SimplexStalledError(7)

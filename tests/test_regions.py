@@ -137,13 +137,13 @@ class TestOmega:
         system = make_walk(0.5)
         grid = walk_grid()
         samples = np.vstack([grid.nodes(), _box_samples(grid.box, 4000, 0)])
-        omega = regions.compute_omega(system, grid.box, walk_regions(), samples)
+        omega = regions.compute_omega(system, walk_regions(), samples)
         assert omega.lower[0] <= -1.0 and omega.upper[0] >= 12.0
 
     def test_identity_fixed_point(self):
         system, reg, grid = make_identity()
         samples = np.vstack([grid.nodes(), _box_samples(grid.box, 4000, 1)])
-        omega = regions.compute_omega(system, grid.box, reg, samples)
+        omega = regions.compute_omega(system, reg, samples)
         # image of X is X itself: omega is the sampled X bounding box plus padding
         assert omega.lower[0] <= 0.01 and omega.upper[0] >= 10.99
         assert omega.upper[0] <= 11.5
@@ -151,7 +151,7 @@ class TestOmega:
     def test_contraction_contains_safe_box(self):
         system, reg, grid = make_contraction()
         samples = np.vstack([grid.nodes(), _box_samples(grid.box, 4000, 2)])
-        omega = regions.compute_omega(system, grid.box, reg, samples)
+        omega = regions.compute_omega(system, reg, samples)
         assert omega.lower[0] <= -1.0 and omega.upper[0] >= 1.0
 
     def test_contains_sampled_safe_bbox(self):
@@ -159,7 +159,7 @@ class TestOmega:
         grid = walk_grid()
         samples = np.vstack([grid.nodes(), _box_samples(grid.box, 2000, 3)])
         reg = walk_regions()
-        omega = regions.compute_omega(system, grid.box, reg, samples)
+        omega = regions.compute_omega(system, reg, samples)
         codes = classify_batch(reg, samples)
         inside = samples[codes != int(StateClass.UNSAFE)]
         assert omega.lower[0] <= inside.min() and omega.upper[0] >= inside.max()
@@ -170,17 +170,34 @@ class TestOmega:
         system = make_walk(0.5)
         grid = walk_grid()
         samples = np.vstack([grid.nodes(), _box_samples(grid.box, 4000, 4)])
-        omega = regions.compute_omega(system, grid.box, walk_regions(), samples,
+        omega = regions.compute_omega(system, walk_regions(), samples,
                                       transient_only=True)
         assert omega.upper[0] < 11.0
         assert omega.lower[0] >= -1.0
 
     def test_no_safe_samples_error(self):
         system = make_walk(0.5)
-        grid = walk_grid()
         bad = np.full((10, 1), -5.0)
         with pytest.raises(ValueError, match="inside the safe set"):
-            regions.compute_omega(system, grid.box, walk_regions(), bad)
+            regions.compute_omega(system, walk_regions(), bad)
+
+    def test_no_transient_samples_error(self):
+        # target samples only: X \ X_r holds none of them
+        system = make_walk(0.5)
+        with pytest.raises(ValueError, match=r"in X \\ X_r"):
+            regions.compute_omega(system, walk_regions(), np.full((10, 1), 10.5),
+                                  transient_only=True)
+
+    def test_pad_fraction(self):
+        # the identity maps X onto itself: the box is the safe samples' span
+        # widened by OMEGA_PAD of its side on each end
+        system, reg, _ = make_identity()
+        samples = np.array([[1.0], [5.0], [9.0]])
+        omega = regions.compute_omega(system, reg, samples)
+        pad = regions.OMEGA_PAD * 8.0
+        np.testing.assert_allclose([omega.lower[0], omega.upper[0]], [1.0 - pad, 9.0 + pad])
+        exact = regions.compute_omega(system, reg, samples, transient_only=True)
+        assert (exact.lower[0], exact.upper[0]) == (1.0, 9.0)
 
     def test_nonfinite_image_error(self):
         dist = model.DisturbanceDist(atoms=[[0.0]], probs=[1.0])
@@ -189,7 +206,7 @@ class TestOmega:
         grid = walk_grid()
         samples = grid.nodes()
         with pytest.raises(expr.EvalError):
-            regions.compute_omega(system, grid.box, walk_regions(), samples)
+            regions.compute_omega(system, walk_regions(), samples)
 
 
 class TestBox:

@@ -240,7 +240,7 @@ class TestSimplexAgainstHighs:
                                  target=expr.parse_predicate("x1^2 + x2^2 < 0.04", 2))
         grid = dp.build_grid([-1.0, -1.0], [1.0, 1.0], [50, 50])
         samples = np.vstack([grid.nodes(), grid.box.sample(2000, np.random.default_rng(7))])
-        omega = regions.compute_omega(system, grid.box, reg, samples, transient_only=True)
+        omega = regions.compute_omega(system, reg, samples, transient_only=True)
         points = omega.sample(2000, np.random.default_rng(8))
         result = synthesize(system, reg, KIND_RA_LOWER_A1, Template(n=2, degree=4),
                             points, [0.6, 0.3], margin=0.0)
@@ -423,8 +423,8 @@ def _synth_points(fix, seed=8, count=300):
         fix["grid"].nodes(),
         fix["grid"].box.sample(2000, np.random.default_rng(seed)),
     ])
-    omega = regions.compute_omega(fix["system"], fix["grid"].box, fix["regions"],
-                                  samples, transient_only=True)
+    omega = regions.compute_omega(fix["system"], fix["regions"], samples,
+                                  transient_only=True)
     return omega.sample(count, np.random.default_rng(seed + 1))
 
 
@@ -473,8 +473,8 @@ class TestSynthesize:
             contraction["grid"].nodes(),
             contraction["grid"].box.sample(500, np.random.default_rng(3)),
         ])
-        omega = regions.compute_omega(contraction["system"], contraction["grid"].box,
-                                      contraction["regions"], samples)
+        omega = regions.compute_omega(contraction["system"], contraction["regions"],
+                                      samples)
         points = omega.inflate(0.2).sample(300, np.random.default_rng(4))
         with pytest.raises(SynthesisInfeasibleError):
             synthesize(
@@ -491,8 +491,7 @@ class TestSynthesize:
             gambler["grid"].nodes(),
             gambler["grid"].box.sample(500, np.random.default_rng(30)),
         ])
-        omega = regions.compute_omega(gambler["system"], gambler["grid"].box,
-                                      gambler["regions"], samples)
+        omega = regions.compute_omega(gambler["system"], gambler["regions"], samples)
         points = omega.sample(300, np.random.default_rng(31))
         with pytest.raises(SynthesisInfeasibleError):
             synthesize(gambler["system"], gambler["regions"], KIND_SAFETY_LOWER,
