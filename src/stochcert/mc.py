@@ -18,10 +18,19 @@ pass records each trial's liveness and reach-avoid outcomes.  Live states
 are kept column-contiguous and compacted when trials stop; each trial picks
 its atom from its own uniform by an exact guide-table inversion of the
 cumulative probabilities.  Neither changes a draw or an outcome.
+
+On Linux the trials run as contiguous blocks, one per available CPU and
+none under ``MIN_BLOCK`` trials: block 0 in the calling process, the others
+in forked children that write their outcomes into one shared mapping.  A
+block starting at trial ``first`` (a multiple of 4) reads each step's stream
+from word ``first`` on, so no outcome depends on the split or the CPU count.
+If any block meets an evaluation error, one process reruns every trial, so
+errors read as in a single pass.
 """
 
 from __future__ import annotations
 
+import os
 
 import numpy as np
 
@@ -41,6 +50,9 @@ ACTIVE = 0
 REACHED = 1
 EXITED = 2
 
+# trials per block at least; below it, per-step Python overhead dominates
+MIN_BLOCK = 4096
+
 
 def hoeffding_half_width(n_trials: int, delta: float) -> float:
     if n_trials < 1 or not 0.0 < delta < 1.0:
@@ -59,10 +71,13 @@ class McEstimate(Record):
     error: str | None = None  # simulation aborted; counts are partial
 
 
-def _step_uniforms(seed: int, sweep: int, count: int) -> np.ndarray:
+def _step_uniforms(seed: int, sweep: int, count: int, first: int = 0) -> np.ndarray:
     # Disjoint 2^64-block counter ranges per sweep keep draws for different
-    # steps non-overlapping regardless of the trial count.
+    # steps non-overlapping regardless of the trial count.  Philox4x64 yields
+    # four words, one per uniform, per counter value, so uniform ``first``
+    # (a multiple of 4) opens counter value first // 4.
     counter = np.zeros(4, dtype=np.uint64)
+    counter[0] = np.uint64(first // 4)
     counter[1] = np.uint64(sweep)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
     return gen.random(count)
@@ -94,8 +109,9 @@ def _atom_picker(cum: np.ndarray):
 
 
 def _run_trials(system: SystemModel, regions: RegionSpec, x0, horizon: int,
-                n_trials: int, seed: int):
-    """Advance all trials in lockstep sweeps and record both outcomes.
+                n_trials: int, seed: int, first: int = 0):
+    """Advance trials ``first ... first + n_trials - 1`` in lockstep sweeps
+    and record both outcomes; ``first`` is a multiple of 4.
 
     Returns ``(liveness, reach_avoid)``, each ``(status, steps, error)``.
     Liveness status is EXITED at the first exit or ACTIVE through the
@@ -148,7 +164,7 @@ def _run_trials(system: SystemModel, regions: RegionSpec, x0, horizon: int,
     states = np.repeat(x0[:, None], n_trials, axis=1).T  # (live, n), column-contiguous
     t = 0
     while t < horizon:
-        u = np.take(_step_uniforms(seed, t, n_trials), live)
+        u = np.take(_step_uniforms(seed, t, n_trials, first), live)
         ths = np.take(atoms, pick(u), axis=0)
         try:
             nxt = model_mod.step_batch(system, states, ths, strict=True)
@@ -193,6 +209,49 @@ def _run_trials(system: SystemModel, regions: RegionSpec, x0, horizon: int,
     return outcomes()
 
 
+def _run_split(system: SystemModel, regions: RegionSpec, x0, horizon: int,
+               n_trials: int, seed: int):
+    """``_run_trials`` over every trial, run as contiguous blocks on the
+    available CPUs (see the module docstring); same return value."""
+    linux = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    n_blocks = min(len(os.sched_getaffinity(0)), n_trials // MIN_BLOCK) if linux else 1
+    if n_blocks < 2:
+        return _run_trials(system, regions, x0, horizon, n_trials, seed)
+    import mmap
+
+    edges = [4 * (n_trials * b // n_blocks // 4) for b in range(n_blocks)] + [n_trials]
+    shared = mmap.mmap(-1, 18 * n_trials)  # steps (int64), then statuses (int8)
+    steps = np.frombuffer(shared, np.int64, 2 * n_trials).reshape(2, n_trials)
+    status = np.frombuffer(shared, np.int8, 2 * n_trials, 16 * n_trials).reshape(2, n_trials)
+
+    def run_block(b: int) -> bool:
+        lo, hi = edges[b], edges[b + 1]
+        outcomes = _run_trials(system, regions, x0, horizon, hi - lo, seed, lo)
+        for k, (block_status, block_steps, _) in enumerate(outcomes):
+            status[k, lo:hi], steps[k, lo:hi] = block_status, block_steps
+        return all(error is None for _, _, error in outcomes)
+
+    pids = []
+    try:
+        for b in range(1, n_blocks):
+            # Python >= 3.12 warns (DeprecationWarning) when a process with
+            # other threads, such as an OpenBLAS pool, forks: the children run
+            # element-wise numpy code only and never call BLAS.
+            pid = os.fork()
+            if pid == 0:  # child: never flushes stdio or runs atexit handlers
+                try:
+                    os._exit(0 if run_block(b) else 1)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        clean = run_block(0)
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if not clean or any(codes):
+        return _run_trials(system, regions, x0, horizon, n_trials, seed)
+    return tuple((status[k], steps[k], None) for k in range(2))
+
+
 def estimate(system: SystemModel, regions: RegionSpec, x0, horizon: int, n_trials: int,
              delta: float, seed: int) -> tuple[McEstimate, McEstimate]:
     """Estimate liveness and reach-avoid from one set of trials.
@@ -207,7 +266,7 @@ def estimate(system: SystemModel, regions: RegionSpec, x0, horizon: int, n_trial
     if horizon < 1 or n_trials < 1:
         raise ValueError("need horizon >= 1 and n_trials >= 1")
     half = hoeffding_half_width(n_trials, delta)
-    live, reach = _run_trials(system, regions, x0, horizon, n_trials, seed)
+    live, reach = _run_split(system, regions, x0, horizon, n_trials, seed)
 
     def summary(outcome, success: int, direction: str) -> McEstimate:
         status, _, error = outcome

@@ -1,4 +1,5 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -6,13 +7,36 @@ import pytest
 
 from stochcert import expr, mc, model, regions
 from stochcert.cli import load_scenario
-from stochcert.mc import (ACTIVE, EXITED, REACHED, _atom_picker, _run_trials, _step_uniforms,
-                          estimate)
+from stochcert.mc import (ACTIVE, EXITED, REACHED, _atom_picker, _run_split, _run_trials,
+                          _step_uniforms, estimate)
 
 from conftest import make_contraction, make_walk, ruin_probability, walk_regions
 from scalar_reference import scalar_expr, scalar_predicate
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BLOCKS = (1, 2, 3)
+
+
+def force_blocks(monkeypatch, blocks):
+    """Make ``mc.estimate`` cut any trial count into ``blocks`` blocks."""
+    monkeypatch.setattr(mc, "MIN_BLOCK", 1)
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(blocks)),
+                        raising=False)
+
+
+def assert_same_outcomes(got, want):
+    for (status, steps, error), (want_status, want_steps, want_error) in zip(got, want):
+        assert error == want_error
+        assert np.array_equal(status, want_status) and np.array_equal(steps, want_steps)
+
+
+def assert_split_is_serial(monkeypatch, *args):
+    """Every split of the trials gives the serial pass's outcomes: statuses,
+    steps and errors, partial arrays included."""
+    want = _run_trials(*args)
+    for blocks in BLOCKS:
+        force_blocks(monkeypatch, blocks)
+        assert_same_outcomes(_run_split(*args), want)
 
 
 def disc_walk():
@@ -134,33 +158,48 @@ class TestHalfWidth:
 
 
 class TestErrorPath:
-    def test_evaluation_error_flagged(self):
+    """Each case also runs under every split of its trials, with the serial
+    pass's errors, counts and partial arrays."""
+
+    def test_evaluation_error_flagged(self, monkeypatch):
         dist = model.DisturbanceDist(atoms=[[0.0]], probs=[1.0])
         system = model.SystemModel(1, 1, (expr.parse_expr("1/(x1 - 1)", 1, 1),), dist)
         reg = walk_regions()
-        est = estimate(system, reg, [2.0], 10, 50, 0.05, 0)[0]
-        assert est.error is not None
+        for blocks in BLOCKS:
+            force_blocks(monkeypatch, blocks)
+            est = estimate(system, reg, [2.0], 10, 50, 0.05, 0)[0]
+            assert est.error is not None
+        assert_split_is_serial(monkeypatch, system, reg, [2.0], 10, 50, 0)
 
-    def test_failure_after_target_hit(self):
+    def test_failure_after_target_hit(self, monkeypatch):
         # only liveness steps trials on from the target, where the dynamics
         # fail; reach-avoid keeps its count.  Both recorded from separate passes.
-        live, reach = mc.estimate(failing_walk(), walk_regions(), [3.0], 300, 2000, 0.05, 11)
-        assert live.error == "division by zero" and live.successes == 0 and live.p_hat == 0.0
-        assert reach.error is None and reach.successes == 609
+        for blocks in BLOCKS:
+            force_blocks(monkeypatch, blocks)
+            live, reach = mc.estimate(failing_walk(), walk_regions(), [3.0], 300, 2000, 0.05,
+                                      11)
+            assert live.error == "division by zero" and live.successes == 0
+            assert live.p_hat == 0.0
+            assert reach.error is None and reach.successes == 609
         (_, _, live_error), (_, _, reach_error) = _run_trials(
             failing_walk(), walk_regions(), [7.0], 60, 300, 6)
         assert live_error == "division by zero" and reach_error is None
+        assert_split_is_serial(monkeypatch, failing_walk(), walk_regions(), [3.0], 300, 2000, 11)
+        assert_split_is_serial(monkeypatch, failing_walk(), walk_regions(), [7.0], 60, 301, 6)
 
-    def test_each_error_names_a_row_of_its_own_trials(self):
+    def test_each_error_names_a_row_of_its_own_trials(self, monkeypatch):
         # with -1/+2 steps, trials that hit the target come back to x = 9, where
         # the dynamics overflow, while open ones reach it too: both outcomes
         # fail, at rows of different live sets.  Recorded from separate passes.
         dist = model.DisturbanceDist(atoms=[[-1.0], [2.0]], probs=[0.6, 0.4])
         system = model.SystemModel(
             1, 1, (expr.parse_expr("x1 + th1 + 0*exp(1000 - 1000*(x1 - 9)^2)", 1, 1),), dist)
-        live, reach = mc.estimate(system, walk_regions(), [4.0], 300, 200, 0.05, 2)
-        assert live.error == "non-finite result at row 1"
-        assert reach.error == "non-finite result at row 6"
+        for blocks in BLOCKS:
+            force_blocks(monkeypatch, blocks)
+            live, reach = mc.estimate(system, walk_regions(), [4.0], 300, 200, 0.05, 2)
+            assert live.error == "non-finite result at row 1"
+            assert reach.error == "non-finite result at row 6"
+        assert_split_is_serial(monkeypatch, system, walk_regions(), [4.0], 300, 200, 2)
 
 
 class TestExactCounts:
@@ -172,24 +211,92 @@ class TestExactCounts:
         ("biased_walk", 0, 14241),
         ("invariant_contraction", 5000, 5000),
     ])
-    def test_bundled_scenarios(self, name, live, reach):
+    def test_bundled_scenarios(self, name, live, reach, monkeypatch):
         sc = load_scenario(SCENARIOS / f"{name}.yaml")
         args = (sc.system, sc.regions, sc.x0s[0], sc.mc_horizon, sc.mc_trials, sc.mc_delta,
                 sc.mc_seed)
-        live_est, reach_est = estimate(*args)
-        assert live_est.successes == live
-        assert reach_est.successes == reach
+        for blocks in BLOCKS:
+            force_blocks(monkeypatch, blocks)
+            live_est, reach_est = estimate(*args)
+            assert live_est.successes == live
+            assert reach_est.successes == reach
 
-    def test_disc_walk(self):
+    def test_disc_walk(self, monkeypatch):
         system, reg = disc_walk()
         args = (system, reg, [0.6, 0.3], 500, 2000, 0.05, 20240001)
-        live_est, reach_est = estimate(*args)
-        assert live_est.successes == 1898
-        assert reach_est.successes == 1964
-        (live_status, live_steps, _), (reach_status, reach_steps, _) = _run_trials(
-            *args[:5], 20240001)
-        assert int(live_steps.sum()) == 967626 and np.count_nonzero(live_status == EXITED) == 102
-        assert int(reach_steps.sum()) == 46506 and np.count_nonzero(reach_status == EXITED) == 36
+        for blocks in BLOCKS:
+            force_blocks(monkeypatch, blocks)
+            live_est, reach_est = estimate(*args)
+            assert live_est.successes == 1898
+            assert reach_est.successes == 1964
+            (live_status, live_steps, _), (reach_status, reach_steps, _) = _run_split(
+                *args[:5], 20240001)
+            assert int(live_steps.sum()) == 967626
+            assert np.count_nonzero(live_status == EXITED) == 102
+            assert int(reach_steps.sum()) == 46506
+            assert np.count_nonzero(reach_status == EXITED) == 36
+
+    @pytest.mark.parametrize("n_trials", [301, 8195])
+    def test_disc_walk_split_is_serial(self, n_trials, monkeypatch):
+        # 8195 trials also split under the real MIN_BLOCK and CPU count
+        system, reg = disc_walk()
+        args = (system, reg, [0.6, 0.3], 200, n_trials, 20240001)
+        assert_same_outcomes(_run_split(*args), _run_trials(*args))
+        assert_split_is_serial(monkeypatch, *args)
+
+
+@pytest.mark.parametrize("seed, sweep, first, count", [
+    (0, 0, 4, 9),
+    (20240001, 499, 4096, 4099),
+    (2**64 - 1, 10**9, 8192, 301),
+])
+def test_step_uniforms_offset(seed, sweep, first, count):
+    # a block starting at trial ``first`` draws the words of one full stream
+    assert np.array_equal(_step_uniforms(seed, sweep, count, first),
+                          _step_uniforms(seed, sweep, first + count)[first:])
+
+
+class TestChildren:
+    """No process forked for a block outlives ``estimate``."""
+
+    def count_forks(self, monkeypatch):
+        pids, fork = [], os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(mc.os, "fork", recording_fork)
+        return pids
+
+    def test_none_left_after_split(self, monkeypatch):
+        force_blocks(monkeypatch, 3)
+        pids = self.count_forks(monkeypatch)
+        system, reg = disc_walk()
+        estimate(system, reg, [0.6, 0.3], 50, 301, 0.05, 1)
+        assert len(pids) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_none_left_when_block_zero_raises(self, monkeypatch):
+        force_blocks(monkeypatch, 3)
+        pids = self.count_forks(monkeypatch)
+        run = mc._run_trials
+
+        def block_zero_fails(system, regions, x0, horizon, n_trials, seed, first=0):
+            if first == 0:
+                raise RuntimeError("block 0 failed")
+            return run(system, regions, x0, horizon, n_trials, seed, first)
+
+        monkeypatch.setattr(mc, "_run_trials", block_zero_fails)
+        system, reg = disc_walk()
+        with pytest.raises(RuntimeError, match="block 0 failed"):
+            estimate(system, reg, [0.6, 0.3], 50, 301, 0.05, 1)
+        assert len(pids) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def reference_trials(system, reg, x0, horizon, n_trials, seed):
@@ -245,25 +352,29 @@ def failing_walk():
 
 
 @pytest.mark.parametrize("case", [
-    (make_walk(0.5), walk_regions(), [3.0], 60, 300, 3),
-    (make_walk(0.6), walk_regions(), [3.0], 60, 300, 3),
-    (*disc_walk(), [0.6, 0.3], 80, 300, 4),
-    (make_walk(0.5), walk_regions(), [10.0], 60, 300, 5),
-    (make_walk(0.5), walk_regions(), [12.0], 60, 300, 5),
-    (*disc_walk(), [1.0, 0.5], 60, 300, 5),
-    (failing_walk(), walk_regions(), [7.0], 60, 300, 6),
+    (make_walk(0.5), walk_regions(), [3.0], 60, 301, 3),
+    (make_walk(0.6), walk_regions(), [3.0], 60, 301, 3),
+    (*disc_walk(), [0.6, 0.3], 80, 301, 4),
+    (make_walk(0.5), walk_regions(), [10.0], 60, 301, 5),
+    (make_walk(0.5), walk_regions(), [12.0], 60, 301, 5),
+    (*disc_walk(), [1.0, 0.5], 60, 301, 5),
+    (failing_walk(), walk_regions(), [7.0], 60, 301, 6),
 ], ids=["symmetric-walk", "biased-walk", "disc-walk", "target-start", "unsafe-start",
         "disc-unsafe-start", "fails-after-target"])
-def test_trials_match_one_at_a_time_reference(case):
+def test_trials_match_one_at_a_time_reference(case, monkeypatch):
     # affine dynamics and a squared-radius predicate are exact in both
-    # evaluators here, so statuses and steps agree trial for trial
+    # evaluators here, so statuses and steps agree trial for trial, in one
+    # block or cut into several
     system, reg, x0, horizon, n, seed = case
-    got = _run_trials(system, reg, x0, horizon, n, seed)
     want = reference_trials(system, reg, x0, horizon, n, seed)
-    for (status, steps, error), (want_status, want_steps, failed) in zip(got, want):
-        assert (error is not None) == failed
-        if not failed:
-            assert np.array_equal(status, want_status) and np.array_equal(steps, want_steps)
+    for blocks in BLOCKS:
+        force_blocks(monkeypatch, blocks)
+        got = _run_split(system, reg, x0, horizon, n, seed)
+        for (status, steps, error), (want_status, want_steps, failed) in zip(got, want):
+            assert (error is not None) == failed
+            if not failed:
+                assert np.array_equal(status, want_status)
+                assert np.array_equal(steps, want_steps)
 
 
 def _cum(probs) -> np.ndarray:
