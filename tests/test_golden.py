@@ -1,9 +1,13 @@
-"""Golden outputs of every command on the three bundled scenarios.
+"""Golden outputs of every command on the three bundled scenarios, and of
+the DP and Monte Carlo commands on a 2-D disc walk with two initial states.
 
 One pass runs, in-process through ``cli.main``, the commands simulate,
 solve, estimate, assumption1, extract, synthesize and report-all on each
 bundled scenario, plus verify of every certificate that extract writes and
 synthesize of every condition kind (the pair kind is rejected, exit 2).
+On ``tests/disc_walk_two_starts.yaml`` (``perfbench/discwalk.py --seed 1
+--cells 20`` started from two states) it runs solve, estimate, extract and
+report-all, which fails the DP/MC gate there (exit 4).
 Each invocation's stdout, stderr, exit code and every ``--out`` file are
 compared byte for byte, floats included, with the files under
 ``tests/golden/<scenario>/<invocation>/``.  The temporary output directory
@@ -30,11 +34,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
-GOLDEN = Path(__file__).resolve().parent / "golden"
-WALKS = ("symmetric_walk", "biased_walk", "invariant_contraction")
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 # verify runs once per certificate that extract wrote
 COMMANDS = ("simulate", "solve", "estimate", "assumption1", "extract", "verify",
             "synthesize", "report-all")
+# pass name -> (scenario file, commands run on it)
+PASSES = {
+    **{walk: (SCENARIOS / f"{walk}.yaml", COMMANDS)
+       for walk in ("symmetric_walk", "biased_walk", "invariant_contraction")},
+    "disc_walk_two_starts": (TESTS / "disc_walk_two_starts.yaml",
+                             ("solve", "estimate", "extract", "report-all")),
+}
 _DIGEST_OVER = 8192
 
 
@@ -53,20 +64,20 @@ def run_pass(walk: str, work: Path) -> dict[str, dict[str, str]]:
     neutral."""
     from stochcert.certificate import ALL_KINDS
 
-    scenario = SCENARIOS / f"{walk}.yaml"
+    scenario, commands = PASSES[walk]
 
     def neutral(text: str) -> str:
-        return text.replace(str(work), "<OUT>").replace(str(SCENARIOS), "<SCENARIOS>")
+        return text.replace(str(work), "<OUT>").replace(str(scenario.parent), "<SCENARIOS>")
 
     def runs():  # a generator: verify reads the files extract has just written
-        for command in COMMANDS:
+        for command in commands:
             if command != "verify":
                 yield command, command, []
                 continue
             for cert in sorted((work / "extract").glob("certificate_*.yaml")):
                 yield (f"verify_{cert.stem[len('certificate_'):]}", command,
                        ["--certificate", str(cert)])
-        for kind in ALL_KINDS:
+        for kind in ALL_KINDS if "synthesize" in commands else ():
             yield f"synthesize_{kind}", "synthesize", ["--condition", kind]
 
     results = {}
@@ -104,7 +115,7 @@ def _recorded(walk: str) -> dict[str, dict[str, str]]:
     }
 
 
-@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("walk", PASSES)
 def test_outputs_match_golden(walk, tmp_path):
     got = run_pass(walk, tmp_path)
     want = _recorded(walk)
@@ -117,7 +128,7 @@ def test_outputs_match_golden(walk, tmp_path):
 
 def record() -> None:
     shutil.rmtree(GOLDEN, ignore_errors=True)
-    for walk in WALKS:
+    for walk in PASSES:
         with tempfile.TemporaryDirectory() as tmp:
             for name, files in run_pass(walk, Path(tmp)).items():
                 for key, text in files.items():
