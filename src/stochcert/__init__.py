@@ -1,10 +1,10 @@
 """Safety and reach-avoid verification of stochastic discrete-time systems.
 
 Value functions of the infinite-horizon liveness and reach-avoid problems are
-computed by Bellman fixed-point iteration on a grid-restricted absorbing
-chain, cross-checked by exact linear solves and Monte Carlo simulation, and
-turned into barrier-like certificates that can be checked pointwise,
-extracted from solved fields, or synthesized by linear programming.
+the least fixed points of Bellman equations on a grid-restricted absorbing
+chain, solved by prob0 plus BiCGSTAB with a sound error bound, cross-checked
+by Monte Carlo simulation, and turned into barrier-like certificates that can
+be checked pointwise, extracted from solved fields, or synthesized by LP.
 
 The names below are resolved from their submodules on first access
 (PEP 562), so ``import stochcert`` imports no submodule and each command
@@ -18,13 +18,13 @@ __version__ = "0.1.0"
 # public name -> submodule that defines it
 _ORIGIN = {
     **dict.fromkeys((
-        "ALL_KINDS", "Condition", "ConstCert", "GridCert", "PolyCert", "best_threshold",
-        "check_condition", "eval_cert", "extract_certificate", "load_certificate",
+        "ALL_KINDS", "Condition", "ConstCert", "GridCert", "PolyCert", "check_condition",
+        "eval_cert_batch", "extract_certificate", "load_certificate",
         "save_certificate"), "certificate"),
     **dict.fromkeys((
-        "Grid", "TransitionKernel", "ValueField", "build_grid", "build_kernel",
-        "check_assumption1", "eval_field", "solve_discounted", "solve_exact_small",
-        "solve_reach_avoid", "solve_safety_exit"), "dp"),
+        "Grid", "TransitionKernel", "ValueField", "build_kernel", "check_assumption1",
+        "eval_field_batch", "solve_discounted", "solve_exact_small", "solve_reach_avoid",
+        "solve_safety_exit"), "dp"),
     **dict.fromkeys(("parse_expr", "parse_predicate"), "expr"),
     **dict.fromkeys(("McEstimate", "estimate"), "mc"),
     **dict.fromkeys((

@@ -18,7 +18,7 @@ import re
 import numpy as np
 import yaml
 
-from . import dp, expr as expr_mod, model as model_mod
+from . import expr as expr_mod, model as model_mod
 from .dp import Grid, ValueField, eval_field_batch
 from .expr import NumericError, Record
 from .model import SystemModel
@@ -53,11 +53,9 @@ __all__ = [
     "point_classes",
     "monomials",
     "clause_side",
-    "eval_cert",
     "eval_cert_batch",
     "check_condition",
     "extract_certificate",
-    "best_threshold",
     "build_check_points",
     "save_certificate",
     "load_certificate",
@@ -240,10 +238,6 @@ class ConstCert(Record, frozen=True):
 
 
 CertFunction = GridCert | PolyCert | ConstCert
-
-
-def eval_cert(cert: CertFunction, x) -> float:
-    return float(eval_cert_batch(cert, np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
 
 def eval_cert_batch(cert: CertFunction, xs: np.ndarray) -> np.ndarray:
@@ -437,29 +431,6 @@ def extract_certificate(fields: dict, kind: str):
     return v, w
 
 
-def best_threshold(
-    system: SystemModel,
-    regions: RegionSpec,
-    cert: CertFunction,
-    kind: str,
-    x0,
-    points: np.ndarray,
-    tolerance: float = 1e-6,
-    gamma: float | None = None,
-    omega: Box | None = None,
-    w: CertFunction | None = None,
-) -> float:
-    """Extremal threshold making the initial-state clause (clause 0 of the
-    check) tight, provided the structural clauses pass: ``tight_threshold``
-    of the certificate's values at the initial states."""
-    probe = Condition(kind, 0.0, gamma=gamma, omega=omega, w=w)
-    report = check_condition(system, regions, cert, probe, x0, points, tolerance)
-    failing = [c.name for c in report.clauses[1:] if c.min_slack < -tolerance]
-    if failing:
-        raise CertificateError(f"certificate fails structural clauses: {failing}")
-    return tight_threshold(kind, eval_cert_batch(cert, x0))
-
-
 def build_check_points(
     grid: Grid,
     omega: Box,
@@ -528,7 +499,7 @@ def _cert_from_dict(data: dict) -> CertFunction:
         raise ValueError("certificate function must be a mapping")
     rep = data.get("representation")
     if rep == "grid":
-        grid = dp.build_grid(data["lower"], data["upper"], data["cells"])
+        grid = Grid(data["lower"], data["upper"], data["cells"])
         fld = ValueField(np.asarray(data["values"], dtype=float), grid,
                          float(data.get("outside_default", 0.0)))
         pins = data.get("region_pins")

@@ -291,7 +291,7 @@ def load_scenario(path) -> Scenario:
         except ValueError as exc:
             errors.append(f"disturbance: {exc}")
     try:
-        grid = dp.build_grid(*box) if all(v is not None for v in box) else None
+        grid = dp.Grid(*box) if all(v is not None for v in box) else None
     except ValueError as exc:
         errors.append(f"grid: {exc}")
     if n is None or m is None:  # every check below reads the dimensions
@@ -354,22 +354,21 @@ def load_scenario(path) -> Scenario:
 # shared pipeline pieces ------------------------------------------------
 
 
-def _kernels(sc: Scenario):
+def _solve_fields(sc: Scenario) -> dict:
+    """The DP stage: both kernels, the four value fields, the finite-time-exit
+    check, and ``at_x0s``: each field read at all of ``sc.x0s`` once."""
     reach = dp.build_kernel(sc.system, sc.grid, sc.regions, dp.MODE_REACH_AVOID)
     safety = dp.build_kernel(sc.system, sc.grid, sc.regions, dp.MODE_SAFETY)
-    return reach, safety
-
-
-def _solve_fields(sc: Scenario, reach_kernel, safety_kernel) -> dict:
-    return {
-        "reach_avoid": dp.solve_reach_avoid(reach_kernel),
-        "safety_exit": dp.solve_safety_exit(safety_kernel),
-        "discounted": dp.solve_discounted(reach_kernel, sc.gamma),
-        "discounted_exit": dp.solve_discounted(safety_kernel, sc.gamma),
-        "gamma": sc.gamma,
-        "regions": sc.regions,
-        "assumption1": dp.check_assumption1(reach_kernel),
+    fields = {
+        "reach_avoid": dp.solve_reach_avoid(reach),
+        "safety_exit": dp.solve_safety_exit(safety),
+        "discounted": dp.solve_discounted(reach, sc.gamma),
+        "discounted_exit": dp.solve_discounted(safety, sc.gamma),
     }
+    at_x0s = {name: dp.eval_field_batch(fld, sc.x0s) for name, fld in fields.items()}
+    return {**fields, "at_x0s": at_x0s, "gamma": sc.gamma, "regions": sc.regions,
+            "assumption1": dp.check_assumption1(reach), "reach_kernel": reach,
+            "safety_kernel": safety}
 
 
 def _omega(sc: Scenario, transient_only: bool) -> regions_mod.Box:
@@ -383,8 +382,8 @@ def _omega(sc: Scenario, transient_only: bool) -> regions_mod.Box:
 def _threshold_verdicts(sc: Scenario, fields: dict) -> dict:
     """The scenario's verification questions answered from the DP fields at
     the worst initial state: a threshold is certified when every one clears it."""
-    live = float(np.min(1.0 - dp.eval_field_batch(fields["safety_exit"], sc.x0s)))
-    reach = float(np.min(dp.eval_field_batch(fields["reach_avoid"], sc.x0s)))
+    live = float(np.min(1.0 - fields["at_x0s"]["safety_exit"]))
+    reach = float(np.min(fields["at_x0s"]["reach_avoid"]))
     return {
         "liveness": {"value": live, "epsilon1": sc.epsilon1,
                      "certified": bool(live >= sc.epsilon1), "method": "dp"},
@@ -417,31 +416,26 @@ def _cmd_simulate(sc: Scenario, out_dir: Path | None) -> Report:
 
 
 def _cmd_solve(sc: Scenario, out_dir: Path | None) -> Report:
-    reach_kernel, safety_kernel = _kernels(sc)
-    fields = _solve_fields(sc, reach_kernel, safety_kernel)
+    fields = _solve_fields(sc)
     sections: dict = {}
     caveats = [
         f"grid {sc.grid.cells.tolist()} cells over "
         f"[{sc.grid.lower.tolist()}, {sc.grid.upper.tolist()}]; values are for "
         "the discretized chain, fidelity is empirical"
     ]
-    exact_ok = reach_kernel.n_transient <= dp.EXACT_NODE_LIMIT
-    per_x0 = []
-    for x0 in sc.x0s:
-        per_x0.append({
-            "x0": x0.tolist(),
-            "reach_avoid": _prob(dp.eval_field(fields["reach_avoid"], x0), "dp"),
-            "exit": _prob(dp.eval_field(fields["safety_exit"], x0), "dp"),
-            "liveness": _prob(1.0 - dp.eval_field(fields["safety_exit"], x0), "dp"),
-            f"discounted(gamma={sc.gamma:g})": _prob(
-                dp.eval_field(fields["discounted"], x0), "dp"
-            ),
-        })
-    sections["values"] = per_x0
+    at = fields["at_x0s"]
+    sections["values"] = [{
+        "x0": x0.tolist(),
+        "reach_avoid": _prob(reach, "dp"),
+        "exit": _prob(exit_, "dp"),
+        "liveness": _prob(1.0 - exit_, "dp"),
+        f"discounted(gamma={sc.gamma:g})": _prob(discounted, "dp"),
+    } for x0, reach, exit_, discounted in zip(sc.x0s, at["reach_avoid"], at["safety_exit"],
+                                              at["discounted"])]
     sections["thresholds"] = _threshold_verdicts(sc, fields)
-    if exact_ok:
+    if fields["reach_kernel"].n_transient <= dp.EXACT_NODE_LIMIT:
         try:
-            exact = dp.solve_exact_small(reach_kernel)
+            exact = dp.solve_exact_small(fields["reach_kernel"])
             gap = float(np.max(np.abs(exact.values - fields["reach_avoid"].values)))
             sections["cross_check"] = {
                 "exact_vs_iterative_sup_gap": gap,
@@ -528,7 +522,7 @@ def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
         # at the initial states give the tightest threshold it supports at
         # all of them; kinds read from a discounted field carry the scenario's gamma
         name = KINDS[kind]["source"][0]
-        tight = cert_mod.tight_threshold(kind, dp.eval_field_batch(fields[name], sc.x0s))
+        tight = cert_mod.tight_threshold(kind, fields["at_x0s"][name])
         gamma = sc.gamma if name.startswith("discounted") else None
         cert, w = cert_mod.extract_certificate(fields, kind), None
         if isinstance(cert, tuple):  # the pair kind's (v, w)
@@ -545,8 +539,7 @@ def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
 
 
 def _cmd_extract(sc: Scenario, out_dir: Path | None, only_kind: str | None) -> Report:
-    reach_kernel, safety_kernel = _kernels(sc)
-    fields = _solve_fields(sc, reach_kernel, safety_kernel)
+    fields = _solve_fields(sc)
     sections: dict = {}
     caveats = []
     if not fields["assumption1"].holds:
@@ -661,34 +654,35 @@ def _cmd_synthesize(sc: Scenario, out_dir: Path | None, only_kind: str | None) -
 def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
     from . import mc, synth
 
-    reach_kernel, safety_kernel = _kernels(sc)
-    fields = _solve_fields(sc, reach_kernel, safety_kernel)
+    fields = _solve_fields(sc)
     sections: dict = {}
     caveats: list[str] = []
     ok = True
 
-    stay_reach = dp.stay_probability(reach_kernel, sc.mc_horizon)
-    stay_live = dp.stay_probability(safety_kernel, sc.mc_horizon)
+    # per question: DP values at the initial states, and the truncation slack
+    # (the chain's mass still transient after the horizon, clipped against rounding)
+    dp_values = {"reach_avoid": fields["at_x0s"]["reach_avoid"],
+                 "liveness": 1.0 - fields["at_x0s"]["safety_exit"]}
+    slack = {name: np.clip(dp.eval_field_batch(
+        dp.stay_probability(fields[kernel], sc.mc_horizon), sc.x0s), 0.0, 1.0)
+        for name, kernel in (("reach_avoid", "reach_kernel"), ("liveness", "safety_kernel"))}
     agreement = []
-    for x0 in sc.x0s:
-        dp_reach = dp.eval_field(fields["reach_avoid"], x0)
-        dp_live = 1.0 - dp.eval_field(fields["safety_exit"], x0)
+    for i, x0 in enumerate(sc.x0s):
         est_live, est_reach = mc.estimate(sc.system, sc.regions, x0, sc.mc_horizon,
                                           sc.mc_trials, sc.mc_delta, sc.mc_seed)
-        slack_reach = float(np.clip(dp.eval_field(stay_reach, x0), 0.0, 1.0))
-        slack_live = float(np.clip(dp.eval_field(stay_live, x0), 0.0, 1.0))
-        reach_ok = abs(dp_reach - est_reach.p_hat) <= est_reach.half_width + slack_reach + 1e-9
-        live_ok = abs(dp_live - est_live.p_hat) <= est_live.half_width + slack_live + 1e-9
-        ok = ok and reach_ok and live_ok
-        agreement.append({
-            "x0": x0.tolist(),
-            "reach_avoid": {"dp": dp_reach, "mc": est_reach.p_hat,
-                            "half_width": est_reach.half_width,
-                            "truncation_slack": slack_reach, "agree": reach_ok},
-            "liveness": {"dp": dp_live, "mc": est_live.p_hat,
-                         "half_width": est_live.half_width,
-                         "truncation_slack": slack_live, "agree": live_ok},
-        })
+        row = {"x0": x0.tolist()}
+        for name, est in (("reach_avoid", est_reach), ("liveness", est_live)):
+            value, slack_x0 = float(dp_values[name][i]), float(slack[name][i])
+            # an aborted pass counts nothing, so its p_hat agrees with no value
+            agree = est.error is None and (
+                abs(value - est.p_hat) <= est.half_width + slack_x0 + 1e-9)
+            if est.error is not None:
+                caveats.append(f"x0 {x0.tolist()}: Monte Carlo {name} estimate failed: "
+                               f"{est.error}")
+            ok = ok and agree
+            row[name] = {"dp": value, "mc": est.p_hat, "half_width": est.half_width,
+                         "truncation_slack": slack_x0, "agree": agree}
+        agreement.append(row)
     sections["dp_vs_mc"] = agreement
 
     sections["thresholds"] = _threshold_verdicts(sc, fields)

@@ -40,7 +40,6 @@ __all__ = [
     "Assumption1Result",
     "GridTooSmallError",
     "SingularSystemError",
-    "build_grid",
     "build_kernel",
     "apply_bellman",
     "solve_reach_avoid",
@@ -49,7 +48,6 @@ __all__ = [
     "solve_exact_small",
     "check_assumption1",
     "stay_probability",
-    "eval_field",
     "eval_field_batch",
     "field_to_csv",
 ]
@@ -127,10 +125,6 @@ class Grid(Record, frozen=True):
         return np.stack(mesh, axis=-1).reshape(-1, self.n)
 
 
-def build_grid(lower, upper, cells) -> Grid:
-    return Grid(np.asarray(lower), np.asarray(upper), np.asarray(cells))
-
-
 def _interp_weights(grid: Grid, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Multilinear weights of points onto surrounding nodes.
 
@@ -173,10 +167,6 @@ class ValueField(Record):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n_nodes,):
             raise ValueError("values length must equal the node count")
-
-
-def eval_field(fld: ValueField, x) -> float:
-    return float(eval_field_batch(fld, np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
 
 def eval_field_batch(fld: ValueField, xs: np.ndarray) -> np.ndarray:

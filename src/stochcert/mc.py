@@ -24,8 +24,8 @@ none under ``MIN_BLOCK`` trials: block 0 in the calling process, the others
 in forked children that write their outcomes into one shared mapping.  A
 block starting at trial ``first`` (a multiple of 4) reads each step's stream
 from word ``first`` on, so no outcome depends on the split or the CPU count.
-If any block meets an evaluation error, one process reruns every trial, so
-errors read as in a single pass.
+If any block meets an evaluation error, or a fork fails, one process reruns
+every trial, so errors read as in a single pass.
 """
 
 from __future__ import annotations
@@ -237,14 +237,17 @@ def _run_split(system: SystemModel, regions: RegionSpec, x0, horizon: int,
             # Python >= 3.12 warns (DeprecationWarning) when a process with
             # other threads, such as an OpenBLAS pool, forks: the children run
             # element-wise numpy code only and never call BLAS.
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN at RLIMIT_NPROC, say: every trial reruns below
+                break
             if pid == 0:  # child: never flushes stdio or runs atexit handlers
                 try:
                     os._exit(0 if run_block(b) else 1)
                 finally:
                     os._exit(1)
             pids.append(pid)
-        clean = run_block(0)
+        clean = len(pids) == n_blocks - 1 and run_block(0)
     finally:
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     if not clean or any(codes):

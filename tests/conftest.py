@@ -27,7 +27,7 @@ def walk_regions() -> regions.RegionSpec:
 
 def walk_grid() -> dp.Grid:
     # nodes at the integers 0..11: one-step images land exactly on nodes
-    return dp.build_grid([-0.5], [11.5], [12])
+    return dp.Grid([-0.5], [11.5], [12])
 
 
 @pytest.fixture(scope="session")
@@ -69,7 +69,7 @@ def make_contraction() -> tuple[model.SystemModel, regions.RegionSpec, dp.Grid]:
         safe=expr.parse_predicate("x1 >= -1 && x1 <= 1", 1),
         target=expr.parse_predicate("x1 >= -0.05 && x1 <= 0.05", 1),
     )
-    grid = dp.build_grid([-1.2], [1.2], [48])
+    grid = dp.Grid([-1.2], [1.2], [48])
     return system, reg, grid
 
 

@@ -22,11 +22,10 @@ from stochcert.certificate import (
     KIND_UNSAFE_REACH_UPPER,
     Condition,
     GridCert,
-    best_threshold,
     check_condition,
     extract_certificate,
 )
-from stochcert.dp import ValueField, eval_field, solve_discounted, solve_exact_small
+from stochcert.dp import ValueField, eval_field_batch, solve_discounted, solve_exact_small
 
 from conftest import chain_solve, ruin_probability
 
@@ -47,7 +46,7 @@ def _stay_prob(kernel, x: float, steps: int) -> float:
             break
     out = np.zeros(kernel.grid.n_nodes)
     out[kernel.transient] = v
-    return eval_field(ValueField(out, kernel.grid), [x])
+    return eval_field_batch(ValueField(out, kernel.grid), [x])[0]
 
 
 def _solved_fields(fix, gamma):
@@ -70,9 +69,9 @@ def test_criterion_1_gamblers_ruin_exactness(gambler):
     start = time.monotonic()
     iterative = dp.solve_reach_avoid(gambler["reach_kernel"], tol=1e-9)
     exact = solve_exact_small(gambler["reach_kernel"])
-    gap_iter = abs(eval_field(iterative, [3.0]) - eval_field(exact, [3.0]))
+    gap_iter = abs(eval_field_batch(iterative, [3.0])[0] - eval_field_batch(exact, [3.0])[0])
     gap_closed = max(
-        abs(eval_field(exact, [float(i)]) - ruin_probability(i, 10, 0.5))
+        abs(eval_field_batch(exact, [float(i)])[0] - ruin_probability(i, 10, 0.5))
         for i in range(1, 10)
     )
     elapsed = time.monotonic() - start
@@ -89,8 +88,8 @@ def test_criterion_2_biased_walk_oracle(biased):
     assert abs(closed - tridiag) <= 1e-12  # two independent oracles agree
     exact = solve_exact_small(biased["reach_kernel"])
     iterative = dp.solve_reach_avoid(biased["reach_kernel"], tol=1e-9)
-    gap_exact = abs(eval_field(exact, [3.0]) - closed)
-    gap_iter = abs(eval_field(iterative, [3.0]) - closed)
+    gap_exact = abs(eval_field_batch(exact, [3.0])[0] - closed)
+    gap_iter = abs(eval_field_batch(iterative, [3.0])[0] - closed)
     ok = gap_exact <= 1e-9 and gap_iter <= 1e-6
     _verdict(2, ok, f"biased V(3)={closed:.6f}: exact gap {gap_exact:.2e} (<=1e-9), "
                     f"iterative gap {gap_iter:.2e} (<=1e-6)")
@@ -105,7 +104,7 @@ def test_criterion_3_exit_plus_liveness_is_one(gambler, biased):
             est = mc.estimate(fix["system"], fix["regions"], [x],
                               horizon, trials, delta, seed)[0]
             slack = _stay_prob(fix["safety_kernel"], x, horizon)
-            gap = abs(eval_field(exit_fld, [x]) + est.p_hat - 1.0)
+            gap = abs(eval_field_batch(exit_fld, [x])[0] + est.p_hat - 1.0)
             margin = est.half_width + slack
             worst = max(worst, gap - margin)
             assert gap <= margin, f"x={x}: gap {gap} > {margin}"
@@ -169,16 +168,16 @@ def test_criterion_7_necessity_round_trips(gambler, contraction):
     c_pts = _node_points(contraction)
 
     # thresholds sit one margin inside the exact achievable value per kind
-    reach3 = eval_field(g_fields["reach_avoid"], [3.0])
+    reach3 = eval_field_batch(g_fields["reach_avoid"], [3.0])[0]
     cases = [
         (gambler, g_fields, g_pts, [3.0], KIND_UNSAFE_REACH_UPPER,
          reach3 + margin, None),
         (gambler, g_fields, g_pts, [3.0], KIND_RA_LOWER_A1,
          reach3 - margin, None),
         (contraction, c_fields, c_pts, contraction["x0"], KIND_SAFETY_LOWER,
-         1.0 - eval_field(c_fields["safety_exit"], contraction["x0"]) - margin, None),
+         1.0 - eval_field_batch(c_fields["safety_exit"], contraction["x0"])[0] - margin, None),
         (contraction, c_fields, c_pts, contraction["x0"], KIND_RA_LOWER_DISCOUNTED,
-         eval_field(c_fields["discounted"], contraction["x0"]) - margin, 0.9),
+         eval_field_batch(c_fields["discounted"], contraction["x0"])[0] - margin, 0.9),
     ]
     # a discounted exit bound needs gamma close to 1 to be nontrivial
     g_fields_999 = dict(g_fields)
@@ -186,7 +185,7 @@ def test_criterion_7_necessity_round_trips(gambler, contraction):
     g_fields_999["gamma"] = 0.999
     cases.append(
         (gambler, g_fields_999, g_pts, [3.0], KIND_LIVENESS_UPPER_DISCOUNTED,
-         eval_field(g_fields_999["discounted_exit"], [3.0]) - margin, 0.999))
+         eval_field_batch(g_fields_999["discounted_exit"], [3.0])[0] - margin, 0.999))
 
     for fix, fields, pts, x0, kind, eps, gamma in cases:
         cert = extract_certificate(fields, kind)
@@ -201,7 +200,7 @@ def test_criterion_7_necessity_round_trips(gambler, contraction):
     v, w = extract_certificate(g_fields, KIND_RA_LOWER_PAIR)
     gamma1 = 0.5 / (1.0 - 0.5)
     assert gamma1 == 1.0 and gamma1 / (1.0 + gamma1) >= 0.5
-    eps = max(eval_field(g_fields["discounted"], [3.0]) - margin, 0.0)
+    eps = max(eval_field_batch(g_fields["discounted"], [3.0])[0] - margin, 0.0)
     cond = Condition(KIND_RA_LOWER_PAIR, eps, gamma=0.5, w=w)
     report = check_condition(gambler["system"], gambler["regions"], v, cond,
                              [3.0], g_pts, tol)
@@ -209,10 +208,10 @@ def test_criterion_7_necessity_round_trips(gambler, contraction):
     transient_nodes = gambler["grid"].nodes()[gambler["reach_kernel"].transient]
     worst_pair = np.inf
     for x in transient_nodes:
-        e_w = sum(p * cm.eval_cert(w, x + atom)
+        e_w = sum(p * cm.eval_cert_batch(w, x + atom)[0]
                   for atom, p in zip(gambler["system"].dist.atoms,
                                      gambler["system"].dist.probs))
-        slack = e_w - cm.eval_cert(w, x) - cm.eval_cert(v, x)
+        slack = e_w - cm.eval_cert_batch(w, x)[0] - cm.eval_cert_batch(v, x)[0]
         worst_pair = min(worst_pair, slack)
     results.append((KIND_RA_LOWER_PAIR, worst_pair >= -1e-9))
     assert worst_pair >= -1e-9
@@ -264,8 +263,8 @@ def test_criterion_8_soundness_only_if(gambler):
         report = check_condition(sys_, reg, valid_cert, cond, [float(i)], pts, 1e-6)
         if report.passed:
             accepted += 1
-            claimed = best_threshold(sys_, reg, valid_cert, KIND_RA_LOWER_A1,
-                                     [float(i)], pts)
+            claimed = cm.tight_threshold(KIND_RA_LOWER_A1,
+                                         cm.eval_cert_batch(valid_cert, [float(i)]))
             sound = sound and claimed <= oracle + 1e-4 + 1e-9
     ok = all_rejected and accepted == 20 and sound
     _verdict(8, ok, f"{rejected}/50 perturbed certificates rejected "

@@ -16,15 +16,14 @@ from stochcert.certificate import (
     ConstCert,
     GridCert,
     PolyCert,
-    best_threshold,
     build_check_points,
     check_condition,
-    eval_cert,
+    eval_cert_batch,
     extract_certificate,
     load_certificate,
     save_certificate,
 )
-from stochcert.dp import ValueField, eval_field, solve_discounted, solve_exact_small
+from stochcert.dp import ValueField, eval_field_batch, solve_discounted, solve_exact_small
 
 from conftest import make_identity, one_step_mean, ruin_probability
 
@@ -52,11 +51,11 @@ def check_points(fix, interior=False, n_random=200, seed=7):
 
 class TestEvalCert:
     def test_constant(self):
-        assert eval_cert(ConstCert(0.0), [1.0, 2.0]) == 0.0
+        assert eval_cert_batch(ConstCert(0.0), [1.0, 2.0])[0] == 0.0
 
     def test_polynomial(self):
         cert = PolyCert(((0,), (2,)), (0.0, 1.0))  # x1^2
-        assert eval_cert(cert, [3.0]) == 9.0
+        assert eval_cert_batch(cert, [3.0])[0] == 9.0
 
     def test_polynomial_validation(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -66,14 +65,14 @@ class TestEvalCert:
 
     def test_grid_at_node(self, gambler):
         fld = ValueField(np.arange(12, dtype=float), gambler["grid"])
-        assert eval_cert(GridCert(fld), [5.0]) == 5.0
+        assert eval_cert_batch(GridCert(fld), [5.0])[0] == 5.0
 
     def test_region_pins_override_interpolation(self, gambler):
         fld = ValueField(np.zeros(12), gambler["grid"], outside_default=0.0)
         cert = GridCert(fld, regions=gambler["regions"], target_value=1.0,
                         unsafe_value=0.0)
-        assert eval_cert(cert, [10.7]) == 1.0  # inside the target, off the lattice
-        assert eval_cert(cert, [5.0]) == 0.0
+        assert eval_cert_batch(cert, [10.7])[0] == 1.0  # inside the target, off the lattice
+        assert eval_cert_batch(cert, [5.0])[0] == 0.0
 
 
 class TestCheckCondition:
@@ -183,8 +182,8 @@ class TestExtraction:
         np.testing.assert_allclose(w.fld.values, v.fld.values)
         nodes = gambler["grid"].nodes()[gambler["reach_kernel"].transient]
         for x in nodes:
-            e_w = one_step_mean(gambler["system"], x, lambda y: eval_cert(w, y))
-            slack = e_w - eval_cert(w, x) - eval_cert(v, x)
+            e_w = one_step_mean(gambler["system"], x, lambda y: eval_cert_batch(w, y)[0])
+            slack = e_w - eval_cert_batch(w, x)[0] - eval_cert_batch(v, x)[0]
             assert slack >= -1e-9
 
     def test_a1_extraction_refused_without_assumption(self, identity):
@@ -211,16 +210,16 @@ class TestExtraction:
         g_fields = solved_fields(gambler, gamma=0.5)
         c_fields = solved_fields(contraction, gamma=0.9)
         x0g, x0c = [3.0], contraction["x0"]
-        reach_v = eval_field(g_fields["reach_avoid"], x0g)
+        reach_v = eval_field_batch(g_fields["reach_avoid"], x0g)[0]
         cases = [
             (gambler, g_fields, KIND_UNSAFE_REACH_UPPER, reach_v + margin, None, x0g),
             (gambler, g_fields, KIND_RA_LOWER_A1, reach_v - margin, None, x0g),
             (gambler, g_fields, KIND_RA_LOWER_DISCOUNTED,
-             eval_field(g_fields["discounted"], x0g) - margin, 0.5, x0g),
+             eval_field_batch(g_fields["discounted"], x0g)[0] - margin, 0.5, x0g),
             (gambler, g_fields, KIND_LIVENESS_UPPER_DISCOUNTED,
-             eval_field(g_fields["discounted_exit"], x0g) - margin, 0.5, x0g),
+             eval_field_batch(g_fields["discounted_exit"], x0g)[0] - margin, 0.5, x0g),
             (contraction, c_fields, KIND_SAFETY_LOWER,
-             1.0 - eval_field(c_fields["safety_exit"], x0c) - margin, None, x0c),
+             1.0 - eval_field_batch(c_fields["safety_exit"], x0c)[0] - margin, None, x0c),
         ]
         for fix, fields, kind, eps, gamma, x0 in cases:
             cert = extract_certificate(fields, kind)
@@ -229,7 +228,7 @@ class TestExtraction:
                                      check_points(fix), tol)
             assert report.passed, f"{kind} failed: {report.witnesses[:2]}"
         v, w = extract_certificate(g_fields, KIND_RA_LOWER_PAIR)
-        eps = max(eval_field(g_fields["discounted"], x0g) - margin, 0.0)
+        eps = max(eval_field_batch(g_fields["discounted"], x0g)[0] - margin, 0.0)
         cond = Condition(KIND_RA_LOWER_PAIR, eps, gamma=0.5, w=w)
         report = check_condition(gambler["system"], gambler["regions"], v, cond, x0g,
                                  check_points(gambler), tol)
@@ -237,25 +236,36 @@ class TestExtraction:
 
 
 class TestBestThreshold:
+    """The best threshold a certificate supports: ``tight_threshold`` of its
+    values at the initial states, once it passes every structural clause
+    (all but clause 0, the initial one) of a probe check at threshold 0."""
+
+    @staticmethod
+    def structural_failures(case, cert, kind, x0, points) -> list[str]:
+        probe = check_condition(case["system"], case["regions"], cert, Condition(kind, 0.0),
+                                x0, points)
+        return [c.name for c in probe.clauses[1:] if c.min_slack < -1e-6]
+
     def test_reach_field_threshold(self, gambler):
         fields = solved_fields(gambler)
         cert = extract_certificate(fields, KIND_RA_LOWER_A1)
-        eps = best_threshold(gambler["system"], gambler["regions"], cert,
-                             KIND_RA_LOWER_A1, [3.0], check_points(gambler))
+        assert not self.structural_failures(gambler, cert, KIND_RA_LOWER_A1, [3.0],
+                                            check_points(gambler))
+        eps = cm.tight_threshold(KIND_RA_LOWER_A1, eval_cert_batch(cert, [3.0]))
         assert eps == pytest.approx(0.3, abs=1e-9)
 
     def test_safety_lower_at_fixed_point(self, contraction):
         fields = solved_fields(contraction, gamma=0.9)
         cert = extract_certificate(fields, KIND_SAFETY_LOWER)
-        eps = best_threshold(contraction["system"], contraction["regions"], cert,
-                             KIND_SAFETY_LOWER, [0.0], check_points(contraction))
+        assert not self.structural_failures(contraction, cert, KIND_SAFETY_LOWER, [0.0],
+                                            check_points(contraction))
+        eps = cm.tight_threshold(KIND_SAFETY_LOWER, eval_cert_batch(cert, [0.0]))
         assert eps == pytest.approx(1.0, abs=1e-12)
 
     def test_failing_cert_rejected(self, gambler):
         bad = ConstCert(0.5)  # violates v <= 0 outside X
-        with pytest.raises(CertificateError, match="structural"):
-            best_threshold(gambler["system"], gambler["regions"], bad,
-                           KIND_RA_LOWER_A1, [3.0], check_points(gambler, interior=True))
+        assert self.structural_failures(gambler, bad, KIND_RA_LOWER_A1, [3.0],
+                                        check_points(gambler, interior=True))
 
     def test_upper_kind_ignores_the_probe_initial_clause(self, gambler):
         # the probe checks at eps = 0, where v(x0) <= eps fails for v(x0) > 0
@@ -266,8 +276,7 @@ class TestBestThreshold:
         initial, *structural = probe.clauses
         assert initial.min_slack < -0.1
         assert all(c.min_slack >= -1e-6 for c in structural)
-        eps = best_threshold(gambler["system"], gambler["regions"], cert,
-                             KIND_UNSAFE_REACH_UPPER, [3.0], points)
+        eps = cm.tight_threshold(KIND_UNSAFE_REACH_UPPER, eval_cert_batch(cert, [3.0]))
         assert eps == pytest.approx(0.3, abs=1e-9)
 
 
@@ -305,8 +314,7 @@ class TestSoundness:
             report = check_condition(gambler["system"], gambler["regions"], cert,
                                      cond, [float(i)], pts)
             assert report.passed
-            claimed = best_threshold(gambler["system"], gambler["regions"], cert,
-                                     KIND_RA_LOWER_A1, [float(i)], pts)
+            claimed = cm.tight_threshold(KIND_RA_LOWER_A1, eval_cert_batch(cert, [float(i)]))
             assert claimed <= oracle + 1e-4
 
 
@@ -362,7 +370,7 @@ class TestSerialization:
         # a 2-D grid, with the floats whose text PyYAML writes specially
         specials = [1e-05, 1e+16, -0.0, 5e-324, np.inf, -np.inf, np.nan, 0.1, 1 / 3, 2.5e-300]
         values = np.concatenate([specials, np.random.default_rng(3).normal(size=20) * 1e3])
-        grid2 = dp.build_grid([-1.0, -2.0], [1.0, 2.0], [5, 6])
+        grid2 = dp.Grid([-1.0, -2.0], [1.0, 2.0], [5, 6])
         disc = regions.RegionSpec(expr.parse_predicate("x1^2 + x2^2 < 1.0", 2),
                                   expr.parse_predicate("x1^2 + x2^2 < 0.04", 2))
         cert2 = GridCert(ValueField(values, grid2, outside_default=-0.0), regions=disc,

@@ -432,6 +432,22 @@ class TestCommands:
             for entry in report.sections["dp_vs_mc"]:
                 assert entry["reach_avoid"]["agree"] and entry["liveness"]["agree"]
 
+    def test_report_all_never_agrees_with_a_failed_estimate(self, tmp_path):
+        # the walk divides by zero on reaching 3.5, so every Monte Carlo pass
+        # aborts, while the grid nodes never reach it and the DP values stand
+        doc = _walk_doc()
+        doc["system"]["dynamics"] = ["x1 + th1 + 0 * (1 / (x1 - 3.5))"]
+        doc["initial_state"] = [0.5]
+        sc = load_scenario(_write(tmp_path, doc))
+        assert run("estimate", sc).sections["estimates"][0]["liveness"]["error"] == (
+            "division by zero")
+        report = run("report-all", sc)
+        row = report.sections["dp_vs_mc"][0]
+        # 6.7e-16 against the aborted pass's 0 once read as agreeing
+        assert not row["liveness"]["agree"] and not row["reach_avoid"]["agree"]
+        assert ("x0 [0.5]: Monte Carlo liveness estimate failed: division by zero"
+                in report.caveats)
+
     def test_report_all_builds_omega_and_check_points_once(self, monkeypatch):
         calls = {"compute_omega": 0, "build_check_points": 0}
 
@@ -654,6 +670,13 @@ class TestMain:
         assert "division" in capsys.readouterr().err
 
 
+def test_readme_library_example(capsys):
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) == pytest.approx(0.3, abs=1e-9)
+
+
 def _fresh_interpreter(code: str) -> str:
     """stdout of ``python -c code`` run against this checkout's stochcert."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -670,11 +693,11 @@ _CORE = ["stochcert", "stochcert.certificate", "stochcert.cli", "stochcert.dp",
 # the names the package exports, by submodule
 _PUBLIC = {
     "certificate": ["ALL_KINDS", "Condition", "ConstCert", "GridCert", "PolyCert",
-                    "best_threshold", "check_condition", "eval_cert", "extract_certificate",
+                    "check_condition", "eval_cert_batch", "extract_certificate",
                     "load_certificate", "save_certificate"],
-    "dp": ["Grid", "TransitionKernel", "ValueField", "build_grid", "build_kernel",
-           "check_assumption1", "eval_field", "solve_discounted", "solve_exact_small",
-           "solve_reach_avoid", "solve_safety_exit"],
+    "dp": ["Grid", "TransitionKernel", "ValueField", "build_kernel", "check_assumption1",
+           "eval_field_batch", "solve_discounted", "solve_exact_small", "solve_reach_avoid",
+           "solve_safety_exit"],
     "expr": ["parse_expr", "parse_predicate"],
     "mc": ["McEstimate", "estimate"],
     "model": ["DisturbanceDist", "SystemModel", "Trajectory", "quantize_gaussian",

@@ -3,13 +3,13 @@ import pytest
 
 from stochcert import dp, expr, model, regions
 from stochcert.dp import (
+    Grid,
     GridTooSmallError,
     SingularSystemError,
     apply_bellman,
-    build_grid,
     build_kernel,
     check_assumption1,
-    eval_field,
+    eval_field_batch,
     solve_discounted,
     solve_exact_small,
     solve_reach_avoid,
@@ -30,11 +30,11 @@ def jacobi(kernel, gamma=1.0, sweeps=5000):
 
 class TestGrid:
     def test_1d_midpoints(self):
-        grid = build_grid([-1.0], [12.0], [13])
+        grid = Grid([-1.0], [12.0], [13])
         np.testing.assert_allclose(grid.nodes().ravel(), np.arange(13) - 0.5)
 
     def test_2d_row_major_order(self):
-        grid = build_grid([0.0, 0.0], [3.0, 2.0], [3, 2])
+        grid = Grid([0.0, 0.0], [3.0, 2.0], [3, 2])
         expected = [
             [0.5, 0.5], [0.5, 1.5],
             [1.5, 0.5], [1.5, 1.5],
@@ -50,11 +50,11 @@ class TestGrid:
 
     def test_zero_cells_rejected(self):
         with pytest.raises(ValueError):
-            build_grid([0.0], [1.0], [0])
+            Grid([0.0], [1.0], [0])
 
     def test_inverted_box_rejected(self):
         with pytest.raises(ValueError):
-            build_grid([1.0], [0.0], [4])
+            Grid([1.0], [0.0], [4])
 
 
 def _walk_2d():
@@ -70,7 +70,7 @@ def _walk_2d():
         safe=expr.parse_predicate("x1 > -2 && x1 < 2 && x2 > -2 && x2 < 2", 2),
         target=expr.parse_predicate("x1^2 + x2^2 < 0.25", 2),
     )
-    grid = build_grid([-2.5, -2.5], [2.5, 2.5], [25, 25])
+    grid = Grid([-2.5, -2.5], [2.5, 2.5], [25, 25])
     return system, reg, grid
 
 
@@ -198,9 +198,9 @@ class TestKernel:
             safe=expr.parse_predicate("x1 > 0 && x1 < 11", 1),
             target=expr.parse_predicate("x1 >= 10 && x1 < 11", 1),
         )
-        grid = build_grid([0.5], [9.5], [9])  # nodes 1..9, image 10 is target, 0 unsafe-> fine
+        grid = Grid([0.5], [9.5], [9])  # nodes 1..9, image 10 is target, 0 unsafe-> fine
         build_kernel(system, grid, reg, dp.MODE_REACH_AVOID)
-        tight = build_grid([0.5], [8.5], [8])  # node 8 maps to 9, safe but off the box
+        tight = Grid([0.5], [8.5], [8])  # node 8 maps to 9, safe but off the box
         with pytest.raises(GridTooSmallError, match="outside the grid box"):
             build_kernel(system, tight, reg, dp.MODE_REACH_AVOID)
 
@@ -217,23 +217,23 @@ class TestSolvers:
     def test_reach_avoid_gamblers_ruin(self, gambler):
         fld = solve_reach_avoid(gambler["reach_kernel"])
         assert fld.converged
-        assert eval_field(fld, [3.0]) == pytest.approx(0.3, abs=1e-6)
+        assert eval_field_batch(fld, [3.0])[0] == pytest.approx(0.3, abs=1e-6)
 
     def test_reach_avoid_boundary_values(self, gambler):
         fld = solve_reach_avoid(gambler["reach_kernel"])
-        assert eval_field(fld, [10.0]) == 1.0  # target node
-        assert eval_field(fld, [11.0]) == 0.0  # outside X
+        assert eval_field_batch(fld, [10.0])[0] == 1.0  # target node
+        assert eval_field_batch(fld, [11.0])[0] == 0.0  # outside X
 
     def test_safety_exit_symmetric_walk(self, gambler):
         fld = solve_safety_exit(gambler["safety_kernel"])
         for x in (2.0, 3.0, 5.0, 8.0):
-            assert eval_field(fld, [x]) == pytest.approx(1.0, abs=1e-6)
+            assert eval_field_batch(fld, [x])[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_safety_exit_invariant_contraction(self, contraction):
         fld = solve_safety_exit(contraction["safety_kernel"])
-        assert eval_field(fld, [0.0]) == 0.0
-        assert eval_field(fld, contraction["x0"]) == 0.0
-        assert eval_field(fld, [1.15]) == 1.0  # node outside X
+        assert eval_field_batch(fld, [0.0])[0] == 0.0
+        assert eval_field_batch(fld, contraction["x0"])[0] == 0.0
+        assert eval_field_batch(fld, [1.15])[0] == 1.0  # node outside X
 
     def test_monotone_and_bounded_iterates(self, gambler):
         k = gambler["reach_kernel"]
@@ -251,9 +251,9 @@ class TestSolvers:
     def test_discounted_matches_exact_solve(self, gambler):
         oracle = chain_solve(0.5, gamma=0.99)
         fld = solve_discounted(gambler["reach_kernel"], 0.99, tol=1e-12)
-        assert eval_field(fld, [3.0]) == pytest.approx(oracle[2], abs=1e-9)
+        assert eval_field_batch(fld, [3.0])[0] == pytest.approx(oracle[2], abs=1e-9)
         exact = solve_exact_small(gambler["reach_kernel"], gamma=0.99)
-        assert eval_field(exact, [3.0]) == pytest.approx(oracle[2], abs=1e-12)
+        assert eval_field_batch(exact, [3.0])[0] == pytest.approx(oracle[2], abs=1e-12)
 
     def test_discounted_below_undiscounted(self, gambler):
         reach = solve_reach_avoid(gambler["reach_kernel"])
@@ -306,7 +306,7 @@ class TestLongChain:
             safe=expr.parse_predicate(f"x1 > 0 && x1 < {self.N + 1}", 1),
             target=expr.parse_predicate(f"x1 >= {self.N} && x1 < {self.N + 1}", 1),
         )
-        grid = build_grid([-0.5], [self.N + 1.5], [self.N + 2])  # nodes 0..201
+        grid = Grid([-0.5], [self.N + 1.5], [self.N + 2])  # nodes 0..201
         return build_kernel(make_walk(0.5), grid, reg, dp.MODE_REACH_AVOID)
 
     def test_reach_avoid_matches_closed_form_within_bound(self, kernel):
@@ -330,16 +330,16 @@ class TestExactSolve:
     def test_symmetric_closed_form(self, gambler):
         fld = solve_exact_small(gambler["reach_kernel"])
         for i in range(1, 10):
-            assert eval_field(fld, [float(i)]) == pytest.approx(
+            assert eval_field_batch(fld, [float(i)])[0] == pytest.approx(
                 ruin_probability(i, 10, 0.5), abs=1e-12)
 
     def test_biased_closed_form(self, biased):
         fld = solve_exact_small(biased["reach_kernel"])
         oracle = chain_solve(0.6)
         for i in range(1, 10):
-            assert eval_field(fld, [float(i)]) == pytest.approx(
-                ruin_probability(i, 10, 0.6), abs=1e-12)
-            assert eval_field(fld, [float(i)]) == pytest.approx(oracle[i - 1], abs=1e-12)
+            value = eval_field_batch(fld, [float(i)])[0]
+            assert value == pytest.approx(ruin_probability(i, 10, 0.6), abs=1e-12)
+            assert value == pytest.approx(oracle[i - 1], abs=1e-12)
 
     def test_iterative_matches_exact(self, gambler, biased):
         for fix in (gambler, biased):
@@ -365,7 +365,7 @@ class TestExactSolve:
 
     def test_node_limit(self, gambler):
         k = gambler["reach_kernel"]
-        big = build_grid([-0.5], [11.5], [12000])
+        big = Grid([-0.5], [11.5], [12000])
         with pytest.raises(ValueError, match="dense-solve"):
             solve_exact_small(build_kernel(gambler["system"], big, gambler["regions"]))
         del k
@@ -390,7 +390,7 @@ class TestAssumption1:
         system = model.SystemModel(1, 1, (expr.parse_expr("x1", 1, 1),), dist)
         pred = expr.parse_predicate("x1 > 0 && x1 < 1", 1)
         reg = regions.RegionSpec(safe=pred, target=pred)
-        k = build_kernel(system, build_grid([0.0], [1.0], [4]), reg)
+        k = build_kernel(system, Grid([0.0], [1.0], [4]), reg)
         res = check_assumption1(k)
         assert res.holds and res.sup_stay_prob == 0.0
 
@@ -410,7 +410,7 @@ class TestStayProbability:
         # steps than any sweep cap short of the horizon would allow
         q, horizon = 1.0 - 1e-5, 150_000
         kernel = dp.TransitionKernel(
-            build_grid([0.0], [2.0], [2]), dp.MODE_REACH_AVOID, transient=np.array([0]),
+            Grid([0.0], [2.0], [2]), dp.MODE_REACH_AVOID, transient=np.array([0]),
             one_nodes=np.array([1]), one_mass=np.array([1.0 - q]), zero_mass=np.array([0.0]),
             P=dp.SlotMatrix(np.array([[0]]), np.array([[q]]), 1))
         values = dp.stay_probability(kernel, horizon).values
@@ -421,19 +421,19 @@ class TestStayProbability:
 class TestEvalField:
     def test_node_value(self, gambler):
         fld = dp.ValueField(np.arange(12, dtype=float), gambler["grid"])
-        assert eval_field(fld, [4.0]) == 4.0
+        assert eval_field_batch(fld, [4.0])[0] == 4.0
 
     def test_midpoint(self):
-        grid = build_grid([0.0], [2.0], [2])  # nodes 0.5, 1.5
+        grid = Grid([0.0], [2.0], [2])  # nodes 0.5, 1.5
         fld = dp.ValueField(np.array([0.0, 1.0]), grid)
-        assert eval_field(fld, [1.0]) == pytest.approx(0.5)
+        assert eval_field_batch(fld, [1.0])[0] == pytest.approx(0.5)
 
     def test_outside_default(self):
-        grid = build_grid([0.0], [2.0], [2])
+        grid = Grid([0.0], [2.0], [2])
         fld = dp.ValueField(np.array([0.5, 0.5]), grid, outside_default=0.0)
-        assert eval_field(fld, [3.0]) == 0.0
+        assert eval_field_batch(fld, [3.0])[0] == 0.0
         fld1 = dp.ValueField(np.array([0.5, 0.5]), grid, outside_default=1.0)
-        assert eval_field(fld1, [-1.0]) == 1.0
+        assert eval_field_batch(fld1, [-1.0])[0] == 1.0
 
     def test_csv_export(self, tmp_path, gambler):
         fld = solve_reach_avoid(gambler["reach_kernel"])
@@ -452,7 +452,7 @@ class TestComplementIdentity:
         for x in (2.0, 5.0, 8.0):
             est = mc.estimate(gambler["system"], gambler["regions"], [x],
                               horizon=2000, n_trials=4000, delta=0.05, seed=31)[0]
-            total = eval_field(exit_fld, [x]) + est.p_hat
+            total = eval_field_batch(exit_fld, [x])[0] + est.p_hat
             assert abs(total - 1.0) <= est.half_width + 1e-6
 
 
@@ -468,7 +468,7 @@ def lattice():
     reg = regions.RegionSpec(
         safe=expr.parse_predicate("x1 > 0 && x1 < 8 && x2 > 0 && x2 < 8", 2),
         target=expr.parse_predicate("x1 >= 7 && x1 < 8 && x2 > 0 && x2 < 8", 2))
-    grid = build_grid([-0.5, -0.5], [8.5, 8.5], [9, 9])
+    grid = Grid([-0.5, -0.5], [8.5, 8.5], [9, 9])
     kernel = build_kernel(system, grid, reg, dp.MODE_REACH_AVOID)
     return system, reg, kernel
 
@@ -497,7 +497,7 @@ class TestTwoDimensional:
         _, _, kernel = lattice
         exact = solve_exact_small(kernel)
         for start in ((2, 4), (5, 1), (3, 7)):
-            assert eval_field(exact, list(map(float, start))) == pytest.approx(
+            assert eval_field_batch(exact, list(map(float, start)))[0] == pytest.approx(
                 self._hand_chain_value(start), abs=1e-12)
 
     def test_iterative_matches_exact(self, lattice):
@@ -512,4 +512,4 @@ class TestTwoDimensional:
         system, reg, kernel = lattice
         exact = solve_exact_small(kernel)
         est = mc.estimate(system, reg, [2.0, 4.0], 4000, 40000, 0.05, 77)[1]
-        assert abs(eval_field(exact, [2.0, 4.0]) - est.p_hat) <= est.half_width
+        assert abs(eval_field_batch(exact, [2.0, 4.0])[0] - est.p_hat) <= est.half_width

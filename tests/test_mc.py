@@ -298,6 +298,25 @@ class TestChildren:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_failed_fork_runs_serially(self, monkeypatch):
+        # the second fork fails as under RLIMIT_NPROC: the first child is
+        # reaped and every trial runs in this process
+        force_blocks(monkeypatch, 3)
+        pids, fork = self.count_forks(monkeypatch), mc.os.fork
+
+        def second_fork_fails():
+            if pids:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(mc.os, "fork", second_fork_fails)
+        system, reg = disc_walk()
+        args = (system, reg, [0.6, 0.3], 50, 301, 1)
+        assert_same_outcomes(_run_split(*args), _run_trials(*args))
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 def reference_trials(system, reg, x0, horizon, n_trials, seed):
     """One trial at a time with the scalar reference evaluator and

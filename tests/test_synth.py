@@ -238,7 +238,7 @@ class TestSimplexAgainstHighs:
         )
         reg = regions.RegionSpec(safe=expr.parse_predicate("x1^2 + x2^2 < 1.0", 2),
                                  target=expr.parse_predicate("x1^2 + x2^2 < 0.04", 2))
-        grid = dp.build_grid([-1.0, -1.0], [1.0, 1.0], [50, 50])
+        grid = dp.Grid([-1.0, -1.0], [1.0, 1.0], [50, 50])
         samples = np.vstack([grid.nodes(), grid.box.sample(2000, np.random.default_rng(7))])
         omega = regions.compute_omega(system, reg, samples, transient_only=True)
         points = omega.sample(2000, np.random.default_rng(8))
@@ -457,7 +457,7 @@ class TestSynthesize:
             Template(n=1, degree=1), _synth_points(gambler), [3.0],
             margin=0.01,
         )
-        assert result.threshold <= dp.eval_field(exact, [3.0]) + 1e-6
+        assert result.threshold <= dp.eval_field_batch(exact, [3.0])[0] + 1e-6
 
     def test_zero_bound_gives_zero_polynomial(self, gambler):
         result = synthesize(
