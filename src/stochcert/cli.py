@@ -365,10 +365,15 @@ def _solve_fields(sc: Scenario) -> dict:
         "discounted": dp.solve_discounted(reach, sc.gamma),
         "discounted_exit": dp.solve_discounted(safety, sc.gamma),
     }
-    at_x0s = {name: dp.eval_field_batch(fld, sc.x0s) for name, fld in fields.items()}
-    return {**fields, "at_x0s": at_x0s, "gamma": sc.gamma, "regions": sc.regions,
-            "assumption1": dp.check_assumption1(reach), "reach_kernel": reach,
-            "safety_kernel": safety}
+    return {
+        **fields,
+        "at_x0s": {name: dp.eval_field_batch(fld, sc.x0s) for name, fld in fields.items()},
+        "gamma": sc.gamma,
+        "regions": sc.regions,
+        "assumption1": dp.check_assumption1(reach),
+        "reach_kernel": reach,
+        "safety_kernel": safety,
+    }
 
 
 def _omega(sc: Scenario, transient_only: bool) -> regions_mod.Box:
