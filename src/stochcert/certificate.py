@@ -82,8 +82,8 @@ INIT_COMPLEMENT = "v(x0) <= 1 - eps"
 #            class.  A class is "tgt", "saf", "uns", "in_x" (tgt or saf) or
 #            "all"; a side is a constant, "v", "E[v o f]", "gamma E[v o f]"
 #            or "E[w o f] - w" (the pair kind's companion function w).
-# Optional keys: "omega", the clauses range over the condition's Omega box;
-# "initial_set_caveat", added when the check has several initial states.
+# The clauses range over the kind's Omega, which the check points sample.
+# Optional key: "initial_set_caveat", added when the check has several initial states.
 KINDS = {
     KIND_SAFETY_LOWER: {
         "initial": INIT_COMPLEMENT,
@@ -149,7 +149,6 @@ KINDS = {
             ("on Xr: v <= 1", "tgt", "v", 1.0),
             ("on Omega\\X: v <= 0", "uns", "v", 0.0),
         ),
-        "omega": True,
     },
 }
 
@@ -268,12 +267,11 @@ def monomials(xs: np.ndarray, exponents) -> np.ndarray:
 
 class Condition(Record, frozen=True):
     """A condition kind with its parameters; ``w`` is the companion function
-    of the pair kind and ``omega`` its reachable-superset box."""
+    of the pair kind."""
 
     kind: str
     epsilon: float
     gamma: float | None = None
-    omega: Box | None = None
     w: CertFunction | None = None
 
     def __post_init__(self):
@@ -353,8 +351,6 @@ def check_condition(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     caveats = [f"validated on {points.shape[0]} points plus {x0s.shape[0]} initial state(s)"]
     spec = KINDS[cond.kind]
-    if spec.get("omega") and cond.omega is not None:
-        points = points[cond.omega.contains(points)]
     classes = point_classes(points, classify_batch(regions, points))
     classes["x0"] = x0s
     form = spec["initial"]
@@ -438,21 +434,18 @@ def build_check_points(
     seed: int,
     interior_random: bool = True,
 ) -> np.ndarray:
-    """Grid nodes plus random points over the reachable superset and a halo
-    just outside the grid box.
+    """The check points inside ``omega``: the grid nodes it holds plus
+    ``n_random`` uniform samples of it.
 
     With ``interior_random=False`` random points strictly inside the grid box
     are dropped: for grid-form certificates those points only re-measure
     interpolation error between nodes, while the exterior samples exercise the
     outside-default clauses.
     """
-    parts = [grid.nodes()]
+    nodes = grid.nodes()
+    parts = [nodes[omega.contains(nodes)]]
     if n_random > 0:
-        rng = np.random.default_rng(seed)
-        cand = np.vstack([
-            omega.sample(n_random, rng),
-            grid.box.inflate(0.1).sample(max(n_random // 4, 8), rng),
-        ])
+        cand = omega.sample(n_random, np.random.default_rng(seed))
         if not interior_random:
             strictly_inside = np.all(
                 (cand > grid.lower) & (cand < grid.upper), axis=1
@@ -531,9 +524,6 @@ def save_certificate(path, cond: Condition, cert: CertFunction) -> None:
         "gamma": None if cond.gamma is None else float(cond.gamma),
         "function": _cert_to_dict(cert),
     }
-    if cond.omega is not None:
-        doc["omega"] = {"lower": cond.omega.lower.tolist(),
-                        "upper": cond.omega.upper.tolist()}
     if cond.w is not None:
         doc["pair_w"] = _cert_to_dict(cond.w)
     # grid values are written here, not by the dumper, which would build one
@@ -588,15 +578,11 @@ def load_certificate(path) -> tuple[Condition, CertFunction]:
     if missing:
         raise ValueError(f"missing field(s) {', '.join(missing)}")
     cert = _cert_from_dict(doc["function"])
-    omega = None
-    if "omega" in doc:
-        omega = Box(np.asarray(doc["omega"]["lower"]), np.asarray(doc["omega"]["upper"]))
     w = _cert_from_dict(doc["pair_w"]) if "pair_w" in doc else None
     cond = Condition(
         kind=doc["kind"],
         epsilon=float(doc["epsilon"]),
         gamma=doc.get("gamma"),
-        omega=omega,
         w=w,
     )
     return cond, cert

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -91,15 +92,16 @@ class Report(Record):
 
     def to_json(self) -> str:
         return json.dumps(
-            {
+            _jsonable({
                 "command": self.command,
                 "scenario": self.scenario,
                 "passed": self.passed,
                 "sections": self.sections,
                 "caveats": self.caveats,
-            },
+            }),
             indent=2,
-            default=_jsonable,
+            allow_nan=False,
+            default=str,
         )
 
     def to_text(self) -> str:
@@ -118,11 +120,17 @@ class Report(Record):
 
 
 def _jsonable(obj):
+    """``obj`` with numpy values as Python ones and a non-finite float as
+    None, which RFC 8259 JSON has no Infinity or NaN for."""
+    if isinstance(obj, dict):
+        return {key: _jsonable(val) for key, val in obj.items()}
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(val) for val in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return str(obj)
+        obj = obj.item()
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _render(body, indent="") -> list[str]:
@@ -376,12 +384,27 @@ def _solve_fields(sc: Scenario) -> dict:
     }
 
 
-def _omega(sc: Scenario, transient_only: bool) -> regions_mod.Box:
-    """The sampled reachable-superset box; see regions.compute_omega."""
+def _omega(sc: Scenario, grid_form: bool) -> tuple[dict, dict]:
+    """The one Omega rule: condition kind -> the box its clauses are checked
+    on, and kind -> its check points; extract, verify and the re-validation
+    in synthesize all take theirs from here.
+
+    Omega is the box over the samples in X and their one-step images from one
+    start set: the samples in X \\ X_r when the kind has a clause over that
+    class, since its process stops on X_r (Prajna, Jadbabaie & Pappas, IEEE
+    TAC 2007), and the samples in X otherwise.  The check points are one
+    build_check_points call over the box from X, which holds every kind's
+    box, cut to each kind's box; ``grid_form`` leaves out the random points
+    inside the grid box, for grid certificates.
+    """
     rng = np.random.default_rng(sc.point_seed)
     samples = np.vstack([sc.grid.nodes(), sc.grid.box.sample(2000, rng)])
-    return regions_mod.compute_omega(sc.system, sc.regions, samples,
-                                     transient_only=transient_only)
+    over_x, over_transient = regions_mod.compute_omega(sc.system, sc.regions, samples)
+    omega = {kind: over_transient if any(cls == "saf" for _, cls, _, _ in spec["clauses"])
+             else over_x for kind, spec in KINDS.items()}
+    points = cert_mod.build_check_points(sc.grid, over_x, sc.extra_points, sc.point_seed,
+                                         interior_random=not grid_form)
+    return omega, {kind: points[box.contains(points)] for kind, box in omega.items()}
 
 
 def _threshold_verdicts(sc: Scenario, fields: dict) -> dict:
@@ -508,7 +531,7 @@ def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
 
     The undiscounted reach-avoid kind is skipped when the finite-time-exit
     check fails.  Omega and the check points are built once: every extracted
-    certificate is a GridCert, so all share the node-plus-exterior point set.
+    certificate is a GridCert, so each kind takes its cut of one grid point set.
     Returns kind -> (condition, check report, saved path or None).
     """
     kinds = [k for k in ([only_kind] if only_kind else ALL_KINDS)
@@ -518,9 +541,7 @@ def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
             f"extraction for {only_kind} unavailable "
             "(finite-time-exit assumption may have failed)"
         )
-    omega = _omega(sc, transient_only=False)
-    points = cert_mod.build_check_points(sc.grid, omega, sc.extra_points, sc.point_seed,
-                                         interior_random=False)
+    _, points = _omega(sc, grid_form=True)
     results = {}
     for kind in kinds:
         # the value function meets its condition with equality, so its values
@@ -532,9 +553,9 @@ def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
         cert, w = cert_mod.extract_certificate(fields, kind), None
         if isinstance(cert, tuple):  # the pair kind's (v, w)
             cert, w = cert
-        cond = Condition(kind, tight, gamma=gamma, omega=None if w is None else omega, w=w)
+        cond = Condition(kind, tight, gamma=gamma, w=w)
         rep = cert_mod.check_condition(sc.system, sc.regions, cert, cond,
-                                       sc.x0s, points, sc.tolerance)
+                                       sc.x0s, points[kind], sc.tolerance)
         path = None
         if out_dir:
             path = out_dir / f"certificate_{kind}.yaml"
@@ -573,17 +594,15 @@ def _cmd_verify(sc: Scenario, certificate_path: str | None, only_kind: str | Non
         cond, cert = cert_mod.load_certificate(certificate_path)
         if only_kind and only_kind != cond.kind:
             cond = cond.replace(kind=only_kind)
-        for part, obj in (("function", cert), ("pair_w", cond.w), ("omega", cond.omega)):
+        for part, obj in (("function", cert), ("pair_w", cond.w)):
             if obj is not None and obj.n not in (None, sc.system.n):
                 raise ValueError(f"{part} has dimension {obj.n}, "
                                  f"but the scenario has system.n = {sc.system.n}")
     except (OSError, yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError([f"certificate {certificate_path}: {exc}"]) from exc
-    points = cert_mod.build_check_points(sc.grid, _omega(sc, transient_only=False),
-                                         sc.extra_points, sc.point_seed,
-                                         interior_random=not isinstance(cert, GridCert))
+    _, points = _omega(sc, isinstance(cert, GridCert))
     report = cert_mod.check_condition(sc.system, sc.regions, cert, cond,
-                                      sc.x0s, points, sc.tolerance)
+                                      sc.x0s, points[cond.kind], sc.tolerance)
     section = {
         "kind": cond.kind,
         "threshold": cond.epsilon,
@@ -603,31 +622,20 @@ def _cmd_verify(sc: Scenario, certificate_path: str | None, only_kind: str | Non
                   caveats=report.caveats, passed=report.passed)
 
 
-def _synth_points(sc: Scenario, kind: str) -> np.ndarray:
-    """Sample points over the set reach-avoid trajectories can actually visit
-    (images of X minus the target for the kinds whose expectation clause
-    ranges over X minus the target), not the full one-step superset:
-    unreachable unsafe samples would reject valid templates."""
-    try:
-        omega = _omega(sc, any(cls == "saf" for _, cls, _, _ in KINDS[kind]["clauses"]))
-    except ValueError as exc:  # no sample in X \ X_r: the target covers X
-        raise ScenarioError([f"synthesize {kind}: {exc}"]) from exc
-    rng = np.random.default_rng(sc.point_seed + 1)
-    count = max(sc.extra_points, 200)
-    return omega.sample(count, rng)
-
-
 def _cmd_synthesize(sc: Scenario, out_dir: Path | None, only_kind: str | None) -> Report:
     from . import synth
 
     kind = only_kind or KIND_RA_LOWER_A1
     template = synth.Template(n=sc.system.n, degree=1)
     gamma = sc.gamma if KINDS[kind]["gamma"] else None
-    points = _synth_points(sc, kind)
+    # the LP's rows sample the kind's Omega; the winner is re-validated on
+    # the points that verify checks its file on
+    omega, checks = _omega(sc, grid_form=False)
+    rng = np.random.default_rng(sc.point_seed + 1)
+    points = omega[kind].sample(max(sc.extra_points, 200), rng)
     result = synth.synthesize(
-        sc.system, sc.regions, kind, template, points, sc.x0s,
+        sc.system, sc.regions, kind, template, points, sc.x0s, checks[kind],
         tolerance=sc.tolerance, gamma=gamma, margin=0.01,
-        revalidation_seed=sc.point_seed + 2,
     )
     section = {
         "kind": kind,
@@ -722,8 +730,6 @@ def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
     except synth.SimplexStalledError as exc:
         sections["synthesis"] = {"status": "stalled", "detail": str(exc)}
         ok = False
-    except ScenarioError as exc:
-        sections["synthesis"] = {"status": "skipped", "detail": str(exc)}
 
     caveats.append("certificate checks are pointwise: validated on the listed "
                    "point sets, not proven over all states")

@@ -54,10 +54,6 @@ class Box(Record, frozen=True):
     def n(self) -> int:
         return self.lower.shape[0]
 
-    @property
-    def sides(self) -> np.ndarray:
-        return self.upper - self.lower
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
@@ -66,7 +62,7 @@ class Box(Record, frozen=True):
         return rng.uniform(self.lower, self.upper, size=(count, self.n))
 
     def inflate(self, fraction: float) -> "Box":
-        pad = fraction * self.sides
+        pad = fraction * (self.upper - self.lower)
         return Box(self.lower - pad, self.upper + pad)
 
 
@@ -108,36 +104,21 @@ def validate_nesting(regions: RegionSpec, samples: np.ndarray) -> NestingReport:
     )
 
 
-# the fraction of its sides by which the box over X and its images is padded
-OMEGA_PAD = 0.01
-
-
-def compute_omega(
-    system: model.SystemModel,
-    regions: RegionSpec,
-    samples: np.ndarray,
-    transient_only: bool = False,
-) -> Box:
-    """Sampled-image bounding box covering one-step successors of X, union X,
-    padded by ``OMEGA_PAD``.
-
-    ``samples`` are candidate points (grid nodes plus random draws); only
-    those classified inside X contribute.  With ``transient_only`` the image
-    is taken over X minus X_r only and no padding is applied: that variant
-    hugs the set actually visited by reach-avoid trajectories, which is what
-    certificate synthesis needs (successors of the target are never visited,
-    so constraints there would only exclude valid templates).
-    """
+def compute_omega(system: model.SystemModel, regions: RegionSpec,
+                  samples: np.ndarray) -> tuple[Box, Box]:
+    """The two sampled Omega boxes, unpadded, from one classify-and-step pass
+    over ``samples`` (grid nodes plus random draws): the box over the samples
+    in X and the one-step images of those in X, and the box over the samples
+    in X and the images of those in X \\ X_r, the states from which a
+    process that stops on X_r moves.  With X \\ X_r empty the second box is
+    the box over X.  Which kind takes which box is decided in cli._omega."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     codes = classify_batch(regions, samples)
-    if transient_only:
-        keep = codes == int(StateClass.SAFE)
-    else:
-        keep = codes != int(StateClass.UNSAFE)
-    inside = samples[keep]
+    in_x = codes != int(StateClass.UNSAFE)
+    inside, transient = samples[in_x], codes[in_x] == int(StateClass.SAFE)
     if inside.shape[0] == 0:
-        raise ValueError("no sample point falls in X \\ X_r" if transient_only
-                         else "no sample points fall inside the safe set")
-    covered = np.vstack([inside, *model.successors(system, inside)])
-    box = Box(covered.min(axis=0), covered.max(axis=0))
-    return box if transient_only else box.inflate(OMEGA_PAD)
+        raise ValueError("no sample points fall inside the safe set")
+    images = model.successors(system, inside)
+    over_x = np.vstack([inside, *images])
+    over_transient = np.vstack([inside, *(ys[transient] for ys in images)])
+    return tuple(Box(pts.min(axis=0), pts.max(axis=0)) for pts in (over_x, over_transient))

@@ -14,7 +14,7 @@ returned: an optimal vertex satisfies every row within 1e-7 and has
 non-negative duals, and an infeasible verdict carries a Farkas certificate.
 
 Sampled constraints are optimistic by construction, so every synthesized
-certificate is re-validated on an independent, denser point set before being
+certificate is re-validated on the caller's check points before being
 reported; a certificate that only holds on its own samples is returned with
 status ``sample_optimistic`` and the violation witnesses.
 """
@@ -39,7 +39,7 @@ from .certificate import (
 )
 from .expr import NumericError, Record
 from .model import SystemModel
-from .regions import Box, RegionSpec, classify_batch
+from .regions import RegionSpec, classify_batch
 
 __all__ = [
     "LpProblem",
@@ -262,13 +262,13 @@ def synthesize(
     template: Template,
     points: np.ndarray,
     x0,
+    check_points: np.ndarray,
     tolerance: float = 1e-6,
     gamma: float | None = None,
     margin: float = 0.0,
-    revalidation_seed: int = 17,
 ) -> SynthesisResult:
     """Optimize the template against the sampled clauses of ``kind`` and
-    re-validate the winner on an independent denser point set.
+    re-validate the winner on ``check_points``.
 
     ``x0`` is a single state or a list of states; the LP optimizes the sum of
     the certificate's values at them, and the threshold is the tightest one
@@ -332,11 +332,7 @@ def synthesize(
     v_x0s = [row @ solution.x for row in x0_rows]
     threshold = tight_threshold(kind, v_x0s)
 
-    rng = np.random.default_rng(revalidation_seed)
-    sample_box = Box(points.min(axis=0), points.max(axis=0))
-    revalidation_points = sample_box.sample(4 * points.shape[0] + 256, rng)
     cond = Condition(kind, threshold, gamma=gamma)
-    report = check_condition(system, regions, cert, cond, x0s,
-                             revalidation_points, tolerance)
+    report = check_condition(system, regions, cert, cond, x0s, check_points, tolerance)
     status = "validated" if report.passed else "sample_optimistic"
     return SynthesisResult(cert, threshold, status, report, solution, problem)

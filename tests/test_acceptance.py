@@ -277,13 +277,12 @@ def test_criterion_9_synthesis(gambler):
         gambler["grid"].nodes(),
         gambler["grid"].box.sample(2000, np.random.default_rng(90)),
     ])
-    omega = regions.compute_omega(gambler["system"], gambler["regions"], samples,
-                                  transient_only=True)
+    _, omega = regions.compute_omega(gambler["system"], gambler["regions"], samples)
     points = omega.sample(300, np.random.default_rng(91))
     result = synth.synthesize(
         gambler["system"], gambler["regions"], KIND_RA_LOWER_A1,
         synth.Template(n=1, degree=1), points, [3.0],
-        margin=0.01, revalidation_seed=92,
+        cm.build_check_points(gambler["grid"], omega, 300, 92), margin=0.01,
     )
     synth_ok = result.threshold >= 0.25 and result.status == "validated"
 

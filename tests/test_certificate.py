@@ -45,7 +45,7 @@ def check_points(fix, interior=False, n_random=200, seed=7):
         fix["grid"].nodes(),
         fix["grid"].box.sample(2000, np.random.default_rng(seed)),
     ])
-    omega = regions.compute_omega(fix["system"], fix["regions"], samples)
+    omega, _ = regions.compute_omega(fix["system"], fix["regions"], samples)
     return build_check_points(fix["grid"], omega, n_random, seed, interior_random=interior)
 
 
@@ -342,13 +342,15 @@ class TestSerialization:
     def test_pair_round_trip(self, tmp_path, gambler):
         fields = solved_fields(gambler)
         v, w = extract_certificate(fields, KIND_RA_LOWER_PAIR)
-        omega = regions.Box([-1.2], [12.2])
-        cond = Condition(KIND_RA_LOWER_PAIR, 0.0, gamma=0.5, omega=omega, w=w)
+        cond = Condition(KIND_RA_LOWER_PAIR, 0.0, gamma=0.5, w=w)
         path = tmp_path / "pair.yaml"
         save_certificate(path, cond, v)
+        assert "omega" not in yaml.safe_load(path.read_text())
+        # a file written with an Omega box still loads; the box is ignored
+        path.write_text(path.read_text() + "omega: {lower: [-1.2], upper: [12.2]}\n")
         cond2, v2 = load_certificate(path)
         assert cond2.w is not None
-        assert cond2.omega.lower.tolist() == [-1.2]
+        assert (cond2.kind, cond2.epsilon, cond2.gamma) == (KIND_RA_LOWER_PAIR, 0.0, 0.5)
         pts = np.linspace(-2, 13, 101).reshape(-1, 1)
         np.testing.assert_allclose(cm.eval_cert_batch(cond2.w, pts),
                                    cm.eval_cert_batch(w, pts), atol=0)
@@ -365,8 +367,7 @@ class TestSerialization:
                 cert, w = cert
             gamma = 0.5 if kind in (KIND_RA_LOWER_DISCOUNTED, KIND_LIVENESS_UPPER_DISCOUNTED,
                                     KIND_RA_LOWER_PAIR) else None
-            omega = regions.Box([-1.2], [12.2]) if w is not None else None
-            saved.append((Condition(kind, 0.0, gamma=gamma, omega=omega, w=w), cert))
+            saved.append((Condition(kind, 0.0, gamma=gamma, w=w), cert))
         # a 2-D grid, with the floats whose text PyYAML writes specially
         specials = [1e-05, 1e+16, -0.0, 5e-324, np.inf, -np.inf, np.nan, 0.1, 1 / 3, 2.5e-300]
         values = np.concatenate([specials, np.random.default_rng(3).normal(size=20) * 1e3])
@@ -377,8 +378,7 @@ class TestSerialization:
                          target_value=1.0, unsafe_value=0.0)
         w2 = GridCert(ValueField(values[::-1].copy(), grid2))
         saved.append((Condition(KIND_RA_LOWER_A1, 0.2), cert2))
-        saved.append((Condition(KIND_RA_LOWER_PAIR, 0.0, gamma=0.5,
-                                omega=regions.Box([-1.5, -2.5], [1.5, 2.5]), w=w2), cert2))
+        saved.append((Condition(KIND_RA_LOWER_PAIR, 0.0, gamma=0.5, w=w2), cert2))
 
         def same(a, b):  # equality, with nan equal to nan
             if isinstance(a, dict):

@@ -21,6 +21,7 @@ from stochcert.cli import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+TWO_STARTS_DISC = Path(__file__).resolve().parent / "disc_walk_two_starts.yaml"
 
 
 def _walk_doc() -> dict:
@@ -357,6 +358,38 @@ class TestCommands:
         assert initial["points"] == 2
         assert initial["min_slack"] >= -sc.tolerance
 
+    @pytest.mark.parametrize("path", [*sorted(SCENARIOS.glob("*.yaml")), TWO_STARTS_DISC],
+                             ids=lambda path: path.stem)
+    def test_every_synthesized_file_verifies(self, tmp_path, path):
+        # synthesize re-validates on the points verify checks, so every file
+        # it writes as validated passes verify
+        sc = load_scenario(path)
+        for kind in synth.SYNTH_KINDS:
+            out = tmp_path / kind
+            try:
+                synthesized = run("synthesize", sc, condition=kind, out_dir=out)
+            except synth.SynthesisInfeasibleError:
+                continue
+            if synthesized.passed:
+                verify = run("verify", sc, certificate=str(out / f"synthesized_{kind}.yaml"))
+                assert verify.passed, f"{path.name} {kind}: {verify.to_text()}"
+
+    def test_verify_checks_the_scenario_omega_not_the_file_one(self, tmp_path):
+        # the file's Omega box holds no check point; on the scenario's Omega
+        # v = 1 exceeds E[w o f] - w = 0 on X \ X_r, and the claimed
+        # reach-avoid 0.99 from x0 = 3 is far above the DP value 0.3
+        cert_file = tmp_path / "pair.yaml"
+        cert_file.write_text(
+            "kind: ra_lower_pair\n"
+            "epsilon: 0.99\n"
+            "gamma: null\n"
+            "function: {representation: constant, value: 1.0}\n"
+            "omega: {lower: [3.2], upper: [3.2000001]}\n"
+            "pair_w: {representation: constant, value: 0.0}\n")
+        code = main(["--scenario", str(SCENARIOS / "symmetric_walk.yaml"), "--command",
+                     "verify", "--certificate", str(cert_file), "--quiet"])
+        assert code == EXIT_REJECTED
+
     def test_verify_rejects_corrupted_certificate(self, tmp_path):
         sc = load_scenario(SCENARIOS / "symmetric_walk.yaml")
         run("extract", sc, out_dir=tmp_path)
@@ -380,21 +413,26 @@ class TestCommands:
         assert sect["lp_cols"] == 2
         assert sect["lp_rows"] == len(dump) - 1 - sect["lp_cols"]
 
-    def test_target_covering_safe_set_skips_synthesis(self, tmp_path, capsys):
-        # with X_r = X no sample falls in X \ X_r, where synthesis samples
+    def test_target_covering_safe_set_synthesizes_on_x(self, tmp_path):
+        # with X_r = X, X \ X_r is empty and the reach-avoid Omega is X: every
+        # start is in the target, so the constant 0.99 is validated
         doc = _walk_doc()
         doc["regions"]["target"] = doc["regions"]["safe"]
         scenario = str(_write(tmp_path, doc))
-        message = "synthesize ra_lower_a1: no sample point falls in X \\ X_r"
-        code = main(["--scenario", scenario, "--command", "synthesize", "--quiet"])
-        assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: {message}\n"
+        out = tmp_path / "synth"
+        code = main(["--scenario", scenario, "--command", "synthesize",
+                     "--out", str(out), "--quiet"])
+        assert code == EXIT_OK
+        synthesis = json.loads((out / "report.json").read_text())["sections"]["synthesis"]
+        assert synthesis["threshold"] == pytest.approx(0.99)
+        assert main(["--scenario", scenario, "--command", "verify", "--certificate",
+                     str(out / "synthesized_ra_lower_a1.yaml"), "--quiet"]) == EXIT_OK
         out = tmp_path / "out"
         code = main(["--scenario", scenario, "--command", "report-all",
                      "--out", str(out), "--quiet"])
         assert code == EXIT_OK
         sections = json.loads((out / "report.json").read_text())["sections"]
-        assert sections["synthesis"] == {"status": "skipped", "detail": message}
+        assert sections["synthesis"]["status"] == "validated"
         assert list(sections) == ["dp_vs_mc", "thresholds", "assumption1",
                                   "certificates", "synthesis"]
 
@@ -465,9 +503,10 @@ class TestCommands:
         sc = load_scenario(SCENARIOS / "symmetric_walk.yaml")
         report = run("report-all", sc)
         assert len(report.sections["certificates"]) == 6
-        # one omega for the certificate checks, one for the synthesis samples
+        # one omega for the certificate checks, one for the synthesis samples;
+        # one point set for the grid certificates, one for the polynomial
         assert calls["compute_omega"] <= 2
-        assert calls["build_check_points"] == 1
+        assert calls["build_check_points"] <= 2
 
     @pytest.mark.parametrize("name", ["symmetric_walk", "biased_walk",
                                       "invariant_contraction"])
@@ -601,14 +640,11 @@ class TestMain:
         (None, lambda d: d.update(pair_w={"representation": "polynomial",
                                           "exponents": [[0, 0]], "coefficients": [0]}),
          "pair_w has dimension 2"),
-        ("ra_lower_pair", lambda d: d.update(omega={"lower": [0, 0], "upper": [11, 11]},
-                                             pair_w={"representation": "constant", "value": 0}),
-         "omega has dimension 2"),
     ], ids=["ra_discounted_without_gamma", "liveness_discounted_without_gamma", "no_function",
             "no_kind", "no_epsilon", "unknown_kind", "unknown_representation",
             "function_not_mapping", "pair_w_not_mapping", "ragged_exponents",
             "polynomial_of_other_dimension", "grid_of_other_dimension",
-            "pair_w_of_other_dimension", "omega_of_other_dimension"])
+            "pair_w_of_other_dimension"])
     def test_malformed_certificate_exits_with_validation_error(
             self, tmp_path, capsys, condition, edit, message):
         walk = str(SCENARIOS / "symmetric_walk.yaml")

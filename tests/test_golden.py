@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import shutil
 import sys
 import tempfile
@@ -124,6 +125,17 @@ def test_outputs_match_golden(walk, tmp_path):
         assert sorted(got[name]) == sorted(want[name]), f"{walk}/{name}: file set differs"
         for key, text in want[name].items():
             assert got[name][key] == text, f"{walk}/{name}/{key} differs from golden"
+
+
+def test_golden_reports_are_strict_json():
+    # RFC 8259 has no Infinity or NaN; a clause with no points has min_slack null
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    paths = sorted(GOLDEN.rglob("report.json"))
+    assert paths
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=refuse)
 
 
 def record() -> None:

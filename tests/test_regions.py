@@ -132,48 +132,61 @@ def _box_samples(box: Box, n: int, seed: int) -> np.ndarray:
     return box.sample(n, np.random.default_rng(seed))
 
 
+def _span(box: Box) -> tuple[float, float]:
+    return float(box.lower[0]), float(box.upper[0])
+
+
 class TestOmega:
+    # the walk steps by +-1: each box spans the samples in X and one step
+    # either way from its start set, with no pad
+    @staticmethod
+    def _walk_omega(seed):
+        system, reg, grid = make_walk(0.5), walk_regions(), walk_grid()
+        samples = np.vstack([grid.nodes(), _box_samples(grid.box, 4000, seed)])
+        codes = classify_batch(reg, samples)
+        in_x = samples[codes != int(StateClass.UNSAFE)]
+        transient = samples[codes == int(StateClass.SAFE)]
+        return in_x, transient, regions.compute_omega(system, reg, samples)
+
     def test_walk_covers_one_step_images(self):
-        system = make_walk(0.5)
-        grid = walk_grid()
-        samples = np.vstack([grid.nodes(), _box_samples(grid.box, 4000, 0)])
-        omega = regions.compute_omega(system, walk_regions(), samples)
-        assert omega.lower[0] <= -1.0 and omega.upper[0] >= 12.0
+        in_x, _, (over_x, _) = self._walk_omega(0)
+        assert _span(over_x) == (in_x.min() - 1.0, in_x.max() + 1.0)
+        assert -1.0 < over_x.lower[0] and 11.99 < over_x.upper[0] < 12.0
+
+    def test_transient_only_excludes_post_target(self):
+        # from X \ X_r the images reach below 11; the target's own successors
+        # ([11, 12)) are left out
+        in_x, transient, (_, over_transient) = self._walk_omega(4)
+        assert _span(over_transient) == (transient.min() - 1.0,
+                                          max(in_x.max(), transient.max() + 1.0))
+        assert -1.0 < over_transient.lower[0] and 10.99 < over_transient.upper[0] < 11.0
 
     def test_identity_fixed_point(self):
         system, reg, grid = make_identity()
         samples = np.vstack([grid.nodes(), _box_samples(grid.box, 4000, 1)])
-        omega = regions.compute_omega(system, reg, samples)
-        # image of X is X itself: omega is the sampled X bounding box plus padding
-        assert omega.lower[0] <= 0.01 and omega.upper[0] >= 10.99
-        assert omega.upper[0] <= 11.5
+        in_x = samples[classify_batch(reg, samples) != int(StateClass.UNSAFE)]
+        # the image of X is X itself: both boxes are the sampled X bounding box
+        for omega in regions.compute_omega(system, reg, samples):
+            assert _span(omega) == (in_x.min(), in_x.max())
 
     def test_contraction_contains_safe_box(self):
+        # x' = x/2 maps X = [-1, 1] into itself
         system, reg, grid = make_contraction()
         samples = np.vstack([grid.nodes(), _box_samples(grid.box, 4000, 2)])
-        omega = regions.compute_omega(system, reg, samples)
-        assert omega.lower[0] <= -1.0 and omega.upper[0] >= 1.0
+        in_x = samples[classify_batch(reg, samples) != int(StateClass.UNSAFE)]
+        for omega in regions.compute_omega(system, reg, samples):
+            assert _span(omega) == (in_x.min(), in_x.max())
+            assert -1.0 <= omega.lower[0] < -0.99 and 0.99 < omega.upper[0] <= 1.0
 
     def test_contains_sampled_safe_bbox(self):
         system = make_walk(0.6)
         grid = walk_grid()
         samples = np.vstack([grid.nodes(), _box_samples(grid.box, 2000, 3)])
         reg = walk_regions()
-        omega = regions.compute_omega(system, reg, samples)
         codes = classify_batch(reg, samples)
         inside = samples[codes != int(StateClass.UNSAFE)]
-        assert omega.lower[0] <= inside.min() and omega.upper[0] >= inside.max()
-
-    def test_transient_only_excludes_post_target(self):
-        # images of X\Xr reach at most 11; the target's own successors
-        # ([11, 12)) are excluded so synthesis never samples them
-        system = make_walk(0.5)
-        grid = walk_grid()
-        samples = np.vstack([grid.nodes(), _box_samples(grid.box, 4000, 4)])
-        omega = regions.compute_omega(system, walk_regions(), samples,
-                                      transient_only=True)
-        assert omega.upper[0] < 11.0
-        assert omega.lower[0] >= -1.0
+        for omega in regions.compute_omega(system, reg, samples):
+            assert omega.lower[0] <= inside.min() and omega.upper[0] >= inside.max()
 
     def test_no_safe_samples_error(self):
         system = make_walk(0.5)
@@ -181,23 +194,14 @@ class TestOmega:
         with pytest.raises(ValueError, match="inside the safe set"):
             regions.compute_omega(system, walk_regions(), bad)
 
-    def test_no_transient_samples_error(self):
-        # target samples only: X \ X_r holds none of them
+    def test_no_transient_samples_gives_box_over_x(self):
+        # target samples only: X \ X_r holds none of them, so the second box
+        # has no images and is the box over X
         system = make_walk(0.5)
-        with pytest.raises(ValueError, match=r"in X \\ X_r"):
-            regions.compute_omega(system, walk_regions(), np.full((10, 1), 10.5),
-                                  transient_only=True)
-
-    def test_pad_fraction(self):
-        # the identity maps X onto itself: the box is the safe samples' span
-        # widened by OMEGA_PAD of its side on each end
-        system, reg, _ = make_identity()
-        samples = np.array([[1.0], [5.0], [9.0]])
-        omega = regions.compute_omega(system, reg, samples)
-        pad = regions.OMEGA_PAD * 8.0
-        np.testing.assert_allclose([omega.lower[0], omega.upper[0]], [1.0 - pad, 9.0 + pad])
-        exact = regions.compute_omega(system, reg, samples, transient_only=True)
-        assert (exact.lower[0], exact.upper[0]) == (1.0, 9.0)
+        over_x, over_transient = regions.compute_omega(system, walk_regions(),
+                                                       np.full((10, 1), 10.5))
+        assert _span(over_x) == (9.5, 11.5)
+        assert _span(over_transient) == (10.5, 10.5)
 
     def test_nonfinite_image_error(self):
         dist = model.DisturbanceDist(atoms=[[0.0]], probs=[1.0])

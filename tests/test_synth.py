@@ -187,6 +187,14 @@ SYNTH_KINDS = (cm.KIND_RA_LOWER_A1, cm.KIND_RA_LOWER_DISCOUNTED,
                cm.KIND_UNSAFE_REACH_UPPER)
 
 
+def _cli_points(sc, kind):
+    """The LP samples and the check points that ``synthesize`` builds for ``kind``."""
+    omega, checks = cli._omega(sc, grid_form=False)
+    points = omega[kind].sample(max(sc.extra_points, 200),
+                                np.random.default_rng(sc.point_seed + 1))
+    return points, checks[kind]
+
+
 class TestSimplexAgainstHighs:
     @pytest.mark.parametrize("name", ["symmetric_walk", "biased_walk",
                                       "invariant_contraction"])
@@ -201,14 +209,14 @@ class TestSimplexAgainstHighs:
         monkeypatch.setattr(synth, "simplex_solve", recording)
         sc = cli.load_scenario(SCENARIOS / f"{name}.yaml")
         for kind in SYNTH_KINDS:
-            points = cli._synth_points(sc, kind)
+            points, checks = _cli_points(sc, kind)
             gamma = sc.gamma if kind in (cm.KIND_RA_LOWER_DISCOUNTED,
                                          cm.KIND_LIVENESS_UPPER_DISCOUNTED) else None
             for degree in (1, 2, 3, 4):
                 for margin in (0.0, 0.01):
                     try:
                         synthesize(sc.system, sc.regions, kind,
-                                   Template(n=1, degree=degree), points, sc.x0s[0],
+                                   Template(n=1, degree=degree), points, sc.x0s[0], checks,
                                    gamma=gamma, margin=margin)
                     except SynthesisInfeasibleError:
                         pass
@@ -240,10 +248,10 @@ class TestSimplexAgainstHighs:
                                  target=expr.parse_predicate("x1^2 + x2^2 < 0.04", 2))
         grid = dp.Grid([-1.0, -1.0], [1.0, 1.0], [50, 50])
         samples = np.vstack([grid.nodes(), grid.box.sample(2000, np.random.default_rng(7))])
-        omega = regions.compute_omega(system, reg, samples, transient_only=True)
+        _, omega = regions.compute_omega(system, reg, samples)
         points = omega.sample(2000, np.random.default_rng(8))
         result = synthesize(system, reg, KIND_RA_LOWER_A1, Template(n=2, degree=4),
-                            points, [0.6, 0.3], margin=0.0)
+                            points, [0.6, 0.3], points, margin=0.0)
         assert len(result.problem.rows) == 2002 and result.problem.n_vars == 15
         assert result.lp.status == "optimal"
         status, objective = _highs(result.problem)
@@ -304,10 +312,10 @@ class TestClauseTable:
         monkeypatch.setattr(synth, "simplex_solve", recording)
         sc = cli.load_scenario(SCENARIOS / "symmetric_walk.yaml")
         template = Template(n=1, degree=2)
-        points = cli._synth_points(sc, kind)
+        points, checks = _cli_points(sc, kind)
         gamma = sc.gamma if cm.KINDS[kind]["gamma"] else None
         try:
-            synthesize(sc.system, sc.regions, kind, template, points, sc.x0s[0],
+            synthesize(sc.system, sc.regions, kind, template, points, sc.x0s[0], checks,
                        gamma=gamma, margin=0.0)
         except SynthesisInfeasibleError:
             pass
@@ -342,10 +350,10 @@ class TestClauseTable:
         monkeypatch.setattr(synth, "simplex_solve", recording)
         sc = cli.load_scenario(SCENARIOS / f"{name}.yaml")
         template = Template(n=1, degree=2)
-        points = cli._synth_points(sc, kind)
+        points, checks = _cli_points(sc, kind)
         gamma = sc.gamma if cm.KINDS[kind]["gamma"] else None
         try:
-            synthesize(sc.system, sc.regions, kind, template, points, sc.x0s,
+            synthesize(sc.system, sc.regions, kind, template, points, sc.x0s, checks,
                        gamma=gamma, margin=0.01)
         except SynthesisInfeasibleError:
             pass
@@ -419,32 +427,34 @@ class TestTemplate:
 
 
 def _synth_points(fix, seed=8, count=300):
+    """LP samples and check points over the reach-avoid kinds' Omega: the
+    box over X and the images of X \\ X_r."""
     samples = np.vstack([
         fix["grid"].nodes(),
         fix["grid"].box.sample(2000, np.random.default_rng(seed)),
     ])
-    omega = regions.compute_omega(fix["system"], fix["regions"], samples,
-                                  transient_only=True)
-    return omega.sample(count, np.random.default_rng(seed + 1))
+    _, omega = regions.compute_omega(fix["system"], fix["regions"], samples)
+    return (omega.sample(count, np.random.default_rng(seed + 1)),
+            cm.build_check_points(fix["grid"], omega, count, seed + 2))
 
 
 class TestSynthesize:
     def test_gambler_degree_one(self, gambler):
+        points, checks = _synth_points(gambler)
         result = synthesize(
             gambler["system"], gambler["regions"], KIND_RA_LOWER_A1,
-            Template(n=1, degree=1), _synth_points(gambler), [3.0],
-            margin=0.01, revalidation_seed=9,
+            Template(n=1, degree=1), points, [3.0], checks, margin=0.01,
         )
         assert 0.25 <= result.threshold <= 0.30
         assert result.status == "validated"
 
     def test_revalidation_on_fresh_points(self, gambler):
+        points, checks = _synth_points(gambler, seed=21)
         result = synthesize(
             gambler["system"], gambler["regions"], KIND_RA_LOWER_A1,
-            Template(n=1, degree=1), _synth_points(gambler, seed=21), [3.0],
-            margin=0.01, revalidation_seed=22,
+            Template(n=1, degree=1), points, [3.0], checks, margin=0.01,
         )
-        fresh = _synth_points(gambler, seed=77, count=2000)
+        fresh, _ = _synth_points(gambler, seed=77, count=2000)
         cond = Condition(KIND_RA_LOWER_A1, result.threshold)
         report = check_condition(gambler["system"], gambler["regions"], result.cert,
                                  cond, [3.0], fresh, 1e-6)
@@ -452,17 +462,18 @@ class TestSynthesize:
 
     def test_threshold_never_beats_exact_value(self, gambler):
         exact = dp.solve_exact_small(gambler["reach_kernel"])
+        points, checks = _synth_points(gambler)
         result = synthesize(
             gambler["system"], gambler["regions"], KIND_RA_LOWER_A1,
-            Template(n=1, degree=1), _synth_points(gambler), [3.0],
-            margin=0.01,
+            Template(n=1, degree=1), points, [3.0], checks, margin=0.01,
         )
         assert result.threshold <= dp.eval_field_batch(exact, [3.0])[0] + 1e-6
 
     def test_zero_bound_gives_zero_polynomial(self, gambler):
+        points, checks = _synth_points(gambler)
         result = synthesize(
             gambler["system"], gambler["regions"], KIND_RA_LOWER_A1,
-            Template(n=1, degree=1, bound=0.0), _synth_points(gambler), [3.0],
+            Template(n=1, degree=1, bound=0.0), points, [3.0], checks,
         )
         assert result.threshold == 0.0
         assert all(c == 0.0 for c in result.cert.coeffs)
@@ -473,13 +484,13 @@ class TestSynthesize:
             contraction["grid"].nodes(),
             contraction["grid"].box.sample(500, np.random.default_rng(3)),
         ])
-        omega = regions.compute_omega(contraction["system"], contraction["regions"],
-                                      samples)
+        omega, _ = regions.compute_omega(contraction["system"], contraction["regions"],
+                                         samples)
         points = omega.inflate(0.2).sample(300, np.random.default_rng(4))
         with pytest.raises(SynthesisInfeasibleError):
             synthesize(
                 contraction["system"], contraction["regions"], KIND_SAFETY_LOWER,
-                Template(n=1, degree=0, bound=0.4), points, contraction["x0"],
+                Template(n=1, degree=0, bound=0.4), points, contraction["x0"], points,
                 margin=0.0,
             )
 
@@ -491,19 +502,21 @@ class TestSynthesize:
             gambler["grid"].nodes(),
             gambler["grid"].box.sample(500, np.random.default_rng(30)),
         ])
-        omega = regions.compute_omega(gambler["system"], gambler["regions"], samples)
+        omega, _ = regions.compute_omega(gambler["system"], gambler["regions"], samples)
         points = omega.sample(300, np.random.default_rng(31))
         with pytest.raises(SynthesisInfeasibleError):
             synthesize(gambler["system"], gambler["regions"], KIND_SAFETY_LOWER,
-                       Template(n=1, degree=1), points, [3.0], margin=0.01)
+                       Template(n=1, degree=1), points, [3.0], points, margin=0.01)
 
     def test_pair_kind_rejected(self, gambler):
+        points, checks = _synth_points(gambler)
         with pytest.raises(ValueError, match="pair"):
             synthesize(gambler["system"], gambler["regions"], KIND_RA_LOWER_PAIR,
-                       Template(n=1, degree=1), _synth_points(gambler), [3.0])
+                       Template(n=1, degree=1), points, [3.0], checks)
 
     def test_discounted_requires_gamma(self, gambler):
+        points, checks = _synth_points(gambler)
         with pytest.raises(ValueError, match="gamma"):
             synthesize(gambler["system"], gambler["regions"],
                        cm.KIND_RA_LOWER_DISCOUNTED,
-                       Template(n=1, degree=1), _synth_points(gambler), [3.0])
+                       Template(n=1, degree=1), points, [3.0], checks)
