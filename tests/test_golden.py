@@ -7,7 +7,10 @@ bundled scenario, plus verify of every certificate that extract writes and
 synthesize of every condition kind (the pair kind is rejected, exit 2).
 On ``tests/disc_walk_two_starts.yaml`` (``perfbench/discwalk.py --seed 1
 --cells 20`` started from two states) it runs solve, estimate, extract and
-report-all, which fails the DP/MC gate there (exit 4).
+report-all, which fails the DP/MC gate there (exit 4).  On
+``tests/stuck_walk.yaml``, where the finite-time-exit assumption fails, it
+runs extract, report-all and synthesize of the undiscounted reach-avoid
+kind, then verify of every certificate file those three wrote.
 Each invocation's stdout, stderr, exit code and every ``--out`` file are
 compared byte for byte, floats included, with the files under
 ``tests/golden/<scenario>/<invocation>/``.  The temporary output directory
@@ -37,7 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
-# verify runs once per certificate that extract wrote
+# verify runs once per certificate file that the invocations before it wrote,
+# and synthesize_<kind> runs synthesize --condition <kind>
 COMMANDS = ("simulate", "solve", "estimate", "assumption1", "extract", "verify",
             "synthesize", "report-all")
 # pass name -> (scenario file, commands run on it)
@@ -46,6 +50,8 @@ PASSES = {
        for walk in ("symmetric_walk", "biased_walk", "invariant_contraction")},
     "disc_walk_two_starts": (TESTS / "disc_walk_two_starts.yaml",
                              ("solve", "estimate", "extract", "report-all")),
+    "stuck_walk": (TESTS / "stuck_walk.yaml",
+                   ("extract", "report-all", "synthesize_ra_lower_a1", "verify")),
 }
 _DIGEST_OVER = 8192
 
@@ -70,14 +76,19 @@ def run_pass(walk: str, work: Path) -> dict[str, dict[str, str]]:
     def neutral(text: str) -> str:
         return text.replace(str(work), "<OUT>").replace(str(scenario.parent), "<SCENARIOS>")
 
-    def runs():  # a generator: verify reads the files extract has just written
-        for command in commands:
-            if command != "verify":
-                yield command, command, []
+    def runs():  # a generator: verify reads the files written just before
+        done = []
+        for name in commands:
+            if name != "verify":
+                command, _, kind = name.partition("_")
+                yield name, command, ["--condition", kind] if kind else []
+                done.append(name)
                 continue
-            for cert in sorted((work / "extract").glob("certificate_*.yaml")):
-                yield (f"verify_{cert.stem[len('certificate_'):]}", command,
-                       ["--certificate", str(cert)])
+            for writer in done:
+                prefix = "verify_" if writer == "extract" else f"verify_{writer}_"
+                for cert in sorted((work / writer).glob("*.yaml")):
+                    yield (prefix + cert.stem.removeprefix("certificate_"), name,
+                           ["--certificate", str(cert)])
         for kind in ALL_KINDS if "synthesize" in commands else ():
             yield f"synthesize_{kind}", "synthesize", ["--condition", kind]
 
