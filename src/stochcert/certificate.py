@@ -45,6 +45,7 @@ __all__ = [
     "KIND_LIVENESS_UPPER_DISCOUNTED",
     "KIND_RA_LOWER_PAIR",
     "ALL_KINDS",
+    "PAIR_KINDS",
     "KINDS",
     "INIT_LOWER",
     "INIT_UPPER",
@@ -83,7 +84,11 @@ INIT_COMPLEMENT = "v(x0) <= 1 - eps"
 #            "all"; a side is a constant, "v", "E[v o f]", "gamma E[v o f]"
 #            or "E[w o f] - w" (the pair kind's companion function w).
 # The clauses range over the kind's Omega, which the check points sample.
-# Optional key: "initial_set_caveat", added when the check has several initial states.
+# Optional keys, each a caveat text: "initial_set_caveat", added when the check
+# has several initial states, and "assumption1", which marks a kind that
+# certifies only under the finite-time-exit assumption (dp.check_assumption1):
+# added to every check, and the CLI extracts or synthesizes the kind only
+# where that assumption holds.
 KINDS = {
     KIND_SAFETY_LOWER: {
         "initial": INIT_COMPLEMENT,
@@ -113,6 +118,10 @@ KINDS = {
             ("on X\\Xr: v <= E[v o f]", "saf", "v", "E[v o f]"),
             ("on Xr: v <= 1", "tgt", "v", 1.0),
             ("off X: v <= 0", "uns", "v", 0.0),
+        ),
+        "assumption1": (
+            "the undiscounted lower bound is sound only under the "
+            "finite-time-exit assumption; run assumption1"
         ),
     },
     KIND_RA_LOWER_DISCOUNTED: {
@@ -153,6 +162,9 @@ KINDS = {
 }
 
 ALL_KINDS = tuple(KINDS)
+# the kinds whose clauses read the companion function w
+PAIR_KINDS = tuple(kind for kind, spec in KINDS.items()
+                   if any("E[w o f] - w" in clause for clause in spec["clauses"]))
 
 # initial-clause form -> its (lhs, rhs) sides
 _INITIAL_SIDES = {
@@ -267,7 +279,7 @@ def monomials(xs: np.ndarray, exponents) -> np.ndarray:
 
 class Condition(Record, frozen=True):
     """A condition kind with its parameters; ``w`` is the companion function
-    of the pair kind."""
+    of a kind in PAIR_KINDS."""
 
     kind: str
     epsilon: float
@@ -281,7 +293,7 @@ class Condition(Record, frozen=True):
             raise ValueError("threshold must lie in [0, 1]")
         if KINDS[self.kind]["gamma"] and (self.gamma is None or not 0.0 < self.gamma < 1.0):
             raise ValueError(f"{self.kind} needs gamma in (0, 1)")
-        if self.kind == KIND_RA_LOWER_PAIR and self.w is None:
+        if self.kind in PAIR_KINDS and self.w is None:
             raise ValueError("pair condition needs the companion function w")
 
 
@@ -383,6 +395,8 @@ def check_condition(
                       for i in order[:10] if slack[i] < -tolerance]
     if x0s.shape[0] > 1 and "initial_set_caveat" in spec:
         caveats.append(spec["initial_set_caveat"])
+    if "assumption1" in spec:
+        caveats.append(spec["assumption1"])
     passed = all(c.min_slack >= -tolerance for c in results)
     return CheckReport(passed, tolerance, results, witnesses, points.shape[0], caveats)
 
@@ -392,10 +406,10 @@ def extract_certificate(fields: dict, kind: str):
 
     ``fields`` maps objective names to solved ValueFields: ``safety_exit``,
     ``reach_avoid``, ``discounted`` (reach-avoid, with ``gamma``), and
-    ``discounted_exit`` (safety kernel); ``regions`` is the RegionSpec the
-    fields were solved against, and ``assumption1`` carries the
-    finite-time-exit check needed to license the undiscounted reach-avoid
-    extraction.  Returns the certificate, or (v, w) for the pair kind.
+    ``discounted_exit`` (safety kernel), and ``regions`` is the RegionSpec
+    the fields were solved against.  Returns the certificate, or (v, w) for
+    a kind in PAIR_KINDS.  A kind's ``assumption1`` prerequisite is the
+    caller's to decide.
 
     The grid certificates pin the source equation's indicator regions (value
     1 on the target / off X as appropriate, 0 off X for the reach-style
@@ -404,19 +418,11 @@ def extract_certificate(fields: dict, kind: str):
     """
     if kind not in KINDS:
         raise ValueError(f"unknown condition kind {kind!r}")
-    if kind == KIND_RA_LOWER_A1:
-        a1 = fields.get("assumption1")
-        if a1 is None or not a1.holds:
-            sup = "unknown" if a1 is None else f"{a1.sup_stay_prob:.6g}"
-            raise CertificateError(
-                "refusing the undiscounted reach-avoid extraction: the "
-                f"finite-time-exit assumption fails (sup stay-probability {sup})"
-            )
     name, outside_default, target_value, unsafe_value = KINDS[kind]["source"]
     fld, regions = fields[name], fields["regions"]
     v = GridCert(ValueField(fld.values.copy(), fld.grid, outside_default),
                  regions=regions, target_value=target_value, unsafe_value=unsafe_value)
-    if kind != KIND_RA_LOWER_PAIR:
+    if kind not in PAIR_KINDS:
         return v
     gamma0 = float(fields["gamma"])
     if not 0.0 < gamma0 < 1.0:

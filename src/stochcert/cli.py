@@ -39,17 +39,6 @@ from .regions import RegionSpec, StateClass
 
 __all__ = ["Scenario", "ScenarioError", "Report", "load_scenario", "run", "main"]
 
-COMMANDS = (
-    "simulate",
-    "solve",
-    "estimate",
-    "verify",
-    "extract",
-    "synthesize",
-    "assumption1",
-    "report-all",
-)
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_REJECTED = 3
@@ -524,35 +513,41 @@ def _cmd_assumption1(sc: Scenario) -> Report:
     return Report("assumption1", sc.name, {"assumption1": section})
 
 
+def _unmet(kind: str, fields: dict) -> str | None:
+    """The caveat that skips ``kind`` where the DP ``fields`` were solved: the
+    finite-time-exit assumption its KINDS entry names fails there; else None."""
+    a1 = fields["assumption1"]
+    if "assumption1" not in KINDS[kind] or a1.holds:
+        return None
+    return (f"{kind} skipped: the finite-time-exit assumption fails "
+            f"(sup stay-probability {a1.sup_stay_prob:.3g})")
+
+
 def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
-                       only_kind: str | None) -> dict:
+                       only_kind: str | None) -> tuple[dict, list[str]]:
     """Extract a certificate per condition kind at its tight threshold, check
     it pointwise and, with ``out_dir``, save it.
 
-    The undiscounted reach-avoid kind is skipped when the finite-time-exit
-    check fails.  Omega and the check points are built once: every extracted
-    certificate is a GridCert, so each kind takes its cut of one grid point set.
-    Returns kind -> (condition, check report, saved path or None).
+    A kind whose prerequisite fails is skipped with its ``_unmet`` caveat, or,
+    asked for alone, refused with a CertificateError.  Omega and the check
+    points are built once: every extracted certificate is a GridCert, so each
+    kind takes its cut of one grid point set.  Returns kind -> (condition,
+    check report, saved path or None), and the caveats.
     """
-    kinds = [k for k in ([only_kind] if only_kind else ALL_KINDS)
-             if k != KIND_RA_LOWER_A1 or fields["assumption1"].holds]
-    if not kinds:
-        raise CertificateError(
-            f"extraction for {only_kind} unavailable "
-            "(finite-time-exit assumption may have failed)"
-        )
+    unmet = {kind: _unmet(kind, fields) for kind in ([only_kind] if only_kind else ALL_KINDS)}
+    if unmet.get(only_kind):
+        raise CertificateError(unmet[only_kind])
     _, points = _omega(sc, grid_form=True)
     results = {}
-    for kind in kinds:
+    for kind in (kind for kind, reason in unmet.items() if not reason):
         # the value function meets its condition with equality, so its values
         # at the initial states give the tightest threshold it supports at
-        # all of them; kinds read from a discounted field carry the scenario's gamma
+        # all of them
         name = KINDS[kind]["source"][0]
         tight = cert_mod.tight_threshold(kind, fields["at_x0s"][name])
-        gamma = sc.gamma if name.startswith("discounted") else None
-        cert, w = cert_mod.extract_certificate(fields, kind), None
-        if isinstance(cert, tuple):  # the pair kind's (v, w)
-            cert, w = cert
+        gamma = sc.gamma if KINDS[kind]["gamma"] else None
+        cert = cert_mod.extract_certificate(fields, kind)
+        cert, w = cert if kind in cert_mod.PAIR_KINDS else (cert, None)
         cond = Condition(kind, tight, gamma=gamma, w=w)
         rep = cert_mod.check_condition(sc.system, sc.regions, cert, cond,
                                        sc.x0s, points[kind], sc.tolerance)
@@ -561,19 +556,13 @@ def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
             path = out_dir / f"certificate_{kind}.yaml"
             cert_mod.save_certificate(path, cond, cert)
         results[kind] = (cond, rep, path)
-    return results
+    return results, [reason for reason in unmet.values() if reason]
 
 
 def _cmd_extract(sc: Scenario, out_dir: Path | None, only_kind: str | None) -> Report:
-    fields = _solve_fields(sc)
     sections: dict = {}
-    caveats = []
-    if not fields["assumption1"].holds:
-        caveats.append(
-            "undiscounted reach-avoid extraction skipped: sup stay-probability "
-            f"{fields['assumption1'].sup_stay_prob:.3g}"
-        )
-    for kind, (cond, rep, path) in _extract_and_check(sc, fields, out_dir, only_kind).items():
+    results, caveats = _extract_and_check(sc, _solve_fields(sc), out_dir, only_kind)
+    for kind, (cond, rep, path) in results.items():
         sections[kind] = {
             "threshold": cond.epsilon,
             "gamma": cond.gamma,
@@ -648,10 +637,6 @@ def _cmd_synthesize(sc: Scenario, out_dir: Path | None, only_kind: str | None) -
         "lp_cols": result.problem.n_vars,
         "constraint_points": int(points.shape[0]),
     }
-    caveats = list(result.report.caveats)
-    if kind == KIND_RA_LOWER_A1:
-        caveats.append("the undiscounted lower bound is sound only under the "
-                       "finite-time-exit assumption; run assumption1")
     if out_dir:
         cert_path = out_dir / f"synthesized_{kind}.yaml"
         cert_mod.save_certificate(cert_path, Condition(kind, result.threshold, gamma=gamma),
@@ -660,7 +645,7 @@ def _cmd_synthesize(sc: Scenario, out_dir: Path | None, only_kind: str | None) -
         lp_path.write_text(synth.lp_to_text(result.problem))
         section["file"] = str(cert_path)
         section["lp_dump"] = str(lp_path)
-    return Report("synthesize", sc.name, {"synthesis": section}, caveats,
+    return Report("synthesize", sc.name, {"synthesis": section}, result.report.caveats,
                   passed=result.status == "validated")
 
 
@@ -705,7 +690,9 @@ def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
     sections["assumption1"] = {"holds": a1.holds, "sup_stay_probability": a1.sup_stay_prob}
 
     cert_section = {}
-    for kind, (cond, rep, path) in _extract_and_check(sc, fields, out_dir, None).items():
+    results, skipped = _extract_and_check(sc, fields, out_dir, None)
+    caveats += skipped
+    for kind, (cond, rep, path) in results.items():
         ok = ok and rep.passed
         cert_section[kind] = {
             "threshold": cond.epsilon,
@@ -717,14 +704,16 @@ def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
         if path:
             cert_section[kind]["file"] = str(path)
     sections["certificates"] = cert_section
-    if not a1.holds:
-        caveats.append("undiscounted reach-avoid certificate skipped: "
-                       "finite-time-exit assumption fails")
 
+    # a kind skipped for its prerequisite is not synthesized, and that fails no run
+    skip = _unmet(KIND_RA_LOWER_A1, fields)
     try:
-        synth_report = _cmd_synthesize(sc, out_dir, KIND_RA_LOWER_A1)
-        sections["synthesis"] = synth_report.sections["synthesis"]
-        ok = ok and synth_report.passed
+        if skip:
+            sections["synthesis"] = {"status": "skipped", "detail": skip}
+        else:
+            synth_report = _cmd_synthesize(sc, out_dir, KIND_RA_LOWER_A1)
+            sections["synthesis"] = synth_report.sections["synthesis"]
+            ok = ok and synth_report.passed
     except synth.SynthesisInfeasibleError as exc:
         sections["synthesis"] = {"status": "infeasible", "detail": str(exc)}
     except synth.SimplexStalledError as exc:
@@ -733,14 +722,28 @@ def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
 
     caveats.append("certificate checks are pointwise: validated on the listed "
                    "point sets, not proven over all states")
-    if sc.warnings:
-        caveats.extend(sc.warnings)
     return Report("report-all", sc.name, sections, caveats, passed=ok)
+
+
+# command -> its runner, given (scenario, output directory, certificate
+# file, condition kind)
+_RUNNERS = {
+    "simulate": lambda sc, out, cert, kind: _cmd_simulate(sc, out),
+    "solve": lambda sc, out, cert, kind: _cmd_solve(sc, out),
+    "estimate": lambda sc, out, cert, kind: _cmd_estimate(sc),
+    "verify": lambda sc, out, cert, kind: _cmd_verify(sc, cert, kind),
+    "extract": lambda sc, out, cert, kind: _cmd_extract(sc, out, kind),
+    "synthesize": lambda sc, out, cert, kind: _cmd_synthesize(sc, out, kind),
+    "assumption1": lambda sc, out, cert, kind: _cmd_assumption1(sc),
+    "report-all": lambda sc, out, cert, kind: _cmd_report_all(sc, out),
+}
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(command: str, scenario: Scenario, certificate: str | None = None,
         condition: str | None = None, out_dir: str | None = None) -> Report:
-    """Dispatch one command against a loaded scenario."""
+    """Dispatch one command against a loaded scenario; its report carries the
+    scenario's warnings last among its caveats."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     if condition is not None and condition not in ALL_KINDS:
@@ -758,21 +761,9 @@ def run(command: str, scenario: Scenario, certificate: str | None = None,
             out_path.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ScenarioError([f"--out {out_path}: {exc}"])
-    if command == "simulate":
-        return _cmd_simulate(scenario, out_path)
-    if command == "solve":
-        return _cmd_solve(scenario, out_path)
-    if command == "estimate":
-        return _cmd_estimate(scenario)
-    if command == "assumption1":
-        return _cmd_assumption1(scenario)
-    if command == "extract":
-        return _cmd_extract(scenario, out_path, condition)
-    if command == "verify":
-        return _cmd_verify(scenario, certificate, condition)
-    if command == "synthesize":
-        return _cmd_synthesize(scenario, out_path, condition)
-    return _cmd_report_all(scenario, out_path)
+    report = _RUNNERS[command](scenario, out_path, certificate, condition)
+    report.caveats = report.caveats + scenario.warnings
+    return report
 
 
 def main(argv=None) -> int:

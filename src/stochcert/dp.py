@@ -449,7 +449,11 @@ def solve_exact_small(kernel: TransitionKernel, gamma: float = 1.0) -> ValueFiel
     n_tr = kernel.n_transient
     if n_tr > EXACT_NODE_LIMIT:
         raise ValueError(f"{n_tr} transient nodes exceed the dense-solve limit")
-    A = np.eye(n_tr) - gamma * kernel.P.toarray()
+    # I - gamma P in one T x T array; + 0.0 makes the -0.0 of a zero entry 0.0
+    A = kernel.P.toarray()
+    A *= -gamma
+    A += 0.0
+    A.flat[::n_tr + 1] += 1.0
     rhs = gamma * kernel.one_mass
     try:
         v = np.linalg.solve(A, rhs)

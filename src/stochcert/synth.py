@@ -28,6 +28,7 @@ import numpy as np
 from .certificate import (
     INIT_LOWER,
     KINDS,
+    PAIR_KINDS,
     CheckReport,
     Condition,
     PolyCert,
@@ -54,10 +55,9 @@ __all__ = [
     "synthesize",
 ]
 
-# the kinds a template LP can express: every one but the pair kind, whose
+# the kinds a template LP can express: every one but the pair kinds, whose
 # clauses read a second unknown function w
-SYNTH_KINDS = tuple(kind for kind, spec in KINDS.items()
-                    if all("E[w o f] - w" not in clause for clause in spec["clauses"]))
+SYNTH_KINDS = tuple(kind for kind in KINDS if kind not in PAIR_KINDS)
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
@@ -283,8 +283,7 @@ def synthesize(
                          f"{', '.join(SYNTH_KINDS)}; extract the pair kind from a "
                          "discounted value field instead")
     spec = KINDS[kind]
-    if spec["gamma"] and (gamma is None or not 0.0 < gamma < 1.0):
-        raise ValueError(f"{kind} synthesis needs gamma in (0, 1)")
+    cond = Condition(kind, 0.0, gamma=gamma)  # refuses a gamma the kind cannot take
 
     x0s = np.atleast_2d(np.asarray(x0, dtype=float))
     points = np.vstack([np.atleast_2d(np.asarray(points, dtype=float)), x0s])
@@ -331,8 +330,7 @@ def synthesize(
     cert = PolyCert(template.exponents, tuple(solution.x))
     v_x0s = [row @ solution.x for row in x0_rows]
     threshold = tight_threshold(kind, v_x0s)
-
-    cond = Condition(kind, threshold, gamma=gamma)
-    report = check_condition(system, regions, cert, cond, x0s, check_points, tolerance)
+    report = check_condition(system, regions, cert, cond.replace(epsilon=threshold), x0s,
+                             check_points, tolerance)
     status = "validated" if report.passed else "sample_optimistic"
     return SynthesisResult(cert, threshold, status, report, solution, problem)

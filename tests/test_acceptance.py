@@ -57,7 +57,6 @@ def _solved_fields(fix, gamma):
         "discounted_exit": solve_exact_small(fix["safety_kernel"], gamma=gamma),
         "gamma": gamma,
         "regions": fix["regions"],
-        "assumption1": dp.check_assumption1(fix["reach_kernel"]),
     }
 
 

@@ -11,7 +11,6 @@ from stochcert.certificate import (
     KIND_RA_LOWER_PAIR,
     KIND_SAFETY_LOWER,
     KIND_UNSAFE_REACH_UPPER,
-    CertificateError,
     Condition,
     ConstCert,
     GridCert,
@@ -36,7 +35,6 @@ def solved_fields(fix, gamma=0.5):
         "discounted_exit": solve_exact_small(fix["safety_kernel"], gamma=gamma),
         "gamma": gamma,
         "regions": fix["regions"],
-        "assumption1": dp.check_assumption1(fix["reach_kernel"]),
     }
 
 
@@ -185,15 +183,6 @@ class TestExtraction:
             e_w = one_step_mean(gambler["system"], x, lambda y: eval_cert_batch(w, y)[0])
             slack = e_w - eval_cert_batch(w, x)[0] - eval_cert_batch(v, x)[0]
             assert slack >= -1e-9
-
-    def test_a1_extraction_refused_without_assumption(self, identity):
-        fields = {
-            "reach_avoid": dp.solve_reach_avoid(identity["reach_kernel"]),
-            "regions": identity["regions"],
-            "assumption1": dp.check_assumption1(identity["reach_kernel"]),
-        }
-        with pytest.raises(CertificateError, match="stay-probability"):
-            extract_certificate(fields, KIND_RA_LOWER_A1)
 
     def test_outside_defaults(self, gambler):
         fields = solved_fields(gambler)

@@ -22,6 +22,9 @@ from stochcert.cli import (
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 TWO_STARTS_DISC = Path(__file__).resolve().parent / "disc_walk_two_starts.yaml"
+# the finite-time-exit assumption fails there: the state never moves
+STUCK_WALK = Path(__file__).resolve().parent / "stuck_walk.yaml"
+A1_CAVEAT = certificate.KINDS["ra_lower_a1"]["assumption1"]
 
 
 def _walk_doc() -> dict:
@@ -462,6 +465,14 @@ class TestCommands:
         with pytest.raises(cli.CertificateError):
             run("extract", sc, condition="ra_lower_a1")
 
+    def test_a1_extraction_refused_without_assumption(self, capsys):
+        code = main(["--scenario", str(STUCK_WALK), "--command", "extract",
+                     "--condition", "ra_lower_a1", "--quiet"])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "error: ra_lower_a1 skipped: the finite-time-exit assumption fails "
+            "(sup stay-probability 1)\n")
+
     def test_report_all_bundled(self, tmp_path):
         for name in ("symmetric_walk", "biased_walk", "invariant_contraction"):
             sc = load_scenario(SCENARIOS / f"{name}.yaml")
@@ -550,6 +561,98 @@ class TestCommands:
         assert report.passed, report.to_text()
         assert report.sections["thresholds"]["reach_avoid"]["certified"]
         assert report.sections["thresholds"]["liveness"]["certified"]
+
+
+class TestPrerequisites:
+    """A kind whose KINDS entry names the finite-time-exit assumption is
+    extracted and synthesized only where it holds, and every check of it
+    carries the caveat."""
+
+    def test_report_all_skips_synthesis_without_assumption(self, tmp_path):
+        report = run("report-all", load_scenario(STUCK_WALK), out_dir=tmp_path)
+        skip = ("ra_lower_a1 skipped: the finite-time-exit assumption fails "
+                "(sup stay-probability 1)")
+        assert report.sections["synthesis"] == {"status": "skipped", "detail": skip}
+        assert "ra_lower_a1" not in report.sections["certificates"]
+        assert not list(tmp_path.glob("*ra_lower_a1*"))
+        assert report.passed
+        assert report.caveats[0] == skip
+        assert run("extract", load_scenario(STUCK_WALK)).caveats == [skip]
+
+    def test_synthesize_and_verify_carry_the_caveat(self, tmp_path):
+        # synthesize does not decide the assumption: its certificate is
+        # validated on the sampled points, and both reports say what it rests on
+        sc = load_scenario(STUCK_WALK)
+        synthesized = run("synthesize", sc, condition="ra_lower_a1", out_dir=tmp_path)
+        assert synthesized.sections["synthesis"]["status"] == "validated"
+        assert synthesized.caveats.count(A1_CAVEAT) == 1
+        verified = run("verify", sc, certificate=str(tmp_path / "synthesized_ra_lower_a1.yaml"))
+        assert verified.passed
+        assert verified.caveats.count(A1_CAVEAT) == 1
+
+    def test_only_the_prerequisite_kind_carries_the_caveat(self, tmp_path):
+        sc = load_scenario(SCENARIOS / "symmetric_walk.yaml")
+        run("extract", sc, out_dir=tmp_path)
+        for path in sorted(tmp_path.glob("certificate_*.yaml")):
+            caveats = run("verify", sc, certificate=str(path)).caveats
+            assert (A1_CAVEAT in caveats) == (path.stem == "certificate_ra_lower_a1")
+
+
+class TestScenarioWarnings:
+    def test_every_command_reports_an_empty_target(self, tmp_path):
+        doc = _walk_doc()
+        doc["regions"]["target"] = "x1 > 20"
+        doc["mc"].update(horizon=50, trials=200)
+        sc = load_scenario(_write(tmp_path, doc))
+        warning = "target predicate is empty over the sampled box"
+        assert sc.warnings == [warning]
+        run("extract", sc, out_dir=tmp_path / "extract")
+        cert_file = str(tmp_path / "extract" / "certificate_safety_lower.yaml")
+        for command in cli.COMMANDS:
+            # the default kind's linear template is infeasible without a target
+            condition = "unsafe_reach_upper" if command == "synthesize" else None
+            report = run(command, sc, certificate=cert_file, condition=condition)
+            assert report.caveats[-1] == warning, command
+            assert report.caveats.count(warning) == 1, command
+
+
+class TestStartStateError:
+    def test_estimate_fails_on_both_outcomes(self, tmp_path):
+        # the safe predicate divides by zero at x0 = 3.5 alone, which no grid
+        # node or sampled point hits
+        doc = _walk_doc()
+        doc["regions"]["safe"] = "x1 > 0 && x1 < 11 && 0 * (1 / (x1 - 3.5)) < 1"
+        doc["initial_state"] = [3.5]
+        doc["mc"].update(horizon=50, trials=200)
+        out = tmp_path / "estimate"
+        code = main(["--scenario", str(_write(tmp_path, doc)), "--command", "estimate",
+                     "--out", str(out), "--quiet"])
+        assert code == EXIT_NUMERIC
+        est = json.loads((out / "report.json").read_text())["sections"]["estimates"][0]
+        assert est["liveness"]["error"] == est["reach_avoid"]["error"] == "division by zero"
+
+    def test_report_all_row_does_not_agree(self, monkeypatch):
+        # only the Monte Carlo start classification fails: the extracted
+        # certificates classify x0 too, with the same predicates
+        from stochcert import mc
+
+        classify = mc.classify_batch
+        calls = []
+
+        def failing_start(regions_, xs):
+            calls.append(len(xs))
+            if len(calls) == 1:
+                raise expr.EvalError("division by zero")
+            return classify(regions_, xs)
+
+        monkeypatch.setattr(mc, "classify_batch", failing_start)
+        sc = load_scenario(SCENARIOS / "symmetric_walk.yaml")
+        sc = sc.replace(mc_trials=200, mc_horizon=50)
+        report = run("report-all", sc)
+        assert calls[0] == 1
+        row = report.sections["dp_vs_mc"][0]
+        assert not row["liveness"]["agree"] and not row["reach_avoid"]["agree"]
+        assert not report.passed
 
 
 class TestMain:
