@@ -1,8 +1,27 @@
+"""Tests of the expression language: parsing, printing and batch evaluation.
+
+``tests/parse_corpus.json`` records, for a few thousand inputs, the tree and
+printed form that ``parse_expr`` and ``parse_predicate`` give, or the
+ExprError they raise.  Rewrite it after an intended parser change with
+
+    python tests/test_expr.py --record
+"""
+
+import ast as python_ast
+import importlib.util
+import json
 import math
 import random
+import re
+import sys
+from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 import pytest
+import yaml
 
 from stochcert import expr
 from stochcert.expr import (
@@ -204,45 +223,78 @@ def _random_expr_src(rng: random.Random, n: int, m: int, depth: int) -> str:
     return f"({a})^{rng.randint(0, 3)}"
 
 
+def _random_expr_srcs(seed: int) -> list[str]:
+    rng = random.Random(seed)
+    return [_random_expr_src(rng, 3, 2, 3) for _ in range(200)]
+
+
 def test_pretty_round_trip():
-    rng = random.Random(2024)
-    for _ in range(200):
-        src = _random_expr_src(rng, 3, 2, 3)
+    for src in _random_expr_srcs(2024):
         ast = parse_expr(src, 3, 2)
         assert parse_expr(pretty(ast), 3, 2) == ast
 
 
-def test_pretty_round_trip_predicates():
+def _random_relation_src(rng: random.Random) -> str:
+    left = _random_expr_src(rng, 2, 0, 2)
+    right = _random_expr_src(rng, 2, 0, 2)
+    return f"{left} {rng.choice(['<', '<=', '>', '>=', '==', '!='])} {right}"
+
+
+def _round_trip_predicate_srcs() -> list[str]:
     rng = random.Random(7)
-    ops = ["<", "<=", ">", ">=", "==", "!="]
-    for _ in range(100):
-        left = _random_expr_src(rng, 2, 0, 2)
-        right = _random_expr_src(rng, 2, 0, 2)
-        src = f"{left} {rng.choice(ops)} {right} && !(x1 > 1) || x2 < 5"
+    return [f"{_random_relation_src(rng)} && !(x1 > 1) || x2 < 5" for _ in range(100)]
+
+
+def _scalar_predicate_srcs() -> list[str]:
+    rng = random.Random(5)
+    return [f"!({_random_relation_src(rng)}) || x2 < 0 && x1 >= 1" for _ in range(100)]
+
+
+def test_pretty_round_trip_predicates():
+    for src in _round_trip_predicate_srcs():
         ast = parse_predicate(src, 2)
         assert parse_predicate(pretty(ast), 2) == ast
+
+
+@pytest.mark.parametrize("src, text", [
+    ("x1^2^3", "x1 ^ 2.0 ^ 3.0"),
+    ("-x1^2", "-x1 ^ 2.0"),
+    ("- -x1", "-(-x1)"),
+    ("(-x1)^2", "(-x1) ^ 2.0"),
+    ("2 - -x1", "2.0 - -x1"),
+])
+def test_pretty_round_trip_expression_cases(src, text):
+    ast = parse_expr(src, 2, 1)
+    assert pretty(ast) == text and parse_expr(text, 2, 1) == ast
+
+
+@pytest.mark.parametrize("src, text", [
+    ("!!(x1 > 0)", "!!(x1 > 0.0)"),
+    ("!(x1 + 1 > 0) && x2 < 1", "!(x1 + 1.0 > 0.0) && x2 < 1.0"),
+    ("(x1 + 1) * 2 > x2", "(x1 + 1.0) * 2.0 > x2"),
+    ("x2 < (x1 - 1) ^ 2", "x2 < (x1 - 1.0) ^ 2.0"),
+    ("((x1)) >= -(x2)", "x1 >= -x2"),
+])
+def test_pretty_round_trip_predicate_cases(src, text):
+    ast = parse_predicate(src, 2)
+    assert pretty(ast) == text and parse_predicate(text, 2) == ast
 
 
 def test_batch_matches_scalar_reference_on_random_expressions():
     # exact for + - * min max and negation; np.power may differ from
     # Python's ** in the last ulp, as in test_batch_matches_scalar
-    rng = random.Random(99)
     points = np.random.default_rng(99).uniform(-3, 3, size=(16, 5))
-    for _ in range(200):
-        ast = parse_expr(_random_expr_src(rng, 3, 2, 3), 3, 2)
+    for src in _random_expr_srcs(99):
+        ast = parse_expr(src, 3, 2)
         batch = eval_expr_batch(ast, points[:, :3], points[:, 3:])
         scalar = np.array([scalar_expr(ast, p[:3], p[3:]) for p in points])
         np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=1e-14)
 
 
 def test_batch_predicates_match_scalar_reference_on_random_predicates():
-    rng = random.Random(5)
-    ops = ["<", "<=", ">", ">=", "==", "!="]
     points = np.round(np.random.default_rng(5).uniform(-3, 3, size=(64, 2)), 1)
-    for _ in range(100):
-        left = _random_expr_src(rng, 2, 0, 2)
-        right = _random_expr_src(rng, 2, 0, 2)
-        ast = parse_predicate(f"!({left} {rng.choice(ops)} {right}) || x2 < 0 && x1 >= 1", 2)
+    for src in _scalar_predicate_srcs():
+        ast = parse_predicate(src, 2)
         batch = eval_predicate_batch(ast, points)
         assert batch.tolist() == [scalar_predicate(ast, p) for p in points]
 
@@ -285,3 +337,147 @@ class TestCompiledPrograms:
         ast = parse_predicate("exp(x1) > 0", 1)
         with pytest.raises(EvalError, match="row 2"):
             eval_predicate_batch(ast, [[1.0], [2.0], [1e6]])
+
+
+# parser-parity corpus ---------------------------------------------------
+
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+CORPUS = TESTS / "parse_corpus.json"
+CORPUS_N, CORPUS_M = 3, 2  # every corpus input is parsed over x1..x3 and th1..th2
+_OPERANDS = ["x1", "x2", "x3", "0", "2", "0.5", "1e3", "2.5"]
+_TOKENS = _OPERANDS + ["th1", "th2", "x4", "th3", "+", "-", "*", "/", "^", "(", ")", "<", "<=",
+                       ">", ">=", "==", "!=", "&&", "||", "!", "min", "abs", "exp", ",", "foo", "$"]
+_VARIABLE = re.compile(r"\b(x|th)\d+\b")
+
+
+def _literal_srcs() -> list[str]:
+    """Every expression and predicate written in the tests, the bundled
+    scenarios and the disc-walk generator: a string that names a variable,
+    or the text handed to a parse call."""
+    found = set()
+    for path in sorted(TESTS.glob("*.py")):
+        for node in python_ast.walk(python_ast.parse(path.read_text())):
+            if isinstance(node, python_ast.Call) and getattr(node.func, "id", None) in (
+                    "parse_expr", "parse_predicate") and node.args:
+                arg = node.args[0]
+                if isinstance(arg, python_ast.Constant) and isinstance(arg.value, str):
+                    found.add(arg.value)
+            elif isinstance(node, python_ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+    docs = [yaml.safe_load(path.read_text())
+            for path in sorted([*TESTS.rglob("*.yaml"), *(ROOT / "scenarios").glob("*.yaml")])]
+    spec = importlib.util.spec_from_file_location("discwalk", ROOT / "perfbench" / "discwalk.py")
+    discwalk = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(discwalk)
+    docs.append(yaml.safe_load(discwalk.scenario_yaml(1, 50)))
+
+    def strings(value):
+        if isinstance(value, str):
+            yield value
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from strings(item)
+        elif isinstance(value, list):
+            for item in value:
+                yield from strings(item)
+
+    for doc in docs:
+        found.update(strings(doc))
+    return sorted(text for text in found
+                  if "\n" not in text and len(text) <= 200 and _VARIABLE.search(text))
+
+
+def _token_expr(rng: random.Random, depth: int, operands: list[str]) -> list[str]:
+    pick = rng.random()
+    if depth == 0 or pick < 0.3:
+        return [rng.choice(operands)]
+
+    def sub():
+        return _token_expr(rng, depth - 1, operands)
+
+    if pick < 0.4:
+        return ["-", *sub()]
+    if pick < 0.5:
+        return ["(", *sub(), ")"]
+    if pick < 0.6:
+        args = [sub() for _ in range(rng.randint(1, 2))]
+        return [rng.choice(["min", "abs", "exp"]), "(", *args[0],
+                *[tok for arg in args[1:] for tok in (",", *arg)], ")"]
+    if pick < 0.7:
+        return [*sub(), "^", rng.choice(["0", "2", "3", "2.5", "x1"])]
+    return [*sub(), rng.choice("+-*/"), *sub()]
+
+
+def _token_predicate(rng: random.Random, depth: int) -> list[str]:
+    pick = rng.random()
+    if depth == 0 or pick < 0.4:
+        relation = rng.choice(["<", "<=", ">", ">=", "==", "!="])
+        return [*_token_expr(rng, 2, _OPERANDS), relation, *_token_expr(rng, 2, _OPERANDS)]
+    if pick < 0.55:
+        return ["!", *_token_predicate(rng, depth - 1)]
+    if pick < 0.7:
+        return ["(", *_token_predicate(rng, depth - 1), ")"]
+    return [*_token_predicate(rng, depth - 1), rng.choice(["&&", "||"]),
+            *_token_predicate(rng, depth - 1)]
+
+
+def _random_token_srcs(count: int) -> list[str]:
+    """Random expressions and predicates as token strings, half of them
+    with one to three tokens replaced, inserted or deleted."""
+    rng = random.Random(22)
+    srcs = []
+    for i in range(count):
+        if i % 2:
+            tokens = _token_expr(rng, 3, [*_OPERANDS, "th1", "th2"])
+        else:
+            tokens = _token_predicate(rng, 2)
+        for _ in range(rng.choice([0, 0, 0, 1, 2, 3])):
+            at = rng.randrange(len(tokens) + 1)
+            edit = rng.choice(["replace", "insert", "delete"])
+            if edit == "insert" or at == len(tokens):
+                tokens.insert(at, rng.choice(_TOKENS))
+            elif edit == "replace":
+                tokens[at] = rng.choice(_TOKENS)
+            else:
+                del tokens[at]
+        srcs.append(rng.choice([" ", ""]).join(tokens))
+    return srcs
+
+
+def _corpus_srcs() -> list[str]:
+    srcs = [*_literal_srcs(), *_random_expr_srcs(2024), *_random_expr_srcs(99),
+            *_round_trip_predicate_srcs(), *_scalar_predicate_srcs(), *_random_token_srcs(4000)]
+    return list(dict.fromkeys(srcs))
+
+
+def _outcome(parse, text: str) -> dict:
+    try:
+        ast = parse(text)
+    except ExprError as err:
+        return {"error": str(err), "offset": err.offset}
+    return {"repr": repr(ast), "pretty": pretty(ast)}
+
+
+def _corpus_entry(text: str) -> dict:
+    return {"text": text,
+            "expr": _outcome(lambda s: parse_expr(s, CORPUS_N, CORPUS_M), text),
+            "predicate": _outcome(lambda s: parse_predicate(s, CORPUS_N), text)}
+
+
+def test_parser_matches_corpus():
+    corpus = json.loads(CORPUS.read_text())
+    assert len(corpus) > 2000
+    differ = [(entry, got) for entry in corpus if (got := _corpus_entry(entry["text"])) != entry]
+    assert not differ, f"{len(differ)} corpus inputs parse differently, first: {differ[0]}"
+
+
+def record() -> None:
+    corpus = [_corpus_entry(text) for text in _corpus_srcs()]
+    CORPUS.write_text("[\n" + ",\n".join(json.dumps(entry) for entry in corpus) + "\n]\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_expr.py --record")
+    record()
