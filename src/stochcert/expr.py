@@ -12,19 +12,20 @@ first evaluation into one program of numpy closures, one per node, and
 cached by object identity, so repeated calls (one per Monte Carlo step) pay
 no tree walk.  A subexpression the trees share is computed once per batch.
 
-Grammar (standard precedence, left associative)::
+Operators, loosest first::
 
-    expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := '-' factor | power
-    power  := primary ('^' primary)*          # exponent: non-negative integer
-    primary:= NUMBER | x<k> | th<k> | fn '(' args ')' | '(' expr ')'
-    fn     := min | max | abs | exp | sin | cos
+    ||                      predicates; left associative
+    &&                      predicates; left associative
+    !                       prefix, on a predicate
+    < <= > >= == !=         two expressions; relations do not chain
+    + -                     expressions; left associative
+    * /                     expressions; left associative
+    -                       prefix, on an expression: -x1^2 is -(x1^2)
+    ^                       left associative; the exponent is a non-negative
+                            integer literal, bare or in parentheses: x1^(3)
 
-    pred   := conj ('||' conj)*
-    conj   := unit ('&&' unit)*
-    unit   := '!' unit | '(' pred ')' | expr relop expr
-    relop  := '<' | '<=' | '>' | '>=' | '==' | '!='
+Operands are numbers, ``x<k>``, ``th<k>`` (not in predicates), calls of
+min max abs exp sin cos, and groups in parentheses.
 """
 
 from __future__ import annotations
@@ -190,7 +191,49 @@ class Not(Record, frozen=True):
 
 PredicateAst = Union[Comparison, BoolOp, Not]
 
-_FUNCTIONS = {"min": 2, "max": 2, "abs": 1, "exp": 1, "sin": 1, "cos": 1}
+# The operator table, in binding order: (symbol, operand count) -> (binding
+# power, AST class, numpy function).  ``_Parser``, ``pretty`` and the compiled
+# evaluator all read it.
+_OPERATORS = {
+    ("||", 2): (1, BoolOp, np.logical_or),
+    ("&&", 2): (2, BoolOp, np.logical_and),
+    ("!", 1): (3, Not, np.logical_not),
+    ("<", 2): (4, Comparison, np.less),
+    ("<=", 2): (4, Comparison, np.less_equal),
+    (">", 2): (4, Comparison, np.greater),
+    (">=", 2): (4, Comparison, np.greater_equal),
+    ("==", 2): (4, Comparison, np.equal),
+    ("!=", 2): (4, Comparison, np.not_equal),
+    ("+", 2): (5, BinOp, np.add),
+    ("-", 2): (5, BinOp, np.subtract),
+    ("*", 2): (6, BinOp, np.multiply),
+    ("/", 2): (6, BinOp, np.divide),
+    ("-", 1): (7, Neg, np.negative),
+    ("^", 2): (8, BinOp, np.power),
+}
+# function name -> (argument count, numpy function)
+_FUNCTIONS = {
+    "min": (2, np.minimum),
+    "max": (2, np.maximum),
+    "abs": (1, np.abs),
+    "exp": (1, np.exp),
+    "sin": (1, np.sin),
+    "cos": (1, np.cos),
+}
+_PREFIX_SYMBOLS = {cls: symbol for (symbol, arity), (_, cls, _) in _OPERATORS.items()
+                   if arity == 1}
+_NO_OPERATOR = (-1, None, None)  # the entry of any other token: it binds nothing
+_PREDICATES = (Comparison, BoolOp, Not)
+_EXPR_BP = _OPERATORS["+", 2][0]  # an expression: any arithmetic operator
+_PREDICATE_BP = _OPERATORS["!", 1][0]  # a predicate stands wherever '!' may
+
+
+def _operator(node) -> tuple[str, int]:
+    """The table key of an operator node."""
+    if type(node) in _PREFIX_SYMBOLS:
+        return _PREFIX_SYMBOLS[type(node)], 1
+    return node.op, 2
+
 
 _TOKEN_RE = re.compile(
     r"""
@@ -222,6 +265,14 @@ _VAR_RE = re.compile(r"^(x|th)(\d+)$")
 
 
 class _Parser:
+    """Precedence climbing over ``_OPERATORS``.
+
+    ``parse(bp)`` reads the longest operand whose operators all bind at least
+    ``bp``.  An operator applies only to operands of its sort (expressions for
+    arithmetic and relations, predicates for ``&&``, ``||`` and ``!``), so a
+    relation never takes a comparison as its left side: relations do not chain.
+    """
+
     def __init__(self, text: str, n: int, m: int, allow_disturbance: bool):
         if not text or not text.strip():
             raise ExprError("empty expression", 0)
@@ -245,167 +296,107 @@ class _Parser:
             return self.advance()
         raise ExprError(f"expected {op!r}", offset)
 
-    def at_op(self, *ops: str) -> bool:
+    def at_op(self, op: str) -> bool:
         kind, text, _ = self.peek()
-        return kind == "op" and text in ops
+        return kind == "op" and text == op
 
-    # arithmetic -------------------------------------------------------
-
-    def parse_expr(self) -> ExprAst:
-        node = self.parse_term()
-        while self.at_op("+", "-"):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> ExprAst:
-        node = self.parse_factor()
-        while self.at_op("*", "/"):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.parse_factor())
-        return node
-
-    def parse_factor(self) -> ExprAst:
-        if self.at_op("-"):
+    def parse(self, bp: int):
+        node = self.prefix(bp)
+        while True:
+            _, text, offset = self.peek()
+            op_bp, cls, _ = _OPERATORS.get((text, 2), _NO_OPERATOR)
+            if op_bp < bp or isinstance(node, _PREDICATES) != (cls is BoolOp):
+                return node
             self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_power()
-
-    def parse_power(self) -> ExprAst:
-        node = self.parse_primary()
-        while self.at_op("^"):
-            _, _, offset = self.advance()
-            exponent = self.parse_primary()
-            if not (
-                isinstance(exponent, Const)
-                and float(exponent.value).is_integer()
-                and exponent.value >= 0
+            right = self.operand(op_bp + 1, cls is BoolOp)
+            if text == "^" and not (
+                isinstance(right, Const)
+                and float(right.value).is_integer()
+                and right.value >= 0
             ):
                 raise ExprError("power exponent must be a non-negative integer", offset)
-            node = BinOp("^", node, exponent)
+            node = cls(text, node, right)
+
+    def operand(self, bp: int, predicate: bool):
+        """``parse(bp)``, which must give a predicate when ``predicate`` is set."""
+        node = self.parse(bp)
+        if predicate and not isinstance(node, _PREDICATES):
+            raise ExprError("expected a comparison operator", self.peek()[2])
         return node
 
-    def parse_primary(self) -> ExprAst:
-        kind, text, offset = self.peek()
+    def prefix(self, bp: int):
+        """A prefix operator and its operand, a group, or a primary.  A prefix
+        operator binding looser than ``bp`` is refused, so a ``^`` exponent
+        (bp above unary minus) is a number, variable, call or group."""
+        kind, text, offset = self.advance()
+        op_bp, cls, _ = _OPERATORS.get((text, 1), _NO_OPERATOR)
+        if op_bp >= bp:
+            return cls(self.operand(op_bp, cls is Not))
         if kind == "num":
-            self.advance()
             return Const(float(text))
         if kind == "ident":
-            self.advance()
-            var = _VAR_RE.match(text)
-            if var:
-                index = int(var.group(2))
-                if var.group(1) == "x":
-                    if not 1 <= index <= self.n:
-                        raise ExprError(
-                            f"state variable {text} out of range (n={self.n})", offset
-                        )
-                    return StateVar(index)
-                if not self.allow_disturbance:
-                    raise ExprError(
-                        "disturbance variables are not allowed in set predicates", offset
-                    )
-                if not 1 <= index <= self.m:
-                    raise ExprError(
-                        f"disturbance variable {text} out of range (m={self.m})", offset
-                    )
-                return DisturbVar(index)
-            if text in _FUNCTIONS:
-                self.expect_op("(")
-                args = [self.parse_expr()]
-                while self.at_op(","):
-                    self.advance()
-                    args.append(self.parse_expr())
-                self.expect_op(")")
-                if len(args) != _FUNCTIONS[text]:
-                    raise ExprError(
-                        f"{text} takes {_FUNCTIONS[text]} argument(s), got {len(args)}",
-                        offset,
-                    )
-                return Call(text, tuple(args))
-            raise ExprError(f"unknown identifier {text!r}", offset)
+            return self.name(text, offset)
         if kind == "op" and text == "(":
-            self.advance()
-            node = self.parse_expr()
+            node = self.parse(0 if bp <= _PREDICATE_BP else _EXPR_BP)
             self.expect_op(")")
             return node
         raise ExprError("expected a number, variable, or '('", offset)
 
-    # predicates -------------------------------------------------------
-
-    def parse_predicate(self) -> PredicateAst:
-        node = self.parse_conj()
-        while self.at_op("||"):
+    def name(self, text: str, offset: int):
+        var = _VAR_RE.match(text)
+        if var:
+            index = int(var.group(2))
+            if var.group(1) == "x":
+                if not 1 <= index <= self.n:
+                    raise ExprError(
+                        f"state variable {text} out of range (n={self.n})", offset
+                    )
+                return StateVar(index)
+            if not self.allow_disturbance:
+                raise ExprError(
+                    "disturbance variables are not allowed in set predicates", offset
+                )
+            if not 1 <= index <= self.m:
+                raise ExprError(
+                    f"disturbance variable {text} out of range (m={self.m})", offset
+                )
+            return DisturbVar(index)
+        if text not in _FUNCTIONS:
+            raise ExprError(f"unknown identifier {text!r}", offset)
+        self.expect_op("(")
+        args = [self.parse(_EXPR_BP)]
+        while self.at_op(","):
             self.advance()
-            node = BoolOp("||", node, self.parse_conj())
-        return node
+            args.append(self.parse(_EXPR_BP))
+        self.expect_op(")")
+        arity = _FUNCTIONS[text][0]
+        if len(args) != arity:
+            raise ExprError(
+                f"{text} takes {arity} argument(s), got {len(args)}",
+                offset,
+            )
+        return Call(text, tuple(args))
 
-    def parse_conj(self) -> PredicateAst:
-        node = self.parse_unit()
-        while self.at_op("&&"):
-            self.advance()
-            node = BoolOp("&&", node, self.parse_unit())
-        return node
-
-    def parse_unit(self) -> PredicateAst:
-        if self.at_op("!"):
-            self.advance()
-            return Not(self.parse_unit())
-        if self.at_op("("):
-            # '(' may open a grouped predicate or a parenthesized arithmetic
-            # expression inside a comparison; try the predicate reading first
-            # and fall back on failure or a trailing operator.
-            saved = self.pos
-            try:
-                self.advance()
-                node = self.parse_predicate()
-                self.expect_op(")")
-                if not self.at_op("<", "<=", ">", ">=", "==", "!=", "+", "-", "*", "/", "^"):
-                    return node
-            except ExprError:
-                pass
-            self.pos = saved
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Comparison:
-        left = self.parse_expr()
-        kind, text, offset = self.peek()
-        if kind == "op" and text in ("<", "<=", ">", ">=", "==", "!="):
-            self.advance()
-            return Comparison(text, left, self.parse_expr())
-        raise ExprError("expected a comparison operator", offset)
-
-    def finish(self):
+    def finish(self, node):
         kind, text, offset = self.peek()
         if kind != "eof":
             raise ExprError(f"unexpected trailing input {text!r}", offset)
+        return node
 
 
 def parse_expr(text: str, n: int, m: int) -> ExprAst:
     """Parse an arithmetic expression over x1..xn and th1..thm."""
     parser = _Parser(text, n, m, allow_disturbance=True)
-    node = parser.parse_expr()
-    parser.finish()
-    return node
+    return parser.finish(parser.parse(_EXPR_BP))
 
 
 def parse_predicate(text: str, n: int) -> PredicateAst:
     """Parse a set predicate over x1..xn (no disturbance variables)."""
     parser = _Parser(text, n, 0, allow_disturbance=False)
-    node = parser.parse_predicate()
-    parser.finish()
-    return node
+    return parser.finish(parser.operand(0, True))
 
 
 # pretty printing ------------------------------------------------------
-
-_ARITH_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
-_NEG_PREC = 30
-_BOOL_PREC = {"||": 1, "&&": 2}
-
-
-def _wrap(text: str, inner: int, outer: int) -> str:
-    return f"({text})" if inner < outer else text
 
 
 def pretty(node) -> str:
@@ -414,37 +405,29 @@ def pretty(node) -> str:
 
 
 def _pretty(node, outer: int) -> str:
+    """``node`` as text, parenthesised if it binds looser than ``outer``."""
     if isinstance(node, Const):
         return repr(node.value)
     if isinstance(node, StateVar):
         return f"x{node.index}"
     if isinstance(node, DisturbVar):
         return f"th{node.index}"
-    if isinstance(node, Neg):
-        text = f"-{_pretty(node.operand, _NEG_PREC + 1)}"
-        return _wrap(text, _NEG_PREC, outer)
-    if isinstance(node, BinOp):
-        prec = _ARITH_PREC[node.op]
-        # left associative: right subtree needs strictly higher precedence
-        left = _pretty(node.left, prec)
-        right = _pretty(node.right, prec + 1)
-        return _wrap(f"{left} {node.op} {right}", prec, outer)
     if isinstance(node, Call):
         args = ", ".join(_pretty(a, 0) for a in node.args)
         return f"{node.func}({args})"
-    if isinstance(node, Comparison):
-        return f"{_pretty(node.left, 0)} {node.op} {_pretty(node.right, 0)}"
-    if isinstance(node, BoolOp):
-        prec = _BOOL_PREC[node.op]
-        left = _pretty(node.left, prec)
-        right = _pretty(node.right, prec + 1)
-        return _wrap(f"{left} {node.op} {right}", prec, outer)
-    if isinstance(node, Not):
-        inner = _pretty(node.operand, 5)
-        if isinstance(node.operand, (BoolOp, Comparison)):
-            inner = f"({inner})"
-        return f"!{inner}"
-    raise TypeError(f"not an AST node: {node!r}")
+    symbol, arity = _operator(node)
+    bp = _OPERATORS[symbol, arity][0]
+    if arity == 2:
+        # left associative: the right operand must bind strictly tighter
+        text = f"{_pretty(node.left, bp)} {symbol} {_pretty(node.right, bp + 1)}"
+    elif isinstance(node, Not):
+        # '!' parenthesises every operand but another '!', on top of the
+        # operand's own parentheses; certificate files keep this form
+        inner = _pretty(node.operand, bp)
+        text = f"{symbol}{inner}" if isinstance(node.operand, Not) else f"{symbol}({inner})"
+    else:
+        text = f"{symbol}{_pretty(node.operand, bp + 1)}"
+    return f"({text})" if bp < outer else text
 
 
 # evaluation -----------------------------------------------------------
@@ -547,21 +530,6 @@ def _compile(node, slots: dict, child: bool = False):
     return _arith(node, slots)
 
 
-_UFUNCS = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.divide,
-    "^": np.power,
-    "min": np.minimum,
-    "max": np.maximum,
-    "abs": np.abs,
-    "exp": np.exp,
-    "sin": np.sin,
-    "cos": np.cos,
-}
-
-
 def _arith(node, slots: dict):
     """``_compile`` for an expression node other than a shared one."""
     if isinstance(node, Const):
@@ -573,15 +541,13 @@ def _arith(node, slots: dict):
     if isinstance(node, DisturbVar):
         col = node.index - 1
         return (lambda xs, ths, strict, memo: ths[:, col]), True, False
-    if isinstance(node, Neg):
-        fn, children = np.negative, (node.operand,)
-    elif isinstance(node, BinOp):
-        fn, children = _UFUNCS[node.op], (node.left, node.right)
-    elif isinstance(node, Call):
-        fn, children = _UFUNCS[node.func], node.args
+    if isinstance(node, Call):
+        fn = _FUNCTIONS[node.func][1]
+    elif isinstance(node, (Neg, BinOp)):
+        fn = _OPERATORS[_operator(node)][2]
     else:
         raise TypeError(f"not an expression node: {node!r}")
-    compiled = [_compile(c, slots, child=True) for c in children]
+    compiled = [_compile(c, slots, child=True) for c in _children(node)]
     if isinstance(node, BinOp) and node.op == "^":
         power = int(node.right.value)  # a non-negative integer, checked at parse time
         compiled[1] = (lambda xs, ths, strict, memo: power), False, False
@@ -602,36 +568,17 @@ def _arith(node, slots: dict):
     return apply, varies, varies
 
 
-_COMPARE = {
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-    "==": np.equal,
-    "!=": np.not_equal,
-}
-
-
 def _predicate(node, slots: dict):
     """The closure of a predicate node other than a shared one.  Both sides
     of a comparison are evaluated strictly."""
+    fn = _OPERATORS[_operator(node)][2]
+    operands = [_compile(c, slots, child=True)[0] for c in _children(node)]
     if isinstance(node, Comparison):
-        op = _COMPARE[node.op]
-        left = _compile(node.left, slots, child=True)[0]
-        right = _compile(node.right, slots, child=True)[0]
-        return lambda xs, ths, strict, memo: op(
+        left, right = operands
+        return lambda xs, ths, strict, memo: fn(
             _finite(left(xs, ths, True, memo), xs.shape[0]),
             _finite(right(xs, ths, True, memo), xs.shape[0]))
-    if isinstance(node, BoolOp):
-        op = np.logical_and if node.op == "&&" else np.logical_or
-        left = _compile(node.left, slots, child=True)[0]
-        right = _compile(node.right, slots, child=True)[0]
-        return lambda xs, ths, strict, memo: op(left(xs, ths, strict, memo),
-                                                right(xs, ths, strict, memo))
-    if isinstance(node, Not):
-        operand = _compile(node.operand, slots, child=True)[0]
-        return lambda xs, ths, strict, memo: np.logical_not(operand(xs, ths, strict, memo))
-    raise TypeError(f"not a predicate node: {node!r}")
+    return lambda xs, ths, strict, memo: fn(*[f(xs, ths, strict, memo) for f in operands])
 
 
 def _finite(values, rows: int):

@@ -14,6 +14,7 @@ import math
 import random
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -199,6 +200,24 @@ class TestPredicates:
         batch = eval_predicate_batch(ast, xs)
         scalar = np.array([scalar_predicate(ast, x) for x in xs])
         assert np.array_equal(batch, scalar)
+
+
+def _listed_operators(block: str) -> list[str]:
+    """The symbols in the first column of an operator listing; a line that
+    starts with a space continues the line above."""
+    return [symbol for line in block.splitlines() if line and not line[0].isspace()
+            for symbol in re.split(r"\s{2,}", line)[0].split()]
+
+
+def test_docs_list_the_operator_table_in_binding_order():
+    bps = [bp for bp, _, _ in expr._OPERATORS.values()]
+    assert bps == sorted(bps)
+    table = [symbol for symbol, _ in expr._OPERATORS]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listing = readme.split("Expression grammar", 1)[1].split("```text\n", 1)[1].split("```")[0]
+    assert _listed_operators(listing) == table
+    docstring = expr.__doc__.split("Operators, loosest first::\n\n", 1)[1].split("\n\n")[0]
+    assert _listed_operators(textwrap.dedent(docstring)) == table
 
 
 def _random_expr_src(rng: random.Random, n: int, m: int, depth: int) -> str:

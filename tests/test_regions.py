@@ -84,9 +84,9 @@ def _separate_codes(reg, xs):
 class TestSharedSubexpressions:
     def test_disc_squares_each_coordinate_once(self, monkeypatch):
         bases = []
-        power = expr._UFUNCS["^"]
-        monkeypatch.setitem(expr._UFUNCS, "^",
-                            lambda *args, **kw: bases.append(args[0]) or power(*args, **kw))
+        bp, cls, power = expr._OPERATORS["^", 2]
+        monkeypatch.setitem(expr._OPERATORS, ("^", 2), (bp, cls, lambda *args, **kw:
+                            bases.append(args[0]) or power(*args, **kw)))
         # fresh trees, compiled under the counting power
         reg = regions.RegionSpec(expr.parse_predicate("x1^2 + x2^2 < 1.0", 2),
                                  expr.parse_predicate("x1^2 + x2^2 < 0.04", 2))
