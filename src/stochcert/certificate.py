@@ -256,7 +256,13 @@ def eval_cert_batch(cert: CertFunction, xs: np.ndarray) -> np.ndarray:
     if isinstance(cert, GridCert):
         out = eval_field_batch(cert.fld, xs)
         if cert.regions is not None:
-            codes = classify_batch(cert.regions, xs)
+            try:
+                codes = classify_batch(cert.regions, xs)
+            except expr_mod.EvalError:
+                # a row that cannot be classified reads NaN, as a failed image
+                # does, so a clause there fails instead of ending the run
+                codes = np.array([_row_class(cert.regions, x) for x in xs])
+                out[codes < 0] = np.nan
             if cert.target_value is not None:
                 out[codes == int(StateClass.TARGET)] = cert.target_value
             if cert.unsafe_value is not None:
@@ -268,6 +274,14 @@ def eval_cert_batch(cert: CertFunction, xs: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
             return monomials(xs, cert.exponents) @ np.asarray(cert.coeffs)
     raise TypeError(f"not a certificate function: {cert!r}")
+
+
+def _row_class(regions: RegionSpec, x: np.ndarray) -> int:
+    """The class code of one state, or -1 where classifying it raises."""
+    try:
+        return int(classify_batch(regions, x[None])[0])
+    except expr_mod.EvalError:
+        return -1
 
 
 def monomials(xs: np.ndarray, exponents) -> np.ndarray:

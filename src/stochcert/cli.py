@@ -33,7 +33,7 @@ from .certificate import (
     Condition,
     GridCert,
 )
-from .expr import ExprError, NumericError, Record, parse_expr, parse_predicate
+from .expr import EvalError, ExprError, NumericError, Record, parse_expr, parse_predicate
 from .model import DisturbanceDist, SystemModel
 from .regions import RegionSpec, StateClass
 
@@ -262,7 +262,8 @@ def load_scenario(path) -> Scenario:
     errors: list[str] = []
     blocks = {"": raw}
     for block in ("system", "regions", "grid", "mc", "check", "thresholds"):
-        blocks[block] = raw.get(block) or {}  # a block left out reports its required fields
+        # a block left out, or null, reports its required fields
+        blocks[block] = {} if raw.get(block) is None else raw[block]
         if not isinstance(blocks[block], dict):
             errors.append(f"malformed block: {block}")
             blocks[block] = {}
@@ -718,6 +719,9 @@ def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
         sections["synthesis"] = {"status": "infeasible", "detail": str(exc)}
     except synth.SimplexStalledError as exc:
         sections["synthesis"] = {"status": "stalled", "detail": str(exc)}
+        ok = False
+    except EvalError as exc:
+        sections["synthesis"] = {"status": "error", "detail": str(exc)}
         ok = False
 
     caveats.append("certificate checks are pointwise: validated on the listed "

@@ -156,6 +156,7 @@ class TestLoading:
         ("check", "point_seed", 2.5, "check.point_seed must be an integer"),
         (None, "initial_state", ["three"], "initial_state must give"),
         (None, "thresholds", [0.1, 0.2], "malformed block: thresholds"),
+        (None, "check", 0, "malformed block: check"),
         ("mc", "seed", -1, "mc.seed must lie in [0, 2^64)"),
         ("check", "point_seed", 2 ** 64, "check.point_seed must lie in [0, 2^64)"),
         ("system", "disturbance", [[-1.0], [1.0]], "system.disturbance must be a mapping"),
@@ -617,23 +618,40 @@ class TestScenarioWarnings:
 
 
 class TestStartStateError:
-    def test_estimate_fails_on_both_outcomes(self, tmp_path):
+    @staticmethod
+    def _run(tmp_path, command) -> tuple[int, dict]:
         # the safe predicate divides by zero at x0 = 3.5 alone, which no grid
         # node or sampled point hits
         doc = _walk_doc()
         doc["regions"]["safe"] = "x1 > 0 && x1 < 11 && 0 * (1 / (x1 - 3.5)) < 1"
         doc["initial_state"] = [3.5]
         doc["mc"].update(horizon=50, trials=200)
-        out = tmp_path / "estimate"
-        code = main(["--scenario", str(_write(tmp_path, doc)), "--command", "estimate",
+        out = tmp_path / command
+        code = main(["--scenario", str(_write(tmp_path, doc)), "--command", command,
                      "--out", str(out), "--quiet"])
+        return code, json.loads((out / "report.json").read_text())
+
+    def test_estimate_fails_on_both_outcomes(self, tmp_path):
+        code, report = self._run(tmp_path, "estimate")
         assert code == EXIT_NUMERIC
-        est = json.loads((out / "report.json").read_text())["sections"]["estimates"][0]
+        est = report["sections"]["estimates"][0]
         assert est["liveness"]["error"] == est["reach_avoid"]["error"] == "division by zero"
 
+    @pytest.mark.parametrize("command", ["extract", "report-all"])
+    def test_certificates_fail_at_the_start_and_the_report_stands(self, tmp_path, command):
+        code, report = self._run(tmp_path, command)
+        assert code == EXIT_NUMERIC and not report["passed"]
+        if command == "extract":
+            verdicts = [entry["self_check"] for entry in report["sections"].values()]
+        else:
+            verdicts = [entry["check"] for entry in report["sections"]["certificates"].values()]
+            assert report["sections"]["synthesis"] == {"status": "error",
+                                                       "detail": "division by zero"}
+        assert len(verdicts) == 6 and set(verdicts) == {"FAIL"}
+
     def test_report_all_row_does_not_agree(self, monkeypatch):
-        # only the Monte Carlo start classification fails: the extracted
-        # certificates classify x0 too, with the same predicates
+        # only the Monte Carlo start classification fails, so the row is seen
+        # apart from the certificate checks, which classify x0 too
         from stochcert import mc
 
         classify = mc.classify_batch
