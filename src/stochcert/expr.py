@@ -393,7 +393,7 @@ def parse_expr(text: str, n: int, m: int) -> ExprAst:
 def parse_predicate(text: str, n: int) -> PredicateAst:
     """Parse a set predicate over x1..xn (no disturbance variables)."""
     parser = _Parser(text, n, 0, allow_disturbance=False)
-    return parser.finish(parser.operand(0, True))
+    return parser.finish(parser.operand(0, predicate=True))
 
 
 # pretty printing ------------------------------------------------------
