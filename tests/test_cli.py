@@ -156,7 +156,6 @@ class TestLoading:
         ("check", "point_seed", 2.5, "check.point_seed must be an integer"),
         (None, "initial_state", ["three"], "initial_state must give"),
         (None, "thresholds", [0.1, 0.2], "malformed block: thresholds"),
-        (None, "check", 0, "malformed block: check"),
         ("mc", "seed", -1, "mc.seed must lie in [0, 2^64)"),
         ("check", "point_seed", 2 ** 64, "check.point_seed must lie in [0, 2^64)"),
         ("system", "disturbance", [[-1.0], [1.0]], "system.disturbance must be a mapping"),
@@ -170,6 +169,7 @@ class TestLoading:
         ("mc", "horizon", True, "mc.horizon must be an integer"),
         ("system", "n", True, "system.n must be an integer"),
         (None, "initial_state", [True], "initial_state must give"),
+        (None, "check", 0, "malformed block: check"),
     ])
     def test_malformed_value_exits_with_validation_error(self, tmp_path, capsys,
                                                          block, key, value, message):
