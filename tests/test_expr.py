@@ -374,14 +374,14 @@ def _literal_srcs() -> list[str]:
     """Every expression and predicate written in the tests, the bundled
     scenarios and the disc-walk generator: a string that names a variable,
     or the text handed to a parse call."""
-    found = set()
+    found, parsed = set(), set()
     for path in sorted(TESTS.glob("*.py")):
         for node in python_ast.walk(python_ast.parse(path.read_text())):
             if isinstance(node, python_ast.Call) and getattr(node.func, "id", None) in (
                     "parse_expr", "parse_predicate") and node.args:
                 arg = node.args[0]
                 if isinstance(arg, python_ast.Constant) and isinstance(arg.value, str):
-                    found.add(arg.value)
+                    parsed.add(arg.value)
             elif isinstance(node, python_ast.Constant) and isinstance(node.value, str):
                 found.add(node.value)
     docs = [yaml.safe_load(path.read_text())
@@ -403,8 +403,8 @@ def _literal_srcs() -> list[str]:
 
     for doc in docs:
         found.update(strings(doc))
-    return sorted(text for text in found
-                  if "\n" not in text and len(text) <= 200 and _VARIABLE.search(text))
+    return sorted(parsed | {text for text in found
+                            if "\n" not in text and len(text) <= 200 and _VARIABLE.search(text)})
 
 
 def _token_expr(rng: random.Random, depth: int, operands: list[str]) -> list[str]:
