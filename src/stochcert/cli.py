@@ -623,10 +623,14 @@ def _cmd_synthesize(sc: Scenario, out_dir: Path | None, only_kind: str | None) -
     omega, checks = _omega(sc, grid_form=False)
     rng = np.random.default_rng(sc.point_seed + 1)
     points = omega[kind].sample(max(sc.extra_points, 200), rng)
-    result = synth.synthesize(
-        sc.system, sc.regions, kind, template, points, sc.x0s, checks[kind],
-        tolerance=sc.tolerance, gamma=gamma, margin=0.01,
-    )
+    try:
+        result = synth.synthesize(
+            sc.system, sc.regions, kind, template, points, sc.x0s, checks[kind],
+            tolerance=sc.tolerance, gamma=gamma, margin=0.01,
+        )
+    except EvalError as exc:  # an initial state that cannot be classified, say
+        section = {"status": "error", "detail": str(exc)}
+        return Report("synthesize", sc.name, {"synthesis": section}, passed=False)
     section = {
         "kind": kind,
         "template_degree": template.degree,
@@ -653,22 +657,64 @@ def _cmd_synthesize(sc: Scenario, out_dir: Path | None, only_kind: str | None) -
 def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
     from . import mc, synth
 
-    fields = _solve_fields(sc)
-    sections: dict = {}
-    caveats: list[str] = []
-    ok = True
+    # the first initial state's trials run beside the stages up to synthesis
+    mc_args = (sc.mc_horizon, sc.mc_trials, sc.mc_delta, sc.mc_seed)
+    pending = mc.start_estimate(sc.system, sc.regions, sc.x0s[0], *mc_args)
+    try:
+        fields = _solve_fields(sc)
+        sections: dict = {"dp_vs_mc": []}
+        ok = True
 
-    # per question: DP values at the initial states, and the truncation slack
-    # (the chain's mass still transient after the horizon, clipped against rounding)
-    dp_values = {"reach_avoid": fields["at_x0s"]["reach_avoid"],
-                 "liveness": 1.0 - fields["at_x0s"]["safety_exit"]}
-    slack = {name: np.clip(dp.eval_field_batch(
-        dp.stay_probability(fields[kernel], sc.mc_horizon), sc.x0s), 0.0, 1.0)
-        for name, kernel in (("reach_avoid", "reach_kernel"), ("liveness", "safety_kernel"))}
-    agreement = []
+        # per question: DP values at the initial states, and the truncation slack
+        # (the chain's mass still transient after the horizon, clipped against rounding)
+        dp_values = {"reach_avoid": fields["at_x0s"]["reach_avoid"],
+                     "liveness": 1.0 - fields["at_x0s"]["safety_exit"]}
+        slack = {name: np.clip(dp.eval_field_batch(dp.stay_probability(
+            fields[kernel], sc.mc_horizon), sc.x0s), 0.0, 1.0) for name, kernel in (
+            ("reach_avoid", "reach_kernel"), ("liveness", "safety_kernel"))}
+
+        sections["thresholds"] = _threshold_verdicts(sc, fields)
+        ok = ok and all(entry["certified"] for entry in sections["thresholds"].values())
+
+        a1 = fields["assumption1"]
+        sections["assumption1"] = {"holds": a1.holds, "sup_stay_probability": a1.sup_stay_prob}
+
+        cert_section = {}
+        results, skipped = _extract_and_check(sc, fields, out_dir, None)
+        for kind, (cond, rep, path) in results.items():
+            ok = ok and rep.passed
+            cert_section[kind] = {
+                "threshold": cond.epsilon,
+                "check": "pass" if rep.passed else "FAIL",
+                "min_slack": rep.min_slack,
+                "points": rep.n_points,
+                "method": "pointwise-check",
+            }
+            if path:
+                cert_section[kind]["file"] = str(path)
+        sections["certificates"] = cert_section
+
+        # a kind skipped for its prerequisite is not synthesized, and that fails no run
+        skip = _unmet(KIND_RA_LOWER_A1, fields)
+        try:
+            if skip:
+                sections["synthesis"] = {"status": "skipped", "detail": skip}
+            else:
+                synth_report = _cmd_synthesize(sc, out_dir, KIND_RA_LOWER_A1)
+                sections["synthesis"] = synth_report.sections["synthesis"]
+                ok = ok and synth_report.passed
+        except synth.SynthesisInfeasibleError as exc:
+            sections["synthesis"] = {"status": "infeasible", "detail": str(exc)}
+        except synth.SimplexStalledError as exc:
+            sections["synthesis"] = {"status": "stalled", "detail": str(exc)}
+            ok = False
+    except BaseException:
+        pending.kill()
+        raise
+
+    caveats: list[str] = []
     for i, x0 in enumerate(sc.x0s):
-        est_live, est_reach = mc.estimate(sc.system, sc.regions, x0, sc.mc_horizon,
-                                          sc.mc_trials, sc.mc_delta, sc.mc_seed)
+        est_live, est_reach = mc.estimate(sc.system, sc.regions, x0, *mc_args) if i else pending()
         row = {"x0": x0.tolist()}
         for name, est in (("reach_avoid", est_reach), ("liveness", est_live)):
             value, slack_x0 = float(dp_values[name][i]), float(slack[name][i])
@@ -681,51 +727,10 @@ def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
             ok = ok and agree
             row[name] = {"dp": value, "mc": est.p_hat, "half_width": est.half_width,
                          "truncation_slack": slack_x0, "agree": agree}
-        agreement.append(row)
-    sections["dp_vs_mc"] = agreement
+        sections["dp_vs_mc"].append(row)
 
-    sections["thresholds"] = _threshold_verdicts(sc, fields)
-    ok = ok and all(entry["certified"] for entry in sections["thresholds"].values())
-
-    a1 = fields["assumption1"]
-    sections["assumption1"] = {"holds": a1.holds, "sup_stay_probability": a1.sup_stay_prob}
-
-    cert_section = {}
-    results, skipped = _extract_and_check(sc, fields, out_dir, None)
-    caveats += skipped
-    for kind, (cond, rep, path) in results.items():
-        ok = ok and rep.passed
-        cert_section[kind] = {
-            "threshold": cond.epsilon,
-            "check": "pass" if rep.passed else "FAIL",
-            "min_slack": rep.min_slack,
-            "points": rep.n_points,
-            "method": "pointwise-check",
-        }
-        if path:
-            cert_section[kind]["file"] = str(path)
-    sections["certificates"] = cert_section
-
-    # a kind skipped for its prerequisite is not synthesized, and that fails no run
-    skip = _unmet(KIND_RA_LOWER_A1, fields)
-    try:
-        if skip:
-            sections["synthesis"] = {"status": "skipped", "detail": skip}
-        else:
-            synth_report = _cmd_synthesize(sc, out_dir, KIND_RA_LOWER_A1)
-            sections["synthesis"] = synth_report.sections["synthesis"]
-            ok = ok and synth_report.passed
-    except synth.SynthesisInfeasibleError as exc:
-        sections["synthesis"] = {"status": "infeasible", "detail": str(exc)}
-    except synth.SimplexStalledError as exc:
-        sections["synthesis"] = {"status": "stalled", "detail": str(exc)}
-        ok = False
-    except EvalError as exc:
-        sections["synthesis"] = {"status": "error", "detail": str(exc)}
-        ok = False
-
-    caveats.append("certificate checks are pointwise: validated on the listed "
-                   "point sets, not proven over all states")
+    caveats += [*skipped, "certificate checks are pointwise: validated on the listed "
+                "point sets, not proven over all states"]
     return Report("report-all", sc.name, sections, caveats, passed=ok)
 
 

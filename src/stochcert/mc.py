@@ -20,12 +20,12 @@ its atom from its own uniform by an exact guide-table inversion of the
 cumulative probabilities.  Neither changes a draw or an outcome.
 
 On Linux the trials run as contiguous blocks, one per available CPU and
-none under ``MIN_BLOCK`` trials: block 0 in the calling process, the others
-in forked children that write their outcomes into one shared mapping.  A
-block starting at trial ``first`` (a multiple of 4) reads each step's stream
-from word ``first`` on, so no outcome depends on the split or the CPU count.
-If any block meets an evaluation error, or a fork fails, one process reruns
-every trial, so errors read as in a single pass.
+none under ``MIN_BLOCK`` trials, each in a forked child that writes its
+outcomes into one shared mapping while ``start_estimate``'s caller goes on;
+a single block runs in the caller.  A block starting at trial ``first`` (a
+multiple of 4) reads each step's stream from word ``first`` on, so no outcome
+depends on the split or the CPU count.  If any block meets an evaluation
+error, or a fork fails, the caller reruns every trial, as in a single pass.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "McEstimate",
     "hoeffding_half_width",
     "estimate",
+    "start_estimate",
 ]
 
 # per-trial outcome codes
@@ -209,15 +210,29 @@ def _run_trials(system: SystemModel, regions: RegionSpec, x0, horizon: int,
     return outcomes()
 
 
-def _run_split(system: SystemModel, regions: RegionSpec, x0, horizon: int,
-               n_trials: int, seed: int):
-    """``_run_trials`` over every trial, run as contiguous blocks on the
-    available CPUs (see the module docstring); same return value."""
+def _start_split(system: SystemModel, regions: RegionSpec, x0, horizon: int,
+                 n_trials: int, seed: int):
+    """``_run_trials`` over every trial, forked in blocks, as ``start_estimate``."""
     linux = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     n_blocks = min(len(os.sched_getaffinity(0)), n_trials // MIN_BLOCK) if linux else 1
+    pids = []
+
+    def reap(kill: bool = False) -> list[int]:
+        for pid in pids if kill else ():
+            os.kill(pid, signal.SIGKILL)
+        return [os.waitstatus_to_exitcode(os.waitpid(pids.pop(), 0)[1]) for _ in pids[:]]
+
+    def collect():
+        # no child, or one met an evaluation error or failed: every trial runs here
+        if not pids or any(reap()):
+            return _run_trials(system, regions, x0, horizon, n_trials, seed)
+        return tuple((status[k], steps[k], None) for k in range(2))
+
+    collect.kill = lambda: reap(kill=True)
     if n_blocks < 2:
-        return _run_trials(system, regions, x0, horizon, n_trials, seed)
+        return collect
     import mmap
+    import signal
 
     edges = [4 * (n_trials * b // n_blocks // 4) for b in range(n_blocks)] + [n_trials]
     shared = mmap.mmap(-1, 18 * n_trials)  # steps (int64), then statuses (int8)
@@ -231,28 +246,48 @@ def _run_split(system: SystemModel, regions: RegionSpec, x0, horizon: int,
             status[k, lo:hi], steps[k, lo:hi] = block_status, block_steps
         return all(error is None for _, _, error in outcomes)
 
-    pids = []
-    try:
-        for b in range(1, n_blocks):
-            # Python >= 3.12 warns (DeprecationWarning) when a process with
-            # other threads, such as an OpenBLAS pool, forks: the children run
-            # element-wise numpy code only and never call BLAS.
+    for b in range(n_blocks):
+        # Python >= 3.12 warns (DeprecationWarning) when a process with other
+        # threads, such as an OpenBLAS pool, forks: the children run
+        # element-wise numpy code only and never call BLAS.
+        try:
+            pid = os.fork()
+        except OSError:  # EAGAIN at RLIMIT_NPROC, say: the collector runs every trial
+            reap(kill=True)
+            break
+        if pid == 0:  # child: never flushes stdio or runs atexit handlers
             try:
-                pid = os.fork()
-            except OSError:  # EAGAIN at RLIMIT_NPROC, say: every trial reruns below
-                break
-            if pid == 0:  # child: never flushes stdio or runs atexit handlers
-                try:
-                    os._exit(0 if run_block(b) else 1)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
-        clean = len(pids) == n_blocks - 1 and run_block(0)
-    finally:
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if not clean or any(codes):
-        return _run_trials(system, regions, x0, horizon, n_trials, seed)
-    return tuple((status[k], steps[k], None) for k in range(2))
+                os._exit(0 if run_block(b) else 1)
+            finally:
+                os._exit(1)
+        pids.append(pid)
+    return collect
+
+
+def start_estimate(system: SystemModel, regions: RegionSpec, x0, horizon: int,
+                   n_trials: int, delta: float, seed: int):
+    """Start ``estimate``; returns at once the zero-argument collector of its
+    value, whose ``kill()`` kills and reaps the forked trials instead."""
+    if horizon < 1 or n_trials < 1:
+        raise ValueError("need horizon >= 1 and n_trials >= 1")
+    half = hoeffding_half_width(n_trials, delta)
+    run = _start_split(system, regions, x0, horizon, n_trials, seed)
+
+    def summary(outcome, success: int, direction: str) -> McEstimate:
+        status, _, error = outcome
+        if error is not None:
+            return McEstimate(0.0, n_trials, horizon, delta, half, 0, direction, error=error)
+        successes = int(np.count_nonzero(status == success))
+        return McEstimate(successes / n_trials, n_trials, horizon, delta, half,
+                          successes, direction)
+
+    def collect() -> tuple[McEstimate, McEstimate]:
+        live, reach = run()
+        return (summary(live, ACTIVE, "upper_biased_for_liveness"),
+                summary(reach, REACHED, "lower_biased_for_reach_avoid"))
+
+    collect.kill = run.kill
+    return collect
 
 
 def estimate(system: SystemModel, regions: RegionSpec, x0, horizon: int, n_trials: int,
@@ -266,19 +301,4 @@ def estimate(system: SystemModel, regions: RegionSpec, x0, horizon: int, n_trial
     lower bound on the infinite-horizon reach-avoid probability.  Both read
     the same trajectories, so each equals a pass run for it alone.
     """
-    if horizon < 1 or n_trials < 1:
-        raise ValueError("need horizon >= 1 and n_trials >= 1")
-    half = hoeffding_half_width(n_trials, delta)
-    live, reach = _run_split(system, regions, x0, horizon, n_trials, seed)
-
-    def summary(outcome, success: int, direction: str) -> McEstimate:
-        status, _, error = outcome
-        if error is not None:
-            return McEstimate(0.0, n_trials, horizon, delta, half, 0, direction, error=error)
-        successes = int(np.count_nonzero(status == success))
-        return McEstimate(successes / n_trials, n_trials, horizon, delta, half,
-                          successes, direction)
-
-    return (summary(live, ACTIVE, "upper_biased_for_liveness"),
-            summary(reach, REACHED, "lower_biased_for_reach_avoid"))
-
+    return start_estimate(system, regions, x0, horizon, n_trials, delta, seed)()

@@ -631,6 +631,12 @@ class TestStartStateError:
                      "--out", str(out), "--quiet"])
         return code, json.loads((out / "report.json").read_text())
 
+    def test_synthesize_reports_the_error(self, tmp_path):
+        code, report = self._run(tmp_path, "synthesize")
+        assert code == EXIT_NUMERIC and not report["passed"]
+        assert report["sections"] == {"synthesis": {"status": "error",
+                                                    "detail": "division by zero"}}
+
     def test_estimate_fails_on_both_outcomes(self, tmp_path):
         code, report = self._run(tmp_path, "estimate")
         assert code == EXIT_NUMERIC
@@ -671,6 +677,57 @@ class TestStartStateError:
         row = report.sections["dp_vs_mc"][0]
         assert not row["liveness"]["agree"] and not row["reach_avoid"]["agree"]
         assert not report.passed
+
+
+class TestReportAllOverlap:
+    """``report-all`` forks the first initial state's Monte Carlo blocks
+    before its DP stage and leaves no child behind, whatever happens."""
+
+    @staticmethod
+    def record(monkeypatch, build_kernel=dp.build_kernel) -> list[str]:
+        from stochcert import mc
+
+        events, fork = [], os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                events.append("fork")
+            return pid
+
+        def recording_build(*args):
+            events.append("build_kernel")
+            return build_kernel(*args)
+
+        monkeypatch.setattr(mc, "MIN_BLOCK", 1)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(mc.os, "fork", recording_fork)
+        monkeypatch.setattr(dp, "build_kernel", recording_build)
+        return events
+
+    def test_blocks_fork_before_the_dp_stage(self, monkeypatch):
+        events = self.record(monkeypatch)
+        sc = load_scenario(SCENARIOS / "symmetric_walk.yaml").replace(mc_trials=200,
+                                                                      mc_horizon=50)
+        report = run("report-all", sc)
+        assert events[:3] == ["fork", "fork", "build_kernel"]
+        assert events.count("fork") == 2
+        assert report.sections["dp_vs_mc"][0]["reach_avoid"]["agree"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_child_left_when_the_dp_stage_raises(self, monkeypatch, capsys):
+        def too_small(*args):
+            raise dp.GridTooSmallError("safe image left the grid box")
+
+        events = self.record(monkeypatch, too_small)
+        code = main(["--scenario", str(SCENARIOS / "symmetric_walk.yaml"),
+                     "--command", "report-all", "--quiet"])
+        assert code == EXIT_NUMERIC
+        assert "error: safe image left the grid box" in capsys.readouterr().err
+        assert events == ["fork", "fork", "build_kernel"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestMain:

@@ -7,7 +7,7 @@ import pytest
 
 from stochcert import expr, mc, model, regions
 from stochcert.cli import load_scenario
-from stochcert.mc import (ACTIVE, EXITED, REACHED, _atom_picker, _run_split, _run_trials,
+from stochcert.mc import (ACTIVE, EXITED, REACHED, _atom_picker, _run_trials, _start_split,
                           _step_uniforms, estimate)
 
 from conftest import make_contraction, make_walk, ruin_probability, walk_regions
@@ -24,6 +24,11 @@ def force_blocks(monkeypatch, blocks):
                         raising=False)
 
 
+def run_split(*args):
+    """``_run_trials``'s value from the blocks ``_start_split`` forks."""
+    return _start_split(*args)()
+
+
 def assert_same_outcomes(got, want):
     for (status, steps, error), (want_status, want_steps, want_error) in zip(got, want):
         assert error == want_error
@@ -36,7 +41,7 @@ def assert_split_is_serial(monkeypatch, *args):
     want = _run_trials(*args)
     for blocks in BLOCKS:
         force_blocks(monkeypatch, blocks)
-        assert_same_outcomes(_run_split(*args), want)
+        assert_same_outcomes(run_split(*args), want)
 
 
 def disc_walk():
@@ -229,7 +234,7 @@ class TestExactCounts:
             live_est, reach_est = estimate(*args)
             assert live_est.successes == 1898
             assert reach_est.successes == 1964
-            (live_status, live_steps, _), (reach_status, reach_steps, _) = _run_split(
+            (live_status, live_steps, _), (reach_status, reach_steps, _) = run_split(
                 *args[:5], 20240001)
             assert int(live_steps.sum()) == 967626
             assert np.count_nonzero(live_status == EXITED) == 102
@@ -241,7 +246,7 @@ class TestExactCounts:
         # 8195 trials also split under the real MIN_BLOCK and CPU count
         system, reg = disc_walk()
         args = (system, reg, [0.6, 0.3], 200, n_trials, 20240001)
-        assert_same_outcomes(_run_split(*args), _run_trials(*args))
+        assert_same_outcomes(run_split(*args), _run_trials(*args))
         assert_split_is_serial(monkeypatch, *args)
 
 
@@ -276,7 +281,7 @@ class TestChildren:
         pids = self.count_forks(monkeypatch)
         system, reg = disc_walk()
         estimate(system, reg, [0.6, 0.3], 50, 301, 0.05, 1)
-        assert len(pids) == 2
+        assert len(pids) == 3  # one child per block, block 0 included
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -294,7 +299,28 @@ class TestChildren:
         system, reg = disc_walk()
         with pytest.raises(RuntimeError, match="block 0 failed"):
             estimate(system, reg, [0.6, 0.3], 50, 301, 0.05, 1)
+        # block 0 fails in its child too, then again in the serial rerun
+        assert len(pids) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_single_block_forks_nothing(self, monkeypatch):
+        force_blocks(monkeypatch, 1)
+        pids = self.count_forks(monkeypatch)
+        system, reg = disc_walk()
+        estimate(system, reg, [0.6, 0.3], 50, 301, 0.05, 1)
+        assert pids == []
+
+    def test_start_returns_before_collect_and_kill_reaps(self, monkeypatch):
+        # the trials of a started estimate are forked and still running when
+        # start_estimate returns; kill() ends and reaps every one
+        force_blocks(monkeypatch, 2)
+        pids = self.count_forks(monkeypatch)
+        system, reg = disc_walk()
+        pending = mc.start_estimate(system, reg, [0.6, 0.3], 10**5, 400, 0.05, 1)
         assert len(pids) == 2
+        assert os.waitpid(pids[0], os.WNOHANG) == (0, 0)
+        pending.kill()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -312,7 +338,7 @@ class TestChildren:
         monkeypatch.setattr(mc.os, "fork", second_fork_fails)
         system, reg = disc_walk()
         args = (system, reg, [0.6, 0.3], 50, 301, 1)
-        assert_same_outcomes(_run_split(*args), _run_trials(*args))
+        assert_same_outcomes(run_split(*args), _run_trials(*args))
         assert len(pids) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -388,7 +414,7 @@ def test_trials_match_one_at_a_time_reference(case, monkeypatch):
     want = reference_trials(system, reg, x0, horizon, n, seed)
     for blocks in BLOCKS:
         force_blocks(monkeypatch, blocks)
-        got = _run_split(system, reg, x0, horizon, n, seed)
+        got = run_split(system, reg, x0, horizon, n, seed)
         for (status, steps, error), (want_status, want_steps, failed) in zip(got, want):
             assert (error is not None) == failed
             if not failed:
