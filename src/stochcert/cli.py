@@ -35,9 +35,9 @@ from .certificate import (
 )
 from .expr import EvalError, ExprError, NumericError, Record, parse_expr, parse_predicate
 from .model import DisturbanceDist, SystemModel
-from .regions import RegionSpec, StateClass
+from .regions import Box, RegionSpec, StateClass
 
-__all__ = ["Scenario", "ScenarioError", "Report", "load_scenario", "run", "main"]
+__all__ = ["Scenario", "ScenarioError", "Report", "Run", "load_scenario", "run", "main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -349,71 +349,152 @@ def load_scenario(path) -> Scenario:
                     x0s=x0s, grid=grid, warnings=warnings, **values)
 
 
-# shared pipeline pieces ------------------------------------------------
+# the run context -------------------------------------------------------
 
 
-def _solve_fields(sc: Scenario) -> dict:
-    """The DP stage: both kernels, the four value fields, the finite-time-exit
-    check, and ``at_x0s``: each field read at all of ``sc.x0s`` once."""
-    reach = dp.build_kernel(sc.system, sc.grid, sc.regions, dp.MODE_REACH_AVOID)
-    safety = dp.build_kernel(sc.system, sc.grid, sc.regions, dp.MODE_SAFETY)
-    fields = {
-        "reach_avoid": dp.solve_reach_avoid(reach),
-        "safety_exit": dp.solve_safety_exit(safety),
-        "discounted": dp.solve_discounted(reach, sc.gamma),
-        "discounted_exit": dp.solve_discounted(safety, sc.gamma),
-    }
-    return {
-        **fields,
-        "at_x0s": {name: dp.eval_field_batch(fld, sc.x0s) for name, fld in fields.items()},
-        "gamma": sc.gamma,
-        "regions": sc.regions,
-        "assumption1": dp.check_assumption1(reach),
-        "reach_kernel": reach,
-        "safety_kernel": safety,
-    }
+class Run(Record):
+    """One command's work on a loaded scenario.  Its stages, the entries of
+    ``_STAGES``, read as attributes: each is computed on first use and kept,
+    so no stage runs twice however many sections read it."""
+
+    sc: Scenario
+    out_dir: Path | None = None
+    certificate: str | None = None
+    condition: str | None = None
+
+    def __getattr__(self, name: str):
+        if name not in _STAGES:
+            raise AttributeError(f"Run has no stage {name!r}")
+        value = self.__dict__[name] = _STAGES[name](self)
+        return value
+
+    def unmet(self, kind: str) -> str | None:
+        """The caveat that skips ``kind``: the finite-time-exit assumption its
+        KINDS entry names fails; else None."""
+        if "assumption1" not in KINDS[kind] or self.assumption1.holds:
+            return None
+        return (f"{kind} skipped: the finite-time-exit assumption fails "
+                f"(sup stay-probability {self.assumption1.sup_stay_prob:.3g})")
 
 
-def _omega(sc: Scenario, grid_form: bool) -> tuple[dict, dict]:
+def _omega(r: Run) -> tuple[dict, Box]:
     """The one Omega rule: condition kind -> the box its clauses are checked
-    on, and kind -> its check points; extract, verify and the re-validation
-    in synthesize all take theirs from here.
+    on, and the box from X, which holds them all.
 
     Omega is the box over the samples in X and their one-step images from one
     start set: the samples in X \\ X_r when the kind has a clause over that
     class, since its process stops on X_r (Prajna, Jadbabaie & Pappas, IEEE
-    TAC 2007), and the samples in X otherwise.  The check points are one
-    build_check_points call over the box from X, which holds every kind's
-    box, cut to each kind's box; ``grid_form`` leaves out the random points
-    inside the grid box, for grid certificates.
+    TAC 2007), and the samples in X otherwise.
     """
+    sc = r.sc
     rng = np.random.default_rng(sc.point_seed)
     samples = np.vstack([sc.grid.nodes(), sc.grid.box.sample(2000, rng)])
     over_x, over_transient = regions_mod.compute_omega(sc.system, sc.regions, samples)
-    omega = {kind: over_transient if any(cls == "saf" for _, cls, _, _ in spec["clauses"])
-             else over_x for kind, spec in KINDS.items()}
+    return {kind: over_transient if any(cls == "saf" for _, cls, _, _ in spec["clauses"])
+            else over_x for kind, spec in KINDS.items()}, over_x
+
+
+def _check_points(r: Run, grid_form: bool) -> dict:
+    """Kind -> its check points: one build_check_points call over the box
+    from X, cut to each kind's box.  ``grid_form`` leaves out the random
+    points inside the grid box, for grid certificates."""
+    sc, (omega, over_x) = r.sc, r.omega
     points = cert_mod.build_check_points(sc.grid, over_x, sc.extra_points, sc.point_seed,
                                          interior_random=not grid_form)
-    return omega, {kind: points[box.contains(points)] for kind, box in omega.items()}
+    return {kind: points[box.contains(points)] for kind, box in omega.items()}
 
 
-def _threshold_verdicts(sc: Scenario, fields: dict) -> dict:
-    """The scenario's verification questions answered from the DP fields at
-    the worst initial state: a threshold is certified when every one clears it."""
-    live = float(np.min(1.0 - fields["at_x0s"]["safety_exit"]))
-    reach = float(np.min(fields["at_x0s"]["reach_avoid"]))
-    return {
-        "liveness": {"value": live, "epsilon1": sc.epsilon1,
-                     "certified": bool(live >= sc.epsilon1), "method": "dp"},
-        "reach_avoid": {"value": reach, "epsilon2": sc.epsilon2,
-                        "certified": bool(reach >= sc.epsilon2), "method": "dp"},
-    }
+def _start_trials(r: Run, x0):
+    """Fork ``x0``'s Monte Carlo trials; returns their collector."""
+    from . import mc
+
+    sc = r.sc
+    return mc.start_estimate(sc.system, sc.regions, x0, sc.mc_horizon, sc.mc_trials,
+                             sc.mc_delta, sc.mc_seed)
 
 
-# commands --------------------------------------------------------------
+def _extract_and_check(r: Run) -> tuple[dict, list[str]]:
+    """Kind -> (condition, check report, saved path or None) of a certificate
+    per condition kind, or for the run's condition alone, at its tight
+    threshold, and the caveats of the kinds skipped: a kind whose prerequisite
+    fails is skipped, or, asked for alone, refused with a CertificateError."""
+    sc = r.sc
+    unmet = {kind: r.unmet(kind) for kind in ([r.condition] if r.condition else ALL_KINDS)}
+    if unmet.get(r.condition):
+        raise CertificateError(unmet[r.condition])
+    results = {}
+    for kind in (kind for kind, reason in unmet.items() if not reason):
+        # the value function meets its condition with equality, so its values
+        # at the initial states give the tightest threshold it supports at
+        # all of them
+        tight = cert_mod.tight_threshold(kind, r.at_x0s[KINDS[kind]["source"][0]])
+        cert = cert_mod.extract_certificate({**r.fields, "gamma": sc.gamma,
+                                             "regions": sc.regions}, kind)
+        cert, w = cert if kind in cert_mod.PAIR_KINDS else (cert, None)
+        cond = Condition(kind, tight, gamma=sc.gamma if KINDS[kind]["gamma"] else None, w=w)
+        rep = cert_mod.check_condition(sc.system, sc.regions, cert, cond, sc.x0s,
+                                       r.grid_check_points[kind], sc.tolerance)
+        path = None
+        if r.out_dir:
+            path = r.out_dir / f"certificate_{kind}.yaml"
+            cert_mod.save_certificate(path, cond, cert)
+        results[kind] = (cond, rep, path)
+    return results, [reason for reason in unmet.values() if reason]
 
 
-def _cmd_simulate(sc: Scenario, out_dir: Path | None) -> Report:
+def _synthesize(r: Run) -> tuple:
+    """(condition at threshold 0, template, LP sample points, result) of
+    ``synth.synthesize`` for the run's condition, or ra_lower_a1: the LP's
+    rows sample the kind's Omega, and the winner is re-validated on the
+    points that verify checks its file on."""
+    from . import synth
+
+    sc, kind = r.sc, r.condition or KIND_RA_LOWER_A1
+    cond = Condition(kind, 0.0, gamma=sc.gamma if KINDS[kind]["gamma"] else None)
+    template = synth.Template(n=sc.system.n, degree=1)
+    points = r.omega[0][kind].sample(max(sc.extra_points, 200),
+                                     np.random.default_rng(sc.point_seed + 1))
+    return cond, template, points, synth.synthesize(
+        sc.system, sc.regions, kind, template, points, sc.x0s, r.check_points[kind],
+        tolerance=sc.tolerance, gamma=cond.gamma, margin=0.01)
+
+
+# stage -> its function of the scenario and the stages before it
+_STAGES = {
+    "reach_kernel": lambda r: dp.build_kernel(r.sc.system, r.sc.grid, r.sc.regions,
+                                              dp.MODE_REACH_AVOID),
+    "safety_kernel": lambda r: dp.build_kernel(r.sc.system, r.sc.grid, r.sc.regions,
+                                               dp.MODE_SAFETY),
+    "assumption1": lambda r: dp.check_assumption1(r.reach_kernel),
+    "fields": lambda r: {
+        "reach_avoid": dp.solve_reach_avoid(r.reach_kernel),
+        "safety_exit": dp.solve_safety_exit(r.safety_kernel),
+        "discounted": dp.solve_discounted(r.reach_kernel, r.sc.gamma),
+        "discounted_exit": dp.solve_discounted(r.safety_kernel, r.sc.gamma),
+    },
+    "at_x0s": lambda r: {name: dp.eval_field_batch(fld, r.sc.x0s)
+                         for name, fld in r.fields.items()},
+    "omega": _omega,
+    "grid_check_points": lambda r: _check_points(r, grid_form=True),
+    "check_points": lambda r: _check_points(r, grid_form=False),
+    "first_trials": lambda r: _start_trials(r, r.sc.x0s[0]),
+    # (liveness, reach-avoid) per initial state; each later state's trials
+    # start once the earlier ones are in, so no more blocks live than CPUs
+    "estimates": lambda r: [r.first_trials(),
+                            *(_start_trials(r, x0)() for x0 in r.sc.x0s[1:])],
+    "extracted": _extract_and_check,
+    "synthesized": _synthesize,
+}
+
+
+# section writers -------------------------------------------------------
+#
+# Each reads one Run and returns (sections, caveats, passed): the sections it
+# adds to the report, its caveats, and whether its verdicts pass.
+
+
+def _trajectory(r: Run):
+    sc = r.sc
     x0 = sc.x0s[0]
     traj = model_mod.simulate(sc.system, x0, sc.mc_horizon, sc.mc_seed)
     final_class = StateClass(regions_mod.classify_batch(sc.regions, traj.states[-1:])[0])
@@ -424,24 +505,37 @@ def _cmd_simulate(sc: Scenario, out_dir: Path | None) -> Report:
         "final_class": final_class.name,
         "error": traj.error,
     }
-    if out_dir:
-        path = out_dir / "trajectory.csv"
+    if r.out_dir:
+        path = r.out_dir / "trajectory.csv"
         header = "step," + ",".join(f"x{d + 1}" for d in range(sc.system.n))
         data = np.column_stack([np.arange(traj.states.shape[0]), traj.states])
         np.savetxt(path, data, delimiter=",", header=header, comments="")
         section["csv"] = str(path)
-    return Report("simulate", sc.name, {"trajectory": section}, passed=not traj.error)
+    return {"trajectory": section}, [], not traj.error
 
 
-def _cmd_solve(sc: Scenario, out_dir: Path | None) -> Report:
-    fields = _solve_fields(sc)
-    sections: dict = {}
+def _thresholds(r: Run):
+    """The scenario's verification questions answered from the DP fields at
+    the worst initial state: a threshold is certified when every one clears it."""
+    sc = r.sc
+    live = float(np.min(1.0 - r.at_x0s["safety_exit"]))
+    reach = float(np.min(r.at_x0s["reach_avoid"]))
+    verdicts = {
+        "liveness": {"value": live, "epsilon1": sc.epsilon1,
+                     "certified": bool(live >= sc.epsilon1), "method": "dp"},
+        "reach_avoid": {"value": reach, "epsilon2": sc.epsilon2,
+                        "certified": bool(reach >= sc.epsilon2), "method": "dp"},
+    }
+    return {"thresholds": verdicts}, [], all(v["certified"] for v in verdicts.values())
+
+
+def _solve(r: Run):
+    sc, at, sections = r.sc, r.at_x0s, {}
     caveats = [
         f"grid {sc.grid.cells.tolist()} cells over "
         f"[{sc.grid.lower.tolist()}, {sc.grid.upper.tolist()}]; values are for "
         "the discretized chain, fidelity is empirical"
     ]
-    at = fields["at_x0s"]
     sections["values"] = [{
         "x0": x0.tolist(),
         "reach_avoid": _prob(reach, "dp"),
@@ -450,149 +544,96 @@ def _cmd_solve(sc: Scenario, out_dir: Path | None) -> Report:
         f"discounted(gamma={sc.gamma:g})": _prob(discounted, "dp"),
     } for x0, reach, exit_, discounted in zip(sc.x0s, at["reach_avoid"], at["safety_exit"],
                                               at["discounted"])]
-    sections["thresholds"] = _threshold_verdicts(sc, fields)
-    if fields["reach_kernel"].n_transient <= dp.EXACT_NODE_LIMIT:
+    # solve reports the threshold verdicts; only report-all fails on them
+    sections.update(_thresholds(r)[0])
+    if r.reach_kernel.n_transient <= dp.EXACT_NODE_LIMIT:
+        fld = r.fields["reach_avoid"]
         try:
-            exact = dp.solve_exact_small(fields["reach_kernel"])
-            gap = float(np.max(np.abs(exact.values - fields["reach_avoid"].values)))
-            sections["cross_check"] = {
-                "exact_vs_iterative_sup_gap": gap,
-                "iterations": fields["reach_avoid"].iterations,
-            }
+            exact = dp.solve_exact_small(r.reach_kernel)
+            # the verdict, not the gap, whose last digits move with LAPACK's threads
+            gap = float(np.max(np.abs(exact.values - fld.values)))
+            sections["cross_check"] = {"within_error_bound": bool(gap <= fld.error_bound),
+                                       "iterations": fld.iterations}
         except dp.SingularSystemError as exc:
             # mass can stay transient forever; the iterative least fixed
             # point is still the value function, only the oracle is unusable
             sections["cross_check"] = {"exact_solve": f"unavailable: {exc}"}
     sections["solver"] = {}
-    for name in ("reach_avoid", "safety_exit", "discounted", "discounted_exit"):
-        fld = fields[name]
+    for name, fld in r.fields.items():
         sections["solver"][name] = {"method": "prob0+bicgstab", "iterations": fld.iterations,
                                     "error_bound": fld.error_bound}
         if not fld.converged:
             caveats.append(f"{name}: solver error bound {fld.error_bound:.3g} "
                            "exceeds the requested tolerance; values are within that bound")
-    if out_dir:
+    if r.out_dir:
         for name in ("reach_avoid", "safety_exit", "discounted"):
-            path = out_dir / f"field_{name}.csv"
-            dp.field_to_csv(fields[name], path)
+            path = r.out_dir / f"field_{name}.csv"
+            dp.field_to_csv(r.fields[name], path)
             sections.setdefault("csv", {})[name] = str(path)
-    return Report("solve", sc.name, sections, caveats)
+    return sections, caveats, True
 
 
-def _cmd_estimate(sc: Scenario) -> Report:
-    from . import mc
-
-    per_x0 = []
-    for x0 in sc.x0s:
-        live, reach = mc.estimate(sc.system, sc.regions, x0, sc.mc_horizon,
-                                  sc.mc_trials, sc.mc_delta, sc.mc_seed)
-        per_x0.append({
-            "x0": x0.tolist(),
-            "liveness": {**_prob(live.p_hat, "mc"), "half_width": live.half_width,
-                         "direction": live.direction, "error": live.error},
-            "reach_avoid": {**_prob(reach.p_hat, "mc"), "half_width": reach.half_width,
-                            "direction": reach.direction, "error": reach.error},
-        })
-    caveats = [
-        f"{sc.mc_trials} trials, horizon {sc.mc_horizon}, delta {sc.mc_delta:g}; "
-        "finite-horizon estimates bracket the infinite-horizon probabilities "
-        "(see direction notes)"
-    ]
-    return Report("estimate", sc.name, {"estimates": per_x0}, caveats, passed=not any(
-        e["liveness"]["error"] or e["reach_avoid"]["error"] for e in per_x0))
+def _estimates(r: Run):
+    sc = r.sc
+    per_x0 = [{"x0": x0.tolist(), **{
+        name: {**_prob(est.p_hat, "mc"), "half_width": est.half_width,
+               "direction": est.direction, "error": est.error}
+        for name, est in (("liveness", live), ("reach_avoid", reach))}}
+        for x0, (live, reach) in zip(sc.x0s, r.estimates)]
+    caveat = (f"{sc.mc_trials} trials, horizon {sc.mc_horizon}, delta {sc.mc_delta:g}; "
+              "finite-horizon estimates bracket the infinite-horizon probabilities "
+              "(see direction notes)")
+    return {"estimates": per_x0}, [caveat], not any(est.error for ests in r.estimates
+                                                    for est in ests)
 
 
-def _cmd_assumption1(sc: Scenario) -> Report:
-    reach_kernel = dp.build_kernel(sc.system, sc.grid, sc.regions, dp.MODE_REACH_AVOID)
-    res = dp.check_assumption1(reach_kernel)
-    section = {
-        "holds": res.holds,
-        "sup_stay_probability": res.sup_stay_prob,
-        "iterations": res.iterations,
-        "converged": res.converged,
-    }
-    return Report("assumption1", sc.name, {"assumption1": section})
+def _assumption1(r: Run):
+    a1 = r.assumption1
+    return {"assumption1": {"holds": a1.holds, "sup_stay_probability": a1.sup_stay_prob,
+                            "iterations": a1.iterations, "converged": a1.converged}}, [], True
 
 
-def _unmet(kind: str, fields: dict) -> str | None:
-    """The caveat that skips ``kind`` where the DP ``fields`` were solved: the
-    finite-time-exit assumption its KINDS entry names fails there; else None."""
-    a1 = fields["assumption1"]
-    if "assumption1" not in KINDS[kind] or a1.holds:
-        return None
-    return (f"{kind} skipped: the finite-time-exit assumption fails "
-            f"(sup stay-probability {a1.sup_stay_prob:.3g})")
-
-
-def _extract_and_check(sc: Scenario, fields: dict, out_dir: Path | None,
-                       only_kind: str | None) -> tuple[dict, list[str]]:
-    """Extract a certificate per condition kind at its tight threshold, check
-    it pointwise and, with ``out_dir``, save it.
-
-    A kind whose prerequisite fails is skipped with its ``_unmet`` caveat, or,
-    asked for alone, refused with a CertificateError.  Omega and the check
-    points are built once: every extracted certificate is a GridCert, so each
-    kind takes its cut of one grid point set.  Returns kind -> (condition,
-    check report, saved path or None), and the caveats.
-    """
-    unmet = {kind: _unmet(kind, fields) for kind in ([only_kind] if only_kind else ALL_KINDS)}
-    if unmet.get(only_kind):
-        raise CertificateError(unmet[only_kind])
-    _, points = _omega(sc, grid_form=True)
-    results = {}
-    for kind in (kind for kind, reason in unmet.items() if not reason):
-        # the value function meets its condition with equality, so its values
-        # at the initial states give the tightest threshold it supports at
-        # all of them
-        name = KINDS[kind]["source"][0]
-        tight = cert_mod.tight_threshold(kind, fields["at_x0s"][name])
-        gamma = sc.gamma if KINDS[kind]["gamma"] else None
-        cert = cert_mod.extract_certificate(fields, kind)
-        cert, w = cert if kind in cert_mod.PAIR_KINDS else (cert, None)
-        cond = Condition(kind, tight, gamma=gamma, w=w)
-        rep = cert_mod.check_condition(sc.system, sc.regions, cert, cond,
-                                       sc.x0s, points[kind], sc.tolerance)
-        path = None
-        if out_dir:
-            path = out_dir / f"certificate_{kind}.yaml"
-            cert_mod.save_certificate(path, cond, cert)
-        results[kind] = (cond, rep, path)
-    return results, [reason for reason in unmet.values() if reason]
-
-
-def _cmd_extract(sc: Scenario, out_dir: Path | None, only_kind: str | None) -> Report:
-    sections: dict = {}
-    results, caveats = _extract_and_check(sc, _solve_fields(sc), out_dir, only_kind)
+def _extract(r: Run, verdict: str = "self_check"):
+    results, caveats = r.extracted
+    entries = {}
     for kind, (cond, rep, path) in results.items():
-        sections[kind] = {
+        entries[kind] = {
             "threshold": cond.epsilon,
             "gamma": cond.gamma,
-            "self_check": "pass" if rep.passed else "FAIL",
+            verdict: "pass" if rep.passed else "FAIL",
             "min_slack": rep.min_slack,
+            "points": rep.n_points,
             "method": "pointwise-check",
         }
         if path:
-            sections[kind]["file"] = str(path)
-    return Report("extract", sc.name, sections, caveats,
-                  passed=all(v["self_check"] == "pass" for v in sections.values()))
+            entries[kind]["file"] = str(path)
+    return entries, caveats, all(rep.passed for _, rep, _ in results.values())
 
 
-def _cmd_verify(sc: Scenario, certificate_path: str | None, only_kind: str | None) -> Report:
-    if not certificate_path:
+def _certificates(r: Run):
+    entries, caveats, passed = _extract(r, verdict="check")
+    return {"certificates": entries}, [*caveats, "certificate checks are pointwise: validated "
+                                       "on the listed point sets, not proven over all "
+                                       "states"], passed
+
+
+def _verify(r: Run):
+    sc = r.sc
+    if not r.certificate:
         raise ScenarioError(["verify needs --certificate <file>"])
     try:
-        cond, cert = cert_mod.load_certificate(certificate_path)
-        if only_kind and only_kind != cond.kind:
-            cond = cond.replace(kind=only_kind)
+        cond, cert = cert_mod.load_certificate(r.certificate)
+        if r.condition and r.condition != cond.kind:
+            cond = cond.replace(kind=r.condition)
         for part, obj in (("function", cert), ("pair_w", cond.w)):
             if obj is not None and obj.n not in (None, sc.system.n):
                 raise ValueError(f"{part} has dimension {obj.n}, "
                                  f"but the scenario has system.n = {sc.system.n}")
     except (OSError, yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError([f"certificate {certificate_path}: {exc}"]) from exc
-    _, points = _omega(sc, isinstance(cert, GridCert))
-    report = cert_mod.check_condition(sc.system, sc.regions, cert, cond,
-                                      sc.x0s, points[cond.kind], sc.tolerance)
+        raise ScenarioError([f"certificate {r.certificate}: {exc}"]) from exc
+    points = r.grid_check_points if isinstance(cert, GridCert) else r.check_points
+    report = cert_mod.check_condition(sc.system, sc.regions, cert, cond, sc.x0s,
+                                      points[cond.kind], sc.tolerance)
     section = {
         "kind": cond.kind,
         "threshold": cond.epsilon,
@@ -608,31 +649,18 @@ def _cmd_verify(sc: Scenario, certificate_path: str | None, only_kind: str | Non
             for pt, name, lhs, rhs in report.witnesses[:5]
         ],
     }
-    return Report("verify", sc.name, {"verify": section},
-                  caveats=report.caveats, passed=report.passed)
+    return {"verify": section}, report.caveats, report.passed
 
 
-def _cmd_synthesize(sc: Scenario, out_dir: Path | None, only_kind: str | None) -> Report:
+def _synthesis(r: Run):
     from . import synth
 
-    kind = only_kind or KIND_RA_LOWER_A1
-    template = synth.Template(n=sc.system.n, degree=1)
-    gamma = sc.gamma if KINDS[kind]["gamma"] else None
-    # the LP's rows sample the kind's Omega; the winner is re-validated on
-    # the points that verify checks its file on
-    omega, checks = _omega(sc, grid_form=False)
-    rng = np.random.default_rng(sc.point_seed + 1)
-    points = omega[kind].sample(max(sc.extra_points, 200), rng)
     try:
-        result = synth.synthesize(
-            sc.system, sc.regions, kind, template, points, sc.x0s, checks[kind],
-            tolerance=sc.tolerance, gamma=gamma, margin=0.01,
-        )
+        cond, template, points, result = r.synthesized
     except EvalError as exc:  # an initial state that cannot be classified, say
-        section = {"status": "error", "detail": str(exc)}
-        return Report("synthesize", sc.name, {"synthesis": section}, passed=False)
+        return {"synthesis": {"status": "error", "detail": str(exc)}}, [], False
     section = {
-        "kind": kind,
+        "kind": cond.kind,
         "template_degree": template.degree,
         "coefficients": list(result.cert.coeffs),
         "threshold": result.threshold,
@@ -642,80 +670,49 @@ def _cmd_synthesize(sc: Scenario, out_dir: Path | None, only_kind: str | None) -
         "lp_cols": result.problem.n_vars,
         "constraint_points": int(points.shape[0]),
     }
-    if out_dir:
-        cert_path = out_dir / f"synthesized_{kind}.yaml"
-        cert_mod.save_certificate(cert_path, Condition(kind, result.threshold, gamma=gamma),
+    if r.out_dir:
+        cert_path = r.out_dir / f"synthesized_{cond.kind}.yaml"
+        cert_mod.save_certificate(cert_path, cond.replace(epsilon=result.threshold),
                                   result.cert)
-        lp_path = out_dir / "synthesis.lp.txt"
+        lp_path = r.out_dir / "synthesis.lp.txt"
         lp_path.write_text(synth.lp_to_text(result.problem))
         section["file"] = str(cert_path)
         section["lp_dump"] = str(lp_path)
-    return Report("synthesize", sc.name, {"synthesis": section}, result.report.caveats,
-                  passed=result.status == "validated")
+    return {"synthesis": section}, result.report.caveats, result.status == "validated"
 
 
-def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
-    from . import mc, synth
+def _report_synthesis(r: Run):
+    """report-all's synthesis, without synthesize's caveats: a kind skipped
+    for its prerequisite, or an infeasible LP, fails no run."""
+    from . import synth
 
-    # the first initial state's trials run beside the stages up to synthesis
-    mc_args = (sc.mc_horizon, sc.mc_trials, sc.mc_delta, sc.mc_seed)
-    pending = mc.start_estimate(sc.system, sc.regions, sc.x0s[0], *mc_args)
+    skip = r.unmet(KIND_RA_LOWER_A1)
+    if skip:
+        return {"synthesis": {"status": "skipped", "detail": skip}}, [], True
     try:
-        fields = _solve_fields(sc)
-        sections: dict = {"dp_vs_mc": []}
-        ok = True
+        sections, _, passed = _synthesis(r)
+    except synth.SynthesisInfeasibleError as exc:
+        return {"synthesis": {"status": "infeasible", "detail": str(exc)}}, [], True
+    except synth.SimplexStalledError as exc:
+        return {"synthesis": {"status": "stalled", "detail": str(exc)}}, [], False
+    return sections, [], passed
 
-        # per question: DP values at the initial states, and the truncation slack
-        # (the chain's mass still transient after the horizon, clipped against rounding)
-        dp_values = {"reach_avoid": fields["at_x0s"]["reach_avoid"],
-                     "liveness": 1.0 - fields["at_x0s"]["safety_exit"]}
-        slack = {name: np.clip(dp.eval_field_batch(dp.stay_probability(
-            fields[kernel], sc.mc_horizon), sc.x0s), 0.0, 1.0) for name, kernel in (
-            ("reach_avoid", "reach_kernel"), ("liveness", "safety_kernel"))}
 
-        sections["thresholds"] = _threshold_verdicts(sc, fields)
-        ok = ok and all(entry["certified"] for entry in sections["thresholds"].values())
-
-        a1 = fields["assumption1"]
-        sections["assumption1"] = {"holds": a1.holds, "sup_stay_probability": a1.sup_stay_prob}
-
-        cert_section = {}
-        results, skipped = _extract_and_check(sc, fields, out_dir, None)
-        for kind, (cond, rep, path) in results.items():
-            ok = ok and rep.passed
-            cert_section[kind] = {
-                "threshold": cond.epsilon,
-                "check": "pass" if rep.passed else "FAIL",
-                "min_slack": rep.min_slack,
-                "points": rep.n_points,
-                "method": "pointwise-check",
-            }
-            if path:
-                cert_section[kind]["file"] = str(path)
-        sections["certificates"] = cert_section
-
-        # a kind skipped for its prerequisite is not synthesized, and that fails no run
-        skip = _unmet(KIND_RA_LOWER_A1, fields)
-        try:
-            if skip:
-                sections["synthesis"] = {"status": "skipped", "detail": skip}
-            else:
-                synth_report = _cmd_synthesize(sc, out_dir, KIND_RA_LOWER_A1)
-                sections["synthesis"] = synth_report.sections["synthesis"]
-                ok = ok and synth_report.passed
-        except synth.SynthesisInfeasibleError as exc:
-            sections["synthesis"] = {"status": "infeasible", "detail": str(exc)}
-        except synth.SimplexStalledError as exc:
-            sections["synthesis"] = {"status": "stalled", "detail": str(exc)}
-            ok = False
-    except BaseException:
-        pending.kill()
-        raise
-
-    caveats: list[str] = []
-    for i, x0 in enumerate(sc.x0s):
-        est_live, est_reach = mc.estimate(sc.system, sc.regions, x0, *mc_args) if i else pending()
-        row = {"x0": x0.tolist()}
+def _dp_vs_mc(r: Run):
+    """Each question's DP value beside its Monte Carlo estimate at every
+    initial state: they agree within the half-width plus the truncation
+    slack, the chain's mass still transient after the horizon."""
+    sc = r.sc
+    dp_values = {"reach_avoid": r.at_x0s["reach_avoid"],
+                 "liveness": 1.0 - r.at_x0s["safety_exit"]}
+    # computed before the estimates are collected; clipped against rounding
+    slack = {name: np.clip(dp.eval_field_batch(dp.stay_probability(kernel, sc.mc_horizon),
+                                               sc.x0s), 0.0, 1.0)
+             for name, kernel in (("reach_avoid", r.reach_kernel),
+                                  ("liveness", r.safety_kernel))}
+    rows, caveats = [], []
+    for i, (x0, (est_live, est_reach)) in enumerate(zip(sc.x0s, r.estimates)):
+        rows.append({"x0": x0.tolist()})
         for name, est in (("reach_avoid", est_reach), ("liveness", est_live)):
             value, slack_x0 = float(dp_values[name][i]), float(slack[name][i])
             # an aborted pass counts nothing, so its p_hat agrees with no value
@@ -724,35 +721,30 @@ def _cmd_report_all(sc: Scenario, out_dir: Path | None) -> Report:
             if est.error is not None:
                 caveats.append(f"x0 {x0.tolist()}: Monte Carlo {name} estimate failed: "
                                f"{est.error}")
-            ok = ok and agree
-            row[name] = {"dp": value, "mc": est.p_hat, "half_width": est.half_width,
-                         "truncation_slack": slack_x0, "agree": agree}
-        sections["dp_vs_mc"].append(row)
-
-    caveats += [*skipped, "certificate checks are pointwise: validated on the listed "
-                "point sets, not proven over all states"]
-    return Report("report-all", sc.name, sections, caveats, passed=ok)
+            rows[-1][name] = {"dp": value, "mc": est.p_hat, "half_width": est.half_width,
+                              "truncation_slack": slack_x0, "agree": agree}
+    return {"dp_vs_mc": rows}, caveats, all(
+        row[name]["agree"] for row in rows for name in ("reach_avoid", "liveness"))
 
 
-# command -> its runner, given (scenario, output directory, certificate
-# file, condition kind)
-_RUNNERS = {
-    "simulate": lambda sc, out, cert, kind: _cmd_simulate(sc, out),
-    "solve": lambda sc, out, cert, kind: _cmd_solve(sc, out),
-    "estimate": lambda sc, out, cert, kind: _cmd_estimate(sc),
-    "verify": lambda sc, out, cert, kind: _cmd_verify(sc, cert, kind),
-    "extract": lambda sc, out, cert, kind: _cmd_extract(sc, out, kind),
-    "synthesize": lambda sc, out, cert, kind: _cmd_synthesize(sc, out, kind),
-    "assumption1": lambda sc, out, cert, kind: _cmd_assumption1(sc),
-    "report-all": lambda sc, out, cert, kind: _cmd_report_all(sc, out),
+# command -> its section writers, in the report's order
+_COMMANDS = {
+    "simulate": (_trajectory,),
+    "solve": (_solve,),
+    "estimate": (_estimates,),
+    "verify": (_verify,),
+    "extract": (_extract,),
+    "synthesize": (_synthesis,),
+    "assumption1": (_assumption1,),
+    "report-all": (_dp_vs_mc, _thresholds, _assumption1, _certificates, _report_synthesis),
 }
-COMMANDS = tuple(_RUNNERS)
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(command: str, scenario: Scenario, certificate: str | None = None,
         condition: str | None = None, out_dir: str | None = None) -> Report:
-    """Dispatch one command against a loaded scenario; its report carries the
-    scenario's warnings last among its caveats."""
+    """Run one command's section writers over one Run of a loaded scenario;
+    its report carries the scenario's warnings last among its caveats."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     if condition is not None and condition not in ALL_KINDS:
@@ -770,8 +762,25 @@ def run(command: str, scenario: Scenario, certificate: str | None = None,
             out_path.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ScenarioError([f"--out {out_path}: {exc}"])
-    report = _RUNNERS[command](scenario, out_path, certificate, condition)
-    report.caveats = report.caveats + scenario.warnings
+    # report-all answers for every kind, whatever the condition names
+    r = Run(scenario, out_path, certificate, None if command == "report-all" else condition)
+    writers, parts = _COMMANDS[command], {}
+    try:
+        # report-all forks its first initial state's trials before any stage
+        # and collects them in the writer it runs last, beside all the rest
+        if _dp_vs_mc in writers:
+            r.first_trials
+        for writer in sorted(writers, key=lambda writer: writer is _dp_vs_mc):
+            parts[writer] = writer(r)
+    except BaseException:
+        if "first_trials" in vars(r):
+            r.first_trials.kill()
+        raise
+    report = Report(command, scenario.name, {}, passed=all(p for _, _, p in parts.values()))
+    for sections, caveats, _ in map(parts.get, writers):
+        report.sections.update(sections)
+        report.caveats += caveats
+    report.caveats += scenario.warnings
     return report
 
 

@@ -421,9 +421,9 @@ def _pretty(node, outer: int) -> str:
         # left associative: the right operand must bind strictly tighter
         text = f"{_pretty(node.left, bp)} {symbol} {_pretty(node.right, bp + 1)}"
     elif isinstance(node, Not):
-        # '!' parenthesises every operand but another '!', on top of the
-        # operand's own parentheses; certificate files keep this form
-        inner = _pretty(node.operand, bp)
+        # '!' parenthesises every operand but another '!', once: the operand
+        # is printed bare; certificate files keep this form
+        inner = _pretty(node.operand, 0)
         text = f"{symbol}{inner}" if isinstance(node.operand, Not) else f"{symbol}({inner})"
     else:
         text = f"{symbol}{_pretty(node.operand, bp + 1)}"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from stochcert import certificate, cli, dp, expr, regions, synth
+from stochcert import certificate, cli, dp, expr, mc, regions, synth
 from stochcert.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -252,7 +252,7 @@ class TestCommands:
         assert values["reach_avoid"]["value"] == pytest.approx(0.3, abs=1e-6)
         assert values["reach_avoid"]["method"] == "dp"
         assert (tmp_path / "field_reach_avoid.csv").exists()
-        assert report.sections["cross_check"]["exact_vs_iterative_sup_gap"] < 1e-6
+        assert report.sections["cross_check"]["within_error_bound"] is True
         verdicts = report.sections["thresholds"]
         assert verdicts["reach_avoid"]["certified"]  # 0.3 >= epsilon2 = 0.29
         assert verdicts["liveness"]["certified"]  # 0 >= epsilon1 = 0
@@ -515,9 +515,9 @@ class TestCommands:
         sc = load_scenario(SCENARIOS / "symmetric_walk.yaml")
         report = run("report-all", sc)
         assert len(report.sections["certificates"]) == 6
-        # one omega for the certificate checks, one for the synthesis samples;
-        # one point set for the grid certificates, one for the polynomial
-        assert calls["compute_omega"] <= 2
+        # one omega for the certificate checks and the synthesis samples; one
+        # point set for the grid certificates, one for the polynomial
+        assert calls["compute_omega"] == 1
         assert calls["build_check_points"] <= 2
 
     @pytest.mark.parametrize("name", ["symmetric_walk", "biased_walk",
@@ -679,6 +679,41 @@ class TestStartStateError:
         assert not report.passed
 
 
+class TestStages:
+    """Each command computes each stage it reads once, and no stage it
+    does not read."""
+
+    COUNTED = ((dp, "build_kernel"), (dp, "check_assumption1"), (regions, "compute_omega"),
+               (certificate, "build_check_points"), (mc, "start_estimate"))
+    # calls of each counted function on the symmetric walk from two initial
+    # states: one Monte Carlo pass per state
+    CALLS = {
+        "simulate": (0, 0, 0, 0, 0),
+        "solve": (2, 0, 0, 0, 0),
+        "estimate": (0, 0, 0, 0, 2),
+        "verify": (0, 0, 1, 1, 0),
+        "extract": (2, 1, 1, 1, 0),
+        "synthesize": (0, 0, 1, 1, 0),
+        "assumption1": (1, 1, 0, 0, 0),
+        "report-all": (2, 1, 1, 2, 2),
+    }
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_each_stage_runs_once(self, tmp_path, monkeypatch, command):
+        sc = load_scenario(_write(tmp_path, _two_starts_doc())).replace(mc_trials=200,
+                                                                          mc_horizon=50)
+        run("extract", sc, out_dir=tmp_path)
+        calls = []
+        for module, name in self.COUNTED:
+            def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        run(command, sc, certificate=str(tmp_path / "certificate_ra_lower_a1.yaml"))
+        assert tuple(calls.count(name) for _, name in self.COUNTED) == self.CALLS[command]
+
+
 class TestReportAllOverlap:
     """``report-all`` forks the first initial state's Monte Carlo blocks
     before its DP stage and leaves no child behind, whatever happens."""
@@ -755,7 +790,7 @@ class TestMain:
     def test_out_naming_a_file_exits_before_any_work(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "taken"
         out.write_text("kept")
-        monkeypatch.setattr(cli, "_cmd_solve", lambda *args: pytest.fail("solve ran"))
+        monkeypatch.setattr(cli, "Run", lambda *args: pytest.fail("solve ran"))
         code = main(["--scenario", str(SCENARIOS / "symmetric_walk.yaml"),
                      "--command", "solve", "--out", str(out)])
         assert code == EXIT_VALIDATION

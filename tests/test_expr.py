@@ -293,6 +293,8 @@ def test_pretty_round_trip_expression_cases(src, text):
     ("(x1 + 1) * 2 > x2", "(x1 + 1.0) * 2.0 > x2"),
     ("x2 < (x1 - 1) ^ 2", "x2 < (x1 - 1.0) ^ 2.0"),
     ("((x1)) >= -(x2)", "x1 >= -x2"),
+    ("!(x1 > 0 || x2 < 1)", "!(x1 > 0.0 || x2 < 1.0)"),
+    ("!(x1 > 0 && !(x2 < 1))", "!(x1 > 0.0 && !(x2 < 1.0))"),
 ])
 def test_pretty_round_trip_predicate_cases(src, text):
     ast = parse_predicate(src, 2)

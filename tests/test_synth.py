@@ -189,10 +189,10 @@ SYNTH_KINDS = (cm.KIND_RA_LOWER_A1, cm.KIND_RA_LOWER_DISCOUNTED,
 
 def _cli_points(sc, kind):
     """The LP samples and the check points that ``synthesize`` builds for ``kind``."""
-    omega, checks = cli._omega(sc, grid_form=False)
-    points = omega[kind].sample(max(sc.extra_points, 200),
-                                np.random.default_rng(sc.point_seed + 1))
-    return points, checks[kind]
+    run = cli.Run(sc)
+    points = run.omega[0][kind].sample(max(sc.extra_points, 200),
+                                       np.random.default_rng(sc.point_seed + 1))
+    return points, run.check_points[kind]
 
 
 class TestSimplexAgainstHighs:
