@@ -427,11 +427,13 @@ def _extract_and_check(r: Run) -> tuple[dict, list[str]]:
         # the value function meets its condition with equality, so its values
         # at the initial states give the tightest threshold it supports at
         # all of them
-        tight = cert_mod.tight_threshold(kind, r.at_x0s[KINDS[kind]["source"][0]])
+        name = KINDS[kind]["source"][0]
+        tight = cert_mod.tight_threshold(kind, r.at_x0s[name])
+        gamma = sc.gamma if KINDS[kind]["gamma"] else None
         cert = cert_mod.extract_certificate({**r.fields, "gamma": sc.gamma,
                                              "regions": sc.regions}, kind)
         cert, w = cert if kind in cert_mod.PAIR_KINDS else (cert, None)
-        cond = Condition(kind, tight, gamma=sc.gamma if KINDS[kind]["gamma"] else None, w=w)
+        cond = Condition(kind, tight, gamma=gamma, w=w)
         rep = cert_mod.check_condition(sc.system, sc.regions, cert, cond, sc.x0s,
                                        r.grid_check_points[kind], sc.tolerance)
         path = None
@@ -449,14 +451,16 @@ def _synthesize(r: Run) -> tuple:
     points that verify checks its file on."""
     from . import synth
 
-    sc, kind = r.sc, r.condition or KIND_RA_LOWER_A1
-    cond = Condition(kind, 0.0, gamma=sc.gamma if KINDS[kind]["gamma"] else None)
+    sc = r.sc
+    kind = r.condition or KIND_RA_LOWER_A1
     template = synth.Template(n=sc.system.n, degree=1)
-    points = r.omega[0][kind].sample(max(sc.extra_points, 200),
-                                     np.random.default_rng(sc.point_seed + 1))
+    cond = Condition(kind, 0.0, gamma=sc.gamma if KINDS[kind]["gamma"] else None)
+    rng = np.random.default_rng(sc.point_seed + 1)
+    points = r.omega[0][kind].sample(max(sc.extra_points, 200), rng)
     return cond, template, points, synth.synthesize(
         sc.system, sc.regions, kind, template, points, sc.x0s, r.check_points[kind],
-        tolerance=sc.tolerance, gamma=cond.gamma, margin=0.01)
+        tolerance=sc.tolerance, gamma=cond.gamma, margin=0.01,
+    )
 
 
 # stage -> its function of the scenario and the stages before it
@@ -530,12 +534,14 @@ def _thresholds(r: Run):
 
 
 def _solve(r: Run):
-    sc, at, sections = r.sc, r.at_x0s, {}
+    sc = r.sc
+    sections: dict = {}
     caveats = [
         f"grid {sc.grid.cells.tolist()} cells over "
         f"[{sc.grid.lower.tolist()}, {sc.grid.upper.tolist()}]; values are for "
         "the discretized chain, fidelity is empirical"
     ]
+    at = r.at_x0s
     sections["values"] = [{
         "x0": x0.tolist(),
         "reach_avoid": _prob(reach, "dp"),
@@ -589,8 +595,13 @@ def _estimates(r: Run):
 
 def _assumption1(r: Run):
     a1 = r.assumption1
-    return {"assumption1": {"holds": a1.holds, "sup_stay_probability": a1.sup_stay_prob,
-                            "iterations": a1.iterations, "converged": a1.converged}}, [], True
+    section = {
+        "holds": a1.holds,
+        "sup_stay_probability": a1.sup_stay_prob,
+        "iterations": a1.iterations,
+        "converged": a1.converged,
+    }
+    return {"assumption1": section}, [], True
 
 
 def _extract(r: Run, verdict: str = "self_check"):
@@ -712,7 +723,7 @@ def _dp_vs_mc(r: Run):
                                   ("liveness", r.safety_kernel))}
     rows, caveats = [], []
     for i, (x0, (est_live, est_reach)) in enumerate(zip(sc.x0s, r.estimates)):
-        rows.append({"x0": x0.tolist()})
+        row = {"x0": x0.tolist()}
         for name, est in (("reach_avoid", est_reach), ("liveness", est_live)):
             value, slack_x0 = float(dp_values[name][i]), float(slack[name][i])
             # an aborted pass counts nothing, so its p_hat agrees with no value
@@ -721,8 +732,9 @@ def _dp_vs_mc(r: Run):
             if est.error is not None:
                 caveats.append(f"x0 {x0.tolist()}: Monte Carlo {name} estimate failed: "
                                f"{est.error}")
-            rows[-1][name] = {"dp": value, "mc": est.p_hat, "half_width": est.half_width,
-                              "truncation_slack": slack_x0, "agree": agree}
+            row[name] = {"dp": value, "mc": est.p_hat, "half_width": est.half_width,
+                         "truncation_slack": slack_x0, "agree": agree}
+        rows.append(row)
     return {"dp_vs_mc": rows}, caveats, all(
         row[name]["agree"] for row in rows for name in ("reach_avoid", "liveness"))
 
