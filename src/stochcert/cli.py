@@ -404,13 +404,22 @@ def _check_points(r: Run, grid_form: bool) -> dict:
     return {kind: points[box.contains(points)] for kind, box in omega.items()}
 
 
-def _start_trials(r: Run, x0):
-    """Fork ``x0``'s Monte Carlo trials; returns their collector."""
+def _estimate(r: Run, x0, start: bool = False):
+    """``mc.estimate``'s (liveness, reach-avoid) pair at ``x0``, or with
+    ``start``, ``mc.start_estimate``'s collector of the forked trials."""
     from . import mc
 
     sc = r.sc
-    return mc.start_estimate(sc.system, sc.regions, x0, sc.mc_horizon, sc.mc_trials,
-                             sc.mc_delta, sc.mc_seed)
+    return (mc.start_estimate if start else mc.estimate)(
+        sc.system, sc.regions, x0, sc.mc_horizon, sc.mc_trials, sc.mc_delta, sc.mc_seed)
+
+
+def _estimate_each(r: Run) -> list:
+    """The estimates at each initial state, one after another, so no more
+    blocks are alive at once than CPUs; the first state's from the trials
+    that report-all forks before its other stages, where it did."""
+    first = vars(r).get("first_trials")
+    return [first() if first and i == 0 else _estimate(r, x0) for i, x0 in enumerate(r.sc.x0s)]
 
 
 def _extract_and_check(r: Run) -> tuple[dict, list[str]]:
@@ -481,11 +490,8 @@ _STAGES = {
     "omega": _omega,
     "grid_check_points": lambda r: _check_points(r, grid_form=True),
     "check_points": lambda r: _check_points(r, grid_form=False),
-    "first_trials": lambda r: _start_trials(r, r.sc.x0s[0]),
-    # (liveness, reach-avoid) per initial state; each later state's trials
-    # start once the earlier ones are in, so no more blocks live than CPUs
-    "estimates": lambda r: [r.first_trials(),
-                            *(_start_trials(r, x0)() for x0 in r.sc.x0s[1:])],
+    "first_trials": lambda r: _estimate(r, r.sc.x0s[0], start=True),
+    "estimates": _estimate_each,
     "extracted": _extract_and_check,
     "synthesized": _synthesize,
 }
