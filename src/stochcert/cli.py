@@ -45,6 +45,7 @@ EXIT_REJECTED = 3
 EXIT_NUMERIC = 4
 
 _heap_frozen = False  # set by the first main() call of the process
+_FLAG_READERS = {"certificate": ("verify",), "condition": ("extract", "verify", "synthesize")}
 
 
 class ScenarioError(ValueError):
@@ -827,6 +828,10 @@ def main(argv=None) -> int:
         _heap_frozen = True
 
     try:
+        for flag, (*rest, last) in _FLAG_READERS.items():
+            if getattr(args, flag) is not None and args.command not in (*rest, last):
+                raise ScenarioError([f"--{flag} is read only by "
+                                     f"{', '.join(rest) + ' and ' if rest else ''}{last}"])
         scenario = load_scenario(args.scenario)
         report = run(args.command, scenario, certificate=args.certificate,
                      condition=args.condition, out_dir=args.out)

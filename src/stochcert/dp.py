@@ -338,6 +338,11 @@ def _reach(M: SlotMatrix, seeds: np.ndarray) -> tuple[np.ndarray, int]:
         hit = nxt
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a . b, summed in an order fixed by the length: BLAS ddot's moves with its threads."""
+    return np.einsum("i,i", a, b)
+
+
 def _bicgstab(A, b: np.ndarray, target: float, max_iter: int):
     """BiCGSTAB (van der Vorst 1992) for A x = b from x = 0, restarted from the
     true residual until ||b - A x||_inf <= target, a restart stops lowering
@@ -348,18 +353,18 @@ def _bicgstab(A, b: np.ndarray, target: float, max_iter: int):
         y, r_hat, p, v = x.copy(), r.copy(), np.zeros_like(b), np.zeros_like(b)
         rho = alpha = omega = 1.0
         while iters < max_iter and np.abs(r).max() > target:
-            rho_next = r_hat @ r
+            rho_next = _dot(r_hat, r)
             if rho_next == 0.0 or omega == 0.0:
                 break
             iters += 1
             p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
             v = A(p)
-            rv = r_hat @ v
+            rv = _dot(r_hat, v)
             alpha = rho_next / rv if rv != 0.0 else 0.0
             s = r - alpha * v
             t = A(s)
-            tt = t @ t
-            omega = (t @ s) / tt if tt > 0.0 else 0.0
+            tt = _dot(t, t)
+            omega = _dot(t, s) / tt if tt > 0.0 else 0.0
             y += alpha * p + omega * s
             r, rho = s - omega * t, rho_next
         r = b - A(y)
@@ -490,16 +495,33 @@ def check_assumption1(kernel: TransitionKernel) -> Assumption1Result:
     return Assumption1Result(holds, 0.0 if holds else 1.0, rounds, True)
 
 
+def power_bracket(P: SlotMatrix, v0: np.ndarray, horizon: int,
+                  tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """(lo, hi, sweeps): ``lo <= P^horizon v0 <= hi`` for P, v0 >= 0, from the
+    fewest sweeps ``v <- P v`` that make ``hi - lo <= tol`` at every node.
+    With rho the largest (smallest) ratio (P v)_i / v_i, x/0 infinite and 0/0
+    none, P^r v <= rho^r v (>=) as P >= 0 (Collatz-Wielandt; Meyer, Matrix
+    Analysis, 8.3).  Past the width test, which ignores rounding, the ends move
+    out by (1 + (slots + 2) 2^-52)^horizon, covering the rounding of the ratios
+    and of each sweep's inner products over a row's ``slots``, run or
+    extrapolated (Higham, Accuracy and Stability, 3.1), not underflow."""
+    grow = (1.0 + (P.idx.shape[1] + 2) * np.finfo(float).eps) ** horizon
+    v, sweeps, lo_rate, hi_rate = np.asarray(v0, dtype=float), 0, 1.0, 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while sweeps < horizon and v.any():
+            nxt, sweeps = P.dot(v), sweeps + 1
+            ratio, v, rest = nxt / v, nxt, horizon - sweeps
+            lo_rate, hi_rate = np.fmin.reduce(ratio) ** rest, np.fmax.reduce(ratio) ** rest
+            if (hi_rate - lo_rate) * v.max() <= tol:
+                break
+    return v * (lo_rate / grow), v * (hi_rate * grow), sweeps
+
+
 def stay_probability(kernel: TransitionKernel, horizon: int) -> ValueField:
-    """P(chain not yet absorbed after `horizon` steps) per node: the truncation
-    slack separating a finite-horizon Monte Carlo estimate from its limit.
-    It does not depend on the initial state, so one field serves every x0;
-    evaluated values may leave [0, 1] by rounding and are clipped by callers."""
-    s = np.ones(kernel.n_transient)
-    for _ in range(horizon):
-        if s.size == 0 or s.max() < 1e-15:
-            break
-        s = kernel.P.dot(s)
+    """P(not yet absorbed after `horizon` steps) per node, from above: the high
+    end of a 1e-12 ``power_bracket``, the truncation slack of a Monte Carlo
+    estimate at any x0.  Callers clip it to 1; ``iterations`` counts sweeps."""
+    _, hi, sweeps = power_bracket(kernel.P, np.ones(kernel.n_transient), horizon, 1e-12)
     values = np.zeros(kernel.grid.n_nodes)
-    values[kernel.transient] = s
-    return ValueField(values, kernel.grid)
+    values[kernel.transient] = hi
+    return ValueField(values, kernel.grid, iterations=sweeps)

@@ -209,7 +209,9 @@ _OPERATORS = {
     ("*", 2): (6, BinOp, np.multiply),
     ("/", 2): (6, BinOp, np.divide),
     ("-", 1): (7, Neg, np.negative),
-    ("^", 2): (8, BinOp, np.power),
+    # np.square(x) is np.power(x, 2) bit for bit, in a third of the time
+    ("^", 2): (8, BinOp, lambda x, k, out=None: np.square(x, out=out) if k == 2
+               else np.power(x, k, out=out)),
 }
 # function name -> (argument count, numpy function)
 _FUNCTIONS = {
@@ -462,12 +464,13 @@ def _program(asts: tuple):
 def _build(*asts):
     """One program for ``asts``: f(xs, ths, strict) -> [value of each tree]."""
     slots = _shared_subtrees(asts)
-    roots = [_compile(ast, slots)[0] for ast in asts]
+    roots = [(_compile(ast, slots)[0], not isinstance(ast, _PREDICATES)) for ast in asts]
     n_slots = len(slots)
 
     def program(xs, ths, strict):
         memo = [None] * n_slots
-        return [f(xs, ths, strict, memo) for f in roots]
+        return [_finite(f(xs, ths, strict, memo), xs.shape[0]) if strict and expression
+                else f(xs, ths, strict, memo) for f, expression in roots]
 
     return program
 
@@ -572,13 +575,19 @@ def _predicate(node, slots: dict):
     """The closure of a predicate node other than a shared one.  Both sides
     of a comparison are evaluated strictly."""
     fn = _OPERATORS[_operator(node)][2]
-    operands = [_compile(c, slots, child=True)[0] for c in _children(node)]
     if isinstance(node, Comparison):
-        left, right = operands
-        return lambda xs, ths, strict, memo: fn(
-            _finite(left(xs, ths, True, memo), xs.shape[0]),
-            _finite(right(xs, ths, True, memo), xs.shape[0]))
+        left, right = (_side(c, slots) for c in _children(node))
+        return lambda xs, ths, strict, memo: fn(left(xs, ths, memo), right(xs, ths, memo))
+    operands = [_compile(c, slots, child=True)[0] for c in _children(node)]
     return lambda xs, ths, strict, memo: fn(*[f(xs, ths, strict, memo) for f in operands])
+
+
+def _side(node, slots: dict):
+    """f(xs, ths, memo) -> a comparison side, strict and, unless a finite literal, checked."""
+    if isinstance(node, Const) and np.isfinite(node.value):
+        return lambda xs, ths, memo, value=node.value: value
+    evaluate = _compile(node, slots, child=True)[0]
+    return lambda xs, ths, memo: _finite(evaluate(xs, ths, True, memo), xs.shape[0])
 
 
 def _finite(values, rows: int):
@@ -590,7 +599,7 @@ def _finite(values, rows: int):
     return values
 
 
-def eval_expr_batch(ast: ExprAst, xs: np.ndarray, ths: np.ndarray | None = None,
+def eval_expr_batch(ast: ExprAst | tuple, xs: np.ndarray, ths: np.ndarray | None = None,
                     strict: bool = True) -> np.ndarray:
     """Evaluate at a batch of points.
 
@@ -598,19 +607,19 @@ def eval_expr_batch(ast: ExprAst, xs: np.ndarray, ths: np.ndarray | None = None,
     float array of length B.  With ``strict`` a division by zero or
     non-finite result raises EvalError naming the first offending row;
     otherwise non-finite entries pass through for the caller to inspect.
+    ``ast`` may also be a tuple of k trees, evaluated as one program, for a
+    (k, B) result; an EvalError is the one evaluating them in turn raises.
     """
     xs = np.asarray(xs, dtype=float)
     if ths is not None:
         ths = np.asarray(ths, dtype=float)
-    rows = xs.shape[0]
+    asts = ast if isinstance(ast, tuple) else (ast,)
     with np.errstate(all="ignore"):
-        values = _program((ast,))(xs, ths, strict)[0]
-    # a node's result is a fresh array, except a variable's column view or a
-    # constant, which are copied out
-    if not (isinstance(values, np.ndarray) and values.base is None
-            and values.shape == (rows,) and values.dtype == float):
-        values = np.broadcast_to(np.asarray(values, dtype=float), (rows,)).copy()
-    return _finite(values, rows) if strict else values
+        values = _program(asts)(xs, ths, strict)
+    out = np.empty((len(asts), xs.shape[0]))
+    for row, value in zip(out, values):
+        row[...] = value  # copied: a variable's column or a constant is not new
+    return out if isinstance(ast, tuple) else out[0]
 
 
 def eval_predicate_batch(ast: PredicateAst | tuple, xs: np.ndarray):

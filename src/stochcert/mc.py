@@ -30,6 +30,7 @@ error, or a fork fails, the caller reruns every trial, as in a single pass.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -72,15 +73,21 @@ class McEstimate(Record):
     error: str | None = None  # simulation aborted; counts are partial
 
 
+@functools.lru_cache(maxsize=8)
+def _philox(seed: int) -> tuple[np.random.Generator, dict]:
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return gen, gen.bit_generator.state
+
+
 def _step_uniforms(seed: int, sweep: int, count: int, first: int = 0) -> np.ndarray:
     # Disjoint 2^64-block counter ranges per sweep keep draws for different
     # steps non-overlapping regardless of the trial count.  Philox4x64 yields
     # four words, one per uniform, per counter value, so uniform ``first``
-    # (a multiple of 4) opens counter value first // 4.
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[0] = np.uint64(first // 4)
-    counter[1] = np.uint64(sweep)
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
+    # (a multiple of 4) opens counter value first // 4.  A seed's generator
+    # is set to its state as new, with the step's counter.
+    gen, state = _philox(seed)
+    state["state"]["counter"][:2] = first // 4, sweep
+    gen.bit_generator.state = state
     return gen.random(count)
 
 
@@ -160,13 +167,12 @@ def _run_trials(system: SystemModel, regions: RegionSpec, x0, horizon: int,
         open_ = None
 
     pick = _atom_picker(system.dist.cum_probs)
-    atoms = system.dist.atoms
     live = np.arange(n_trials)  # indices of the live trials, increasing
     states = np.repeat(x0[:, None], n_trials, axis=1).T  # (live, n), column-contiguous
     t = 0
     while t < horizon:
         u = np.take(_step_uniforms(seed, t, n_trials, first), live)
-        ths = np.take(atoms, pick(u), axis=0)
+        ths = np.take(system.dist.atoms, pick(u), axis=0)
         try:
             nxt = model_mod.step_batch(system, states, ths, strict=True)
             cls = classify_batch(regions, nxt)
@@ -187,22 +193,22 @@ def _run_trials(system: SystemModel, regions: RegionSpec, x0, horizon: int,
         if open_ is not None:
             done = open_ & (cls != int(StateClass.SAFE))
             if done.any():
-                stopped = np.compress(done, live)
+                stopped = live[done]
                 reach_status[stopped] = np.where(
-                    np.compress(done, cls) == int(StateClass.UNSAFE), EXITED, REACHED)
+                    cls[done] == int(StateClass.UNSAFE), EXITED, REACHED)
                 reach_steps[stopped] = t
                 open_ &= ~done
         # liveness needs a trial until it exits; without it, only open ones
         keep = cls != int(StateClass.UNSAFE) if live_error is None else open_
         if not keep.all():
             if live_error is None:
-                stopped = np.compress(~keep, live)
+                stopped = live[~keep]
                 live_status[stopped] = EXITED
                 live_steps[stopped] = t
-            live = np.compress(keep, live)
+            live = live[keep]
             states = np.compress(keep, states.T, axis=1).T
             if open_ is not None:
-                open_ = np.compress(keep, open_)
+                open_ = open_[keep]
         if open_ is not None and not open_.any():
             open_ = None
         if live.size == 0:

@@ -93,9 +93,7 @@ def step_batch(model: SystemModel, xs: np.ndarray, ths: np.ndarray,
     The (B, n) result is column-contiguous (Fortran order): each coordinate
     is one contiguous array, the layout in which the next step reads it.
     """
-    xs = np.asarray(xs, dtype=float)
-    return np.array([expr.eval_expr_batch(f, xs, ths, strict=strict)
-                     for f in model.dynamics]).T
+    return expr.eval_expr_batch(model.dynamics, xs, ths, strict=strict).T
 
 
 def successors(model: SystemModel, xs: np.ndarray, strict: bool = True) -> list[np.ndarray]:

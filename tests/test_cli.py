@@ -874,6 +874,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("command, flag, message", [
+        ("solve", ["--certificate", "nothing.yaml"], "--certificate is read only by verify"),
+        ("extract", ["--certificate", "nothing.yaml"], "--certificate is read only by verify"),
+        ("report-all", ["--condition", "safety_lower"],
+         "--condition is read only by extract, verify and synthesize"),
+        ("estimate", ["--condition", "ra_lower_a1"],
+         "--condition is read only by extract, verify and synthesize"),
+    ])
+    def test_flag_a_command_does_not_read_is_refused(self, tmp_path, capsys, command, flag,
+                                                     message):
+        argv = ["--scenario", str(SCENARIOS / "symmetric_walk.yaml"), "--command", command,
+                "--out", str(tmp_path / "out"), "--quiet", *flag]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_commands_import_no_scipy(self, tmp_path):
         # scipy costs start-up time and memory in every process; no command needs it.
         # The first call freezes the start-up heap; later calls freeze nothing new
@@ -886,7 +902,7 @@ class TestMain:
             "for cmd in ('simulate', 'solve', 'estimate', 'assumption1', 'extract', 'verify',"
             " 'synthesize', 'report-all'):\n"
             "    codes.append(cli.main(['--scenario', %r, '--command', cmd, '--out', %r,"
-            " '--certificate', %r, '--quiet']))\n"
+            " '--quiet'] + (['--certificate', %r] if cmd == 'verify' else [])))\n"
             "    frozen.append(gc.get_freeze_count() if gc.isenabled() else None)\n"
             "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(json.dumps([codes, scipy, frozen]))\n"
@@ -976,12 +992,14 @@ class TestStartUp:
         if command == "verify":
             assert main(["--scenario", walk, "--command", "extract", "--out", str(tmp_path),
                          "--quiet"]) == EXIT_OK
+        argv = ["--scenario", walk, "--command", command, "--out", str(tmp_path), "--quiet"]
+        if command == "verify":
+            argv += ["--certificate", str(cert)]
         code = (
             "import json, sys; from stochcert import cli\n"
-            "code = cli.main(['--scenario', %r, '--command', %r, '--out', %r,"
-            " '--certificate', %r, '--quiet'])\n"
+            "code = cli.main(%r)\n"
             "print(json.dumps([code, %s, 'dataclasses' in sys.modules]))\n"
-        ) % (walk, command, str(tmp_path), str(cert), _LOADED)
+        ) % (argv, _LOADED)
         # records derive from expr.Record: dataclasses costs ~27 ms of start-up
         assert json.loads(_fresh_interpreter(code)) == [EXIT_OK, sorted(_CORE + extra), False]
 
@@ -1002,3 +1020,43 @@ class TestStartUp:
         assert stochcert.__version__ == "0.1.0"
         with pytest.raises(AttributeError):
             stochcert.no_such_name
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_outputs_independent_of_blas_threads_and_cpus(tmp_path):
+    """``solve`` and ``report-all`` on the 150x150 disc walk write the same
+    bytes with one BLAS thread pinned to one CPU as with two threads: from
+    this size up, a threaded BLAS inner product would move the last bits.
+    Fewer trials keep the run short; the Monte Carlo split is independent of
+    the CPU count on its own (TestExactCounts)."""
+    doc = yaml.safe_load(TWO_STARTS_DISC.read_text())
+    doc["grid"]["cells"] = [150, 150]
+    doc["mc"]["trials"] = 2000
+    scenario = tmp_path / "disc150.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    cpu = min(os.sched_getaffinity(0))
+
+    def outputs(threads: int, pin: bool) -> dict:
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": src}
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        files = {}
+        for command in ("solve", "report-all"):
+            done = subprocess.run(
+                [sys.executable, "-m", "stochcert.cli", "--scenario", str(scenario),
+                 "--command", command, "--out", command], cwd=cwd, env=env,
+                capture_output=True, timeout=300,
+                preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pin else None)
+            files[command, "exit"] = done.returncode
+            files[command, "stdout"], files[command, "stderr"] = done.stdout, done.stderr
+            for path in sorted((cwd / command).iterdir()):
+                files[command, path.name] = path.read_bytes()
+        return files
+
+    one, two = outputs(1, pin=True), outputs(2, pin=False)
+    assert one[("solve", "exit")] == 0 and len(one) == len(two)
+    for key in one:
+        assert one[key] == two[key], key

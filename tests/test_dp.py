@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from stochcert import dp, expr, model, regions
+from stochcert import cli, dp, expr, model, regions
 from stochcert.dp import (
     Grid,
     GridTooSmallError,
@@ -17,6 +19,9 @@ from stochcert.dp import (
 )
 
 from conftest import chain_solve, make_walk, ruin_probability, walk_grid, walk_regions
+
+HERE = Path(__file__).resolve().parent
+TWO_STARTS = HERE / "disc_walk_two_starts.yaml"
 
 
 def jacobi(kernel, gamma=1.0, sweeps=5000):
@@ -395,27 +400,91 @@ class TestAssumption1:
         assert res.holds and res.sup_stay_prob == 0.0
 
 
+def _dense_stay(kernel, horizon):
+    """P^horizon 1 on the transient nodes, by dense matrix power."""
+    return np.linalg.matrix_power(kernel.P.toarray(), horizon).sum(axis=1)
+
+
+def _allowance(kernel, horizon):
+    """power_bracket's relative rounding allowance over ``horizon`` sweeps."""
+    return (1.0 + (kernel.P.idx.shape[1] + 2) * np.finfo(float).eps) ** horizon - 1.0
+
+
+def _assert_stay_bracket(kernel, horizon):
+    """The stay field lies within 1e-12 above P^K 1, plus the rounding
+    allowance, and never below it beyond that allowance."""
+    fld = dp.stay_probability(kernel, horizon)
+    hi, dense = fld.values[kernel.transient], _dense_stay(kernel, horizon)
+    allow = _allowance(kernel, horizon)
+    assert np.all(hi >= dense * (1.0 - allow))
+    assert np.all(hi <= dense * (1.0 + allow) + 1e-12)
+    assert not fld.values[np.setdiff1d(np.arange(kernel.grid.n_nodes), kernel.transient)].any()
+    return fld
+
+
+def _scenario_kernels():
+    for path in (*sorted((HERE.parent / "scenarios").glob("*.yaml")), TWO_STARTS):
+        sc = cli.load_scenario(path)
+        r = cli.Run(sc)
+        for kernel in (r.reach_kernel, r.safety_kernel):
+            yield pytest.param(kernel, sc.mc_horizon, id=f"{path.stem}-{kernel.mode}")
+
+
 class TestStayProbability:
     @pytest.mark.parametrize("horizon", [0, 1, 7, 500])
     def test_matches_dense_matrix_power(self, gambler, horizon):
-        kernel = gambler["reach_kernel"]
-        dense = kernel.P.toarray()
-        expected = np.zeros(kernel.grid.n_nodes)
-        expected[kernel.transient] = np.linalg.matrix_power(dense, horizon).sum(axis=1)
-        fld = dp.stay_probability(kernel, horizon)
-        np.testing.assert_allclose(fld.values, expected, rtol=0, atol=1e-15)
+        _assert_stay_bracket(gambler["reach_kernel"], horizon)
+
+    @pytest.mark.parametrize("kernel, horizon", _scenario_kernels())
+    def test_bracket_on_scenarios(self, kernel, horizon):
+        _assert_stay_bracket(kernel, horizon)
+
+    def test_period_two_walk(self):
+        # the +-1 walk on integer nodes has period 2: single-step ratios never
+        # meet, so the sweeps stop only once the mass itself is below 1e-12
+        kernel = build_kernel(make_walk(0.5), walk_grid(), walk_regions(), dp.MODE_SAFETY)
+        fld = _assert_stay_bracket(kernel, 2000)
+        assert 0 < fld.iterations < 2000
+
+    def test_disc_walk_stops_early(self):
+        r = cli.Run(cli.load_scenario(TWO_STARTS))
+        for kernel in (r.reach_kernel, r.safety_kernel):
+            assert dp.stay_probability(kernel, 500).iterations < 250
+
+    def test_chain_that_empties_reads_zero(self):
+        # node 0 moves to node 1, which is absorbed: no mass is left after two steps
+        kernel = dp.TransitionKernel(
+            Grid([0.0], [3.0], [3]), dp.MODE_REACH_AVOID, transient=np.array([0, 1]),
+            one_nodes=np.array([2]), one_mass=np.array([0.0, 1.0]), zero_mass=np.zeros(2),
+            P=dp.SlotMatrix(np.array([[1], [0]]), np.array([[1.0], [0.0]]), 2))
+        fld = dp.stay_probability(kernel, 500)
+        assert fld.values.tolist() == [0.0, 0.0, 0.0] and fld.iterations == 2
+        assert dp.stay_probability(kernel, 1).values.tolist()[:2] == pytest.approx([1.0, 0.0])
+
+    def test_bracket_from_a_start_with_zeros(self, gambler):
+        # mass enters nodes where v0 is 0, so no finite ratio bounds them there
+        P = gambler["reach_kernel"].P
+        v0 = np.zeros(P.shape[0])
+        v0[4] = 1.0
+        dense = np.linalg.matrix_power(P.toarray(), 300) @ v0
+        lo, hi, sweeps = dp.power_bracket(P, v0, 300, 1e-12)
+        allow = (1.0 + (P.idx.shape[1] + 2) * np.finfo(float).eps) ** 300 - 1.0
+        assert np.all(lo <= dense * (1.0 + allow)) and np.all(hi >= dense * (1.0 - allow))
+        assert np.all(hi - lo <= 1e-12 + 2 * allow * hi) and sweeps <= 300
 
     def test_horizon_beyond_100k_sweeps(self):
         # one transient node that stays with probability q per step, for more
-        # steps than any sweep cap short of the horizon would allow
+        # steps than any sweep cap short of the horizon would allow; one sweep
+        # gives the ratio q, and the bracket is the rounding allowance alone
         q, horizon = 1.0 - 1e-5, 150_000
         kernel = dp.TransitionKernel(
             Grid([0.0], [2.0], [2]), dp.MODE_REACH_AVOID, transient=np.array([0]),
             one_nodes=np.array([1]), one_mass=np.array([1.0 - q]), zero_mass=np.array([0.0]),
             P=dp.SlotMatrix(np.array([[0]]), np.array([[q]]), 1))
-        values = dp.stay_probability(kernel, horizon).values
-        assert values[1] == 0.0
-        assert values[0] == pytest.approx(q ** horizon, rel=1e-12, abs=0)
+        fld = dp.stay_probability(kernel, horizon)
+        allow = _allowance(kernel, horizon)
+        assert fld.values[1] == 0.0 and fld.iterations == 1
+        assert q ** horizon <= fld.values[0] <= q ** horizon * (1.0 + 2 * allow)
 
 
 class TestEvalField:

@@ -351,6 +351,38 @@ class TestCompiledPrograms:
         assert eval_predicate_batch(parse_predicate("1 < 2", 1), np.zeros((3, 1))).tolist() \
             == [True, True, True]
 
+    def test_square_is_power_bit_for_bit(self):
+        # 10^6 random bit patterns, with zeros, inf and nan of both signs,
+        # subnormals, and values whose squares are subnormal
+        rng = np.random.default_rng(2)
+        bits = np.frombuffer(rng.bytes(8 * 10 ** 6), dtype=np.uint64).copy()
+        bits[8:1000] &= np.uint64(0x800FFFFFFFFFFFFF)  # exponent field 0: subnormal
+        xs = bits.view(float)
+        xs[:8] = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan]
+        xs[1000:2000] = 10.0 ** rng.uniform(-165, -150, 1000)
+        with np.errstate(all="ignore"):
+            want = np.power(xs, 2)
+        got = eval_expr_batch(parse_expr("x1^2", 1, 0), xs[:, None], strict=False)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_tuple_gives_one_row_per_tree(self):
+        xs = np.array([[1.5], [-2.0]])
+        trees = (parse_expr("x1", 1, 0), parse_expr("2", 1, 0), parse_expr("x1 * x1", 1, 0))
+        out = eval_expr_batch(trees, xs)
+        assert out.shape == (3, 2) and not np.shares_memory(out, xs)
+        assert out.tolist() == [[1.5, -2.0], [2.0, 2.0], [2.25, 4.0]]
+
+    def test_checks_skipped_only_where_no_error_can_arise(self):
+        # a literal that parses to inf is not a finite constant: still checked
+        with pytest.raises(EvalError, match="row 0"):
+            eval_predicate_batch(parse_predicate("x1 < 1e999", 1), [[1.0], [2.0]])
+        # a subtree shared by two predicates is checked where first compared
+        shared = (parse_predicate("exp(x1) > 1", 1), parse_predicate("exp(x1) < 5", 1))
+        with pytest.raises(EvalError, match="row 2"):
+            eval_predicate_batch(shared, [[1.0], [2.0], [1e6]])
+        assert [v.tolist() for v in eval_predicate_batch(shared, [[-1.0], [1.0], [2.0]])] \
+            == [[False, True, True], [True, True, False]]
+
     def test_predicate_sides_are_strict(self):
         ast = parse_predicate("1 / x1 > 0", 1)
         with pytest.raises(EvalError, match="division"):

@@ -68,6 +68,20 @@ class TestStep:
             assert step_at(sys, x, th).tolist() == y.tolist()
             assert y.tolist() == [scalar_expr(f, x, th) for f in sys.dynamics]
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[1.0, 1.0], [1000.0, 0.0]], "non-finite result at row 1"),
+        ([[1.0, 1.0], [1.0, 0.0]], "division by zero"),
+    ])
+    def test_coordinates_fail_in_order(self, rows, message):
+        # on row 1 of the first batch coordinate 1 overflows and coordinate 2
+        # divides by zero: coordinate 1's error is raised, as when each
+        # coordinate was evaluated and checked apart
+        dist = DisturbanceDist(atoms=[[0.0]], probs=[1.0])
+        sys = SystemModel(2, 1, (expr.parse_expr("exp(x1)", 2, 1),
+                                 expr.parse_expr("x1 / x2", 2, 1)), dist)
+        with pytest.raises(EvalError, match=f"^{message}$"):
+            model.step_batch(sys, np.array(rows), np.zeros((2, 1)))
+
     def test_dynamics_length_validated(self):
         dist = DisturbanceDist(atoms=[[0.0]], probs=[1.0])
         with pytest.raises(ValueError, match="dynamics"):
