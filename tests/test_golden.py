@@ -6,8 +6,9 @@ solve, estimate, assumption1, extract, synthesize and report-all on each
 bundled scenario, plus verify of every certificate that extract writes and
 synthesize of every condition kind (the pair kind is rejected, exit 2).
 On ``tests/disc_walk_two_starts.yaml`` (``perfbench/discwalk.py --seed 1
---cells 20`` started from two states) it runs solve, estimate, extract and
-report-all, which fails the DP/MC gate there (exit 4).  On
+--cells 20`` started from two states) it runs solve, estimate, extract,
+verify of every certificate that extract writes, and report-all, which fails
+the DP/MC gate there (exit 4).  On
 ``tests/stuck_walk.yaml``, where the finite-time-exit assumption fails, it
 runs extract, report-all and synthesize of the undiscounted reach-avoid
 kind, then verify of every certificate file those three wrote.
@@ -49,7 +50,7 @@ PASSES = {
     **{walk: (SCENARIOS / f"{walk}.yaml", COMMANDS)
        for walk in ("symmetric_walk", "biased_walk", "invariant_contraction")},
     "disc_walk_two_starts": (TESTS / "disc_walk_two_starts.yaml",
-                             ("solve", "estimate", "extract", "report-all")),
+                             ("solve", "estimate", "extract", "verify", "report-all")),
     "stuck_walk": (TESTS / "stuck_walk.yaml",
                    ("extract", "report-all", "synthesize_ra_lower_a1", "verify")),
 }
