@@ -395,14 +395,14 @@ def _omega(r: Run) -> tuple[dict, Box]:
             else over_x for kind, spec in KINDS.items()}, over_x
 
 
-def _check_points(r: Run, grid_form: bool) -> dict:
-    """Kind -> its check points: one build_check_points call over the box
-    from X, cut to each kind's box.  ``grid_form`` leaves out the random
-    points inside the grid box, for grid certificates."""
+def _check_points(r: Run, grid_form: bool) -> tuple[np.ndarray, dict]:
+    """The check points of one build_check_points call over the box from X,
+    and kind -> the mask of those in its box.  ``grid_form`` leaves out the
+    random points inside the grid box, for grid certificates."""
     sc, (omega, over_x) = r.sc, r.omega
     points = cert_mod.build_check_points(sc.grid, over_x, sc.extra_points, sc.point_seed,
                                          interior_random=not grid_form)
-    return {kind: points[box.contains(points)] for kind, box in omega.items()}
+    return points, {kind: box.contains(points) for kind, box in omega.items()}
 
 
 def _estimate(r: Run, x0, start: bool = False):
@@ -432,6 +432,7 @@ def _extract_and_check(r: Run) -> tuple[dict, list[str]]:
     unmet = {kind: r.unmet(kind) for kind in ([r.condition] if r.condition else ALL_KINDS)}
     if unmet.get(r.condition):
         raise CertificateError(unmet[r.condition])
+    points, in_omega = r.grid_check_points
     results = {}
     for kind in (kind for kind, reason in unmet.items() if not reason):
         # the value function meets its condition with equality, so its values
@@ -445,7 +446,8 @@ def _extract_and_check(r: Run) -> tuple[dict, list[str]]:
         cert, w = cert if kind in cert_mod.PAIR_KINDS else (cert, None)
         cond = Condition(kind, tight, gamma=gamma, w=w)
         rep = cert_mod.check_condition(sc.system, sc.regions, cert, cond, sc.x0s,
-                                       r.grid_check_points[kind], sc.tolerance)
+                                       points[in_omega[kind]], sc.tolerance,
+                                       r.check_operator.rows(in_omega[kind]))
         path = None
         if r.out_dir:
             path = r.out_dir / f"certificate_{kind}.yaml"
@@ -467,18 +469,19 @@ def _synthesize(r: Run) -> tuple:
     cond = Condition(kind, 0.0, gamma=sc.gamma if KINDS[kind]["gamma"] else None)
     rng = np.random.default_rng(sc.point_seed + 1)
     points = r.omega[0][kind].sample(max(sc.extra_points, 200), rng)
+    checks, in_omega = r.check_points
     return cond, template, points, synth.synthesize(
-        sc.system, sc.regions, kind, template, points, sc.x0s, r.check_points[kind],
+        sc.system, sc.regions, kind, template, points, sc.x0s, checks[in_omega[kind]],
         tolerance=sc.tolerance, gamma=cond.gamma, margin=0.01,
     )
 
 
 # stage -> its function of the scenario and the stages before it
 _STAGES = {
-    "reach_kernel": lambda r: dp.build_kernel(r.sc.system, r.sc.grid, r.sc.regions,
-                                              dp.MODE_REACH_AVOID),
-    "safety_kernel": lambda r: dp.build_kernel(r.sc.system, r.sc.grid, r.sc.regions,
-                                               dp.MODE_SAFETY),
+    # one step operator at the nodes in X, from which both kernels are cut
+    "chain": lambda r: dp.node_operator(r.sc.system, r.sc.grid, r.sc.regions),
+    "reach_kernel": lambda r: dp.build_kernel(*r.chain, dp.MODE_REACH_AVOID),
+    "safety_kernel": lambda r: dp.build_kernel(*r.chain, dp.MODE_SAFETY),
     "assumption1": lambda r: dp.check_assumption1(r.reach_kernel),
     "fields": lambda r: {
         "reach_avoid": dp.solve_reach_avoid(r.reach_kernel),
@@ -486,10 +489,15 @@ _STAGES = {
         "discounted": dp.solve_discounted(r.reach_kernel, r.sc.gamma),
         "discounted_exit": dp.solve_discounted(r.safety_kernel, r.sc.gamma),
     },
-    "at_x0s": lambda r: {name: dp.eval_field_batch(fld, r.sc.x0s)
+    # -1 for a start state that cannot be classified, which reads the interpolant
+    "x0_class": lambda r: dp.classify_lenient(r.sc.regions, r.sc.x0s),
+    "at_x0s": lambda r: {name: dp.eval_field_batch(fld, r.sc.x0s, r.x0_class)
                          for name, fld in r.fields.items()},
     "omega": _omega,
     "grid_check_points": lambda r: _check_points(r, grid_form=True),
+    # the step operator at the grid check points, shared by every extracted kind
+    "check_operator": lambda r: dp.step_operator(r.sc.system, r.sc.grid, r.sc.regions,
+                                                 r.grid_check_points[0], strict=False),
     "check_points": lambda r: _check_points(r, grid_form=False),
     "first_trials": lambda r: _estimate(r, r.sc.x0s[0], start=True),
     "estimates": _estimate_each,
@@ -649,9 +657,9 @@ def _verify(r: Run):
                                  f"but the scenario has system.n = {sc.system.n}")
     except (OSError, yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError([f"certificate {r.certificate}: {exc}"]) from exc
-    points = r.grid_check_points if isinstance(cert, GridCert) else r.check_points
+    points, in_omega = r.grid_check_points if isinstance(cert, GridCert) else r.check_points
     report = cert_mod.check_condition(sc.system, sc.regions, cert, cond, sc.x0s,
-                                      points[cond.kind], sc.tolerance)
+                                      points[in_omega[cond.kind]], sc.tolerance)
     section = {
         "kind": cond.kind,
         "threshold": cond.epsilon,
@@ -725,7 +733,7 @@ def _dp_vs_mc(r: Run):
                  "liveness": 1.0 - r.at_x0s["safety_exit"]}
     # computed before the estimates are collected; clipped against rounding
     slack = {name: np.clip(dp.eval_field_batch(dp.stay_probability(kernel, sc.mc_horizon),
-                                               sc.x0s), 0.0, 1.0)
+                                               sc.x0s, r.x0_class), 0.0, 1.0)
              for name, kernel in (("reach_avoid", r.reach_kernel),
                                   ("liveness", r.safety_kernel))}
     rows, caveats = [], []

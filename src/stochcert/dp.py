@@ -1,10 +1,13 @@
 """Grid discretization and Bellman fixed-point solvers.
 
 The continuous system is restricted to an absorbing chain on grid-cell
-centers: one-step images that land in an absorbing class (target or unsafe,
-depending on the kernel mode) absorb their probability mass, images that stay
-transient are spread over the surrounding nodes by multilinear interpolation.
-The chain is stored in its canonical form (Kemeny & Snell, Finite Markov
+centers.  ``step_operator`` steps a batch of points through every atom,
+classifies the images and spreads them over the surrounding nodes by
+multilinear interpolation (Kushner & Dupuis, Numerical Methods for Stochastic
+Control Problems in Continuous Time, 2001).  A kernel is that operator at the
+nodes, built once for both modes: images in an absorbing class (target or
+unsafe, by mode) absorb their mass.  Grid-certificate checks read the same
+operator at their check points.  The chain is stored in its canonical form (Kemeny & Snell, Finite Markov
 Chains, ch. III): the transient-to-transient block P, with the interpolation
 weight that lands on absorbing nodes folded into the absorbed masses.  Three
 value problems share one fixed point:
@@ -24,22 +27,27 @@ most atoms * 2^n entries, so fixed slots need no sparse-matrix library.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from . import model as model_mod
-from .expr import NumericError, Record
+from .expr import EvalError, NumericError, Record
 from .model import SystemModel
 from .regions import Box, RegionSpec, StateClass, classify_batch
 
 __all__ = [
     "Grid",
     "SlotMatrix",
+    "StepOperator",
     "TransitionKernel",
     "ValueField",
     "Assumption1Result",
     "GridTooSmallError",
     "SingularSystemError",
+    "classify_lenient",
+    "step_operator",
+    "node_operator",
     "build_kernel",
     "apply_bellman",
     "solve_reach_avoid",
@@ -130,27 +138,36 @@ def _interp_weights(grid: Grid, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Returns (idx, w) of shape (B, 2^n); weights are non-negative and sum to 1.
     Points in the half-cell margin between the node hull and the box edge
-    clamp to the boundary nodes.
+    clamp to the boundary nodes.  Each dimension is worked as one (B,) array:
+    numpy's loops over a trailing axis of length n are slow.
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    cells = grid.cells
-    t = (ys - grid.lower) / grid.spacing - 0.5
-    t = np.clip(t, 0.0, (cells - 1).astype(float))
-    base = np.minimum(np.floor(t).astype(np.int64), np.maximum(cells - 2, 0))
-    frac = t - base
-    n = grid.n
-    n_corners = 1 << n
-    idx = np.empty((ys.shape[0], n_corners), dtype=np.int64)
-    w = np.empty((ys.shape[0], n_corners))
-    for j, combo in enumerate(itertools.product((0, 1), repeat=n)):
-        multi = base + np.asarray(combo, dtype=np.int64)
-        np.minimum(multi, cells - 1, out=multi)
-        idx[:, j] = np.ravel_multi_index(tuple(multi.T), tuple(cells))
-        weight = np.ones(ys.shape[0])
-        for d, c in enumerate(combo):
-            weight *= frac[:, d] if c else (1.0 - frac[:, d])
-        w[:, j] = weight
+    n, cells = grid.n, grid.cells
+    ends, weights = [], []  # per dimension: (lower, upper) node offset and weight
+    for d in range(n):
+        t = np.clip((ys[:, d] - grid.lower[d]) / grid.spacing[d] - 0.5, 0.0, float(cells[d] - 1))
+        base = np.minimum(np.floor(t).astype(np.int64), max(cells[d] - 2, 0))
+        frac = t - base
+        stride = int(np.prod(cells[d + 1:]))
+        ends.append((base * stride, np.minimum(base + 1, cells[d] - 1) * stride))
+        weights.append((1.0 - frac, frac))
+    idx = np.empty((ys.shape[0], 1 << n), dtype=np.int64)
+    w = np.empty((ys.shape[0], 1 << n))
+    for c, combo in enumerate(itertools.product((0, 1), repeat=n)):
+        idx[:, c] = sum(end[bit] for end, bit in zip(ends, combo))
+        w[:, c] = math.prod(wt[bit] for wt, bit in zip(weights, combo))
     return idx, w
+
+
+def _interpolate(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_c values[idx[..., c]] * w[..., c] over the last axis, the corners
+    added in order."""
+    terms = values[idx]
+    terms *= w
+    out = terms[..., 0].copy()
+    for c in range(1, terms.shape[-1]):
+        out += terms[..., c]
+    return out
 
 
 class ValueField(Record):
@@ -162,6 +179,7 @@ class ValueField(Record):
     converged: bool = True
     iterations: int = 0
     error_bound: float = 0.0  # sup-norm bound on the solver error at the nodes
+    absorbed: tuple = ()  # (class code, fixed value) of each class the chain absorbs
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -169,13 +187,18 @@ class ValueField(Record):
             raise ValueError("values length must equal the node count")
 
 
-def eval_field_batch(fld: ValueField, xs: np.ndarray) -> np.ndarray:
+def eval_field_batch(fld: ValueField, xs: np.ndarray, codes=None) -> np.ndarray:
+    """The field at a (B, n) batch, interpolated in the grid box; given the
+    batch's class codes, a state in a class the chain absorbs reads its fixed
+    value, and one with code -1 (not classified) the interpolant."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     out = np.full(xs.shape[0], fld.outside_default)
     inside = fld.grid.box.contains(xs)
     if inside.any():
         idx, w = _interp_weights(fld.grid, xs[inside])
-        out[inside] = np.sum(fld.values[idx] * w, axis=1)
+        out[inside] = _interpolate(fld.values, idx, w)
+    for code, value in fld.absorbed if codes is not None else ():
+        out[codes == code] = value
     return out
 
 
@@ -221,6 +244,81 @@ class SlotMatrix:
         return out
 
 
+class StepOperator(Record):
+    """One step of ``system`` from B points onto the nodes of ``grid``: the
+    image of point i under atom a has class code ``classes[i, a]`` (-1 where
+    it fails to evaluate or to classify) and lies in the grid box where
+    ``inside[i, a]``, and slot a * 2^n + c of row i of ``M`` holds its
+    interpolation weight on corner c, 0 off the box."""
+
+    system: SystemModel
+    grid: Grid
+    classes: np.ndarray  # (B, atoms)
+    inside: np.ndarray  # (B, atoms)
+    M: SlotMatrix  # (B, nodes)
+
+    def rows(self, rows) -> StepOperator:
+        """The operator at the points ``rows`` (an index array or mask) selects."""
+        if rows.dtype == bool and rows.all():
+            return self
+        return self.replace(classes=self.classes[rows], inside=self.inside[rows],
+                            M=SlotMatrix(self.M.idx[rows], self.M.w[rows], self.M.shape[1]))
+
+    def mean(self, values: np.ndarray, outside: float, pins: dict) -> np.ndarray:
+        """E[g(f(x, th))] at each point, g being ``values`` interpolated on the
+        grid, ``outside`` off the grid box and ``pins[c]`` on class c, and NaN
+        where an image failed; summed over the atoms in atom order."""
+        shape = (*self.classes.shape, 1 << self.grid.n)
+        g = _interpolate(values, self.M.idx.reshape(shape), self.M.w.reshape(shape))
+        g[~self.inside] = outside
+        for code, value in pins.items():
+            g[self.classes == code] = value
+        g[self.classes < 0] = np.nan
+        total = 0.0
+        for p, col in zip(self.system.dist.probs, g.T):
+            total = total + float(p) * col
+        return total
+
+
+def classify_lenient(regions: RegionSpec, xs: np.ndarray) -> np.ndarray:
+    """Class codes of a (B, n) batch, -1 where classifying a row raises EvalError."""
+    try:
+        return classify_batch(regions, xs)
+    except EvalError:
+        return np.array([classify_lenient(regions, x[None])[0] if len(xs) > 1 else -1
+                         for x in xs])
+
+
+def step_operator(system: SystemModel, grid: Grid, regions: RegionSpec, xs: np.ndarray,
+                  strict: bool = True) -> StepOperator:
+    """The step operator at the (B, n) batch ``xs``.  The images are
+    classified atom by atom, so an EvalError names the row of one atom's
+    batch; without ``strict`` a failed image gets class -1 instead."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    images = model_mod.successors(system, xs, strict=strict)
+    ok = [np.isfinite(ys).all(axis=1) for ys in images]
+    images = [np.where(good[:, None], ys, 0.0) for ys, good in zip(images, ok)]
+    classify = classify_batch if strict else classify_lenient
+    classes = np.stack([np.where(good, classify(regions, ys), -1)
+                        for ys, good in zip(images, ok)], axis=1)
+    ys = np.stack(images, axis=1).reshape(-1, grid.n)  # row i * atoms + a: point i under atom a
+    inside = grid.box.contains(ys) & np.stack(ok, axis=1).ravel()
+    idx, w = _interp_weights(grid, ys)
+    w[~inside] = 0.0
+    slots = len(images) << grid.n  # slot a * 2^n + c: corner c of the image under atom a
+    return StepOperator(system, grid, classes, inside.reshape(classes.shape),
+                        SlotMatrix(idx.reshape(-1, slots), w.reshape(-1, slots), grid.n_nodes))
+
+
+def node_operator(system: SystemModel, grid: Grid,
+                  regions: RegionSpec) -> tuple[StepOperator, np.ndarray]:
+    """The step operator at the grid nodes in X, in node order, from which
+    ``build_kernel`` cuts the kernel of either mode, and every node's class."""
+    nodes = grid.nodes()
+    node_class = classify_batch(regions, nodes)
+    return step_operator(system, grid, regions, nodes[node_class != int(StateClass.UNSAFE)]), node_class
+
+
 class TransitionKernel(Record):
     """Finite absorbing-chain restriction of the one-step dynamics.
 
@@ -243,6 +341,13 @@ class TransitionKernel(Record):
         return self.transient.shape[0]
 
     @property
+    def fixed(self) -> tuple:
+        """(class code, fixed value) of each class the chain absorbs: one on
+        the value-one class, zero on the value-zero class."""
+        return tuple((code, value) for code, value in zip(_ABSORBING[self.mode], (1.0, 0.0))
+                     if code >= 0)
+
+    @property
     def outside(self) -> float:
         """The value of a state outside the grid box, which is unsafe: one
         where the unsafe class is worth one (the exit value), else zero."""
@@ -256,50 +361,42 @@ class TransitionKernel(Record):
         return v
 
 
-def build_kernel(
-    system: SystemModel,
-    grid: Grid,
-    regions: RegionSpec,
-    mode: str = MODE_REACH_AVOID,
-) -> TransitionKernel:
-    """Classify nodes and push each transient node through every atom: mass
-    that an image absorbs or interpolates onto absorbing nodes goes to the
-    absorbed masses, the rest to the transient-to-transient block ``P``.
+def build_kernel(op: StepOperator, node_class: np.ndarray,
+                 mode: str = MODE_REACH_AVOID) -> TransitionKernel:
+    """The chain of ``mode`` cut from ``op``, the step operator at the nodes
+    in X whose classes are ``node_class`` (``node_operator``): an image in a
+    class the mode absorbs gives its mass to the absorbed masses, and the
+    interpolation weight of the others goes to the absorbed masses where it
+    lands on absorbing nodes, to the transient-to-transient block ``P``
+    elsewhere.
 
-    Raises GridTooSmallError when a safe image leaves the grid box.
+    Raises GridTooSmallError when a transient image leaves the grid box.
     """
     if mode not in _ABSORBING:
         raise ValueError(f"unknown kernel mode {mode!r}")
     one_cls, zero_cls = _ABSORBING[mode]
-    nodes = grid.nodes()
-    node_class = classify_batch(regions, nodes)
+    grid, probs = op.grid, op.system.dist.probs
     one_mask, zero_mask = node_class == one_cls, node_class == zero_cls
-    transient = np.flatnonzero(~(one_mask | zero_mask))
-    n_tr, n_atoms = transient.shape[0], system.dist.atoms.shape[0]
-    xs = nodes[transient]
-    images = model_mod.successors(system, xs)
-    # classified atom by atom, so an EvalError names the row of one atom's batch
-    img_class = np.concatenate([classify_batch(regions, ys) for ys in images])
-    ys = np.concatenate(images)  # row a * T + i: node i under atom a
-    mix = (img_class != one_cls) & (img_class != zero_cls)
-    stray = mix & ~grid.box.contains(ys)
+    absorbing = one_mask | zero_mask
+    transient = np.flatnonzero(~absorbing)
+    op = op.rows(~absorbing[node_class != int(StateClass.UNSAFE)])
+    n_tr = transient.shape[0]
+    mix = (op.classes != one_cls) & (op.classes != zero_cls)
+    stray = mix & ~op.inside
     if stray.any():
-        a, i = divmod(int(np.flatnonzero(stray)[0]), n_tr)
+        a, i = np.argwhere(stray.T)[0]
+        x, atom = grid.nodes()[transient[i]], op.system.dist.atoms[a]
+        y = model_mod.step_batch(op.system, x[None], atom[None])[0]
         raise GridTooSmallError(
-            f"grid too small: node {xs[i].tolist()} maps to safe point {images[a][i].tolist()} "
-            f"outside the grid box under atom {system.dist.atoms[a].tolist()}"
+            f"grid too small: node {x.tolist()} maps to safe point {y.tolist()} "
+            f"outside the grid box under atom {atom.tolist()}"
         )
     one_mass, zero_mass = np.zeros(n_tr), np.zeros(n_tr)
-    for p, cls in zip(system.dist.probs, img_class.reshape(n_atoms, n_tr)):
+    for p, cls in zip(probs, op.classes.T):
         one_mass[cls == one_cls] += p
         zero_mass[cls == zero_cls] += p
-    idx, w = _interp_weights(grid, ys)
-    w *= np.where(mix, np.repeat(system.dist.probs, n_tr), 0.0)[:, None]
-    # slot a * 2^n + c of node i holds corner c of its image under atom a
-    corners = 1 << grid.n
-    idx, w = (arr.reshape(n_atoms, n_tr, corners).swapaxes(0, 1).reshape(n_tr, n_atoms * corners)
-              for arr in (idx, w))
-    P = SlotMatrix(idx, w, grid.n_nodes)
+    w = op.M.w * np.repeat(np.where(mix, probs, 0.0), 1 << grid.n, axis=1)
+    P = SlotMatrix(op.M.idx, w, grid.n_nodes)
     one_mass = one_mass + P.dot(one_mask.astype(float))
     zero_mass = zero_mass + P.dot(zero_mask.astype(float))
     P = P.block(slice(None), transient)
@@ -404,7 +501,8 @@ def _solve(kernel: TransitionKernel, gamma: float, tol: float, max_iter: int) ->
     bound = res * scale if res else 0.0
     values[kernel.transient[live]] = np.clip(v, 0.0, 1.0)
     return ValueField(values, kernel.grid, outside_default=kernel.outside,
-                      converged=bound <= tol, iterations=iters + it, error_bound=bound)
+                      converged=bound <= tol, iterations=iters + it, error_bound=bound,
+                      absorbed=kernel.fixed)
 
 
 def solve_reach_avoid(kernel: TransitionKernel, tol: float = 1e-9,
@@ -471,7 +569,8 @@ def solve_exact_small(kernel: TransitionKernel, gamma: float = 1.0) -> ValueFiel
                                   f"gamma=1: solve residual {residual:.3e}")
     values = kernel.absorbed_values()
     values[kernel.transient] = v
-    return ValueField(values, kernel.grid, outside_default=kernel.outside)
+    return ValueField(values, kernel.grid, outside_default=kernel.outside,
+                      absorbed=kernel.fixed)
 
 
 class Assumption1Result(Record):
@@ -520,8 +619,10 @@ def power_bracket(P: SlotMatrix, v0: np.ndarray, horizon: int,
 def stay_probability(kernel: TransitionKernel, horizon: int) -> ValueField:
     """P(not yet absorbed after `horizon` steps) per node, from above: the high
     end of a 1e-12 ``power_bracket``, the truncation slack of a Monte Carlo
-    estimate at any x0.  Callers clip it to 1; ``iterations`` counts sweeps."""
+    estimate at any x0, and 0 on the absorbing classes.  Callers clip it to 1;
+    ``iterations`` counts sweeps."""
     _, hi, sweeps = power_bracket(kernel.P, np.ones(kernel.n_transient), horizon, 1e-12)
     values = np.zeros(kernel.grid.n_nodes)
     values[kernel.transient] = hi
-    return ValueField(values, kernel.grid, iterations=sweeps)
+    return ValueField(values, kernel.grid, iterations=sweeps,
+                      absorbed=tuple((code, 0.0) for code, _ in kernel.fixed))

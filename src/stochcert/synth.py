@@ -34,6 +34,7 @@ from .certificate import (
     PolyCert,
     check_condition,
     clause_side,
+    expectation,
     monomials,
     point_classes,
     tight_threshold,
@@ -290,7 +291,9 @@ def synthesize(
     classes = point_classes(points, classify_batch(regions, points))
 
     def design(term, pts):
-        return clause_side(term, system, pts, template.design_matrix, gamma=gamma, strict=True)
+        return clause_side(term, lambda _: template.design_matrix(pts),
+                           lambda _: expectation(system, template.design_matrix, pts, strict=True),
+                           gamma)
 
     # keep the optimum where its threshold is meaningful: lower-bound kinds
     # need v(x0) >= 0, upper-bound kinds v(x0) <= 1 at every x0, else the

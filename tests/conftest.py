@@ -39,8 +39,8 @@ def gambler():
         "system": system,
         "regions": reg,
         "grid": grid,
-        "reach_kernel": dp.build_kernel(system, grid, reg, dp.MODE_REACH_AVOID),
-        "safety_kernel": dp.build_kernel(system, grid, reg, dp.MODE_SAFETY),
+        "reach_kernel": dp.build_kernel(*dp.node_operator(system, grid, reg), dp.MODE_REACH_AVOID),
+        "safety_kernel": dp.build_kernel(*dp.node_operator(system, grid, reg), dp.MODE_SAFETY),
         "x0": np.array([3.0]),
     }
 
@@ -54,8 +54,8 @@ def biased():
         "system": system,
         "regions": reg,
         "grid": grid,
-        "reach_kernel": dp.build_kernel(system, grid, reg, dp.MODE_REACH_AVOID),
-        "safety_kernel": dp.build_kernel(system, grid, reg, dp.MODE_SAFETY),
+        "reach_kernel": dp.build_kernel(*dp.node_operator(system, grid, reg), dp.MODE_REACH_AVOID),
+        "safety_kernel": dp.build_kernel(*dp.node_operator(system, grid, reg), dp.MODE_SAFETY),
         "x0": np.array([3.0]),
     }
 
@@ -80,8 +80,8 @@ def contraction():
         "system": system,
         "regions": reg,
         "grid": grid,
-        "reach_kernel": dp.build_kernel(system, grid, reg, dp.MODE_REACH_AVOID),
-        "safety_kernel": dp.build_kernel(system, grid, reg, dp.MODE_SAFETY),
+        "reach_kernel": dp.build_kernel(*dp.node_operator(system, grid, reg), dp.MODE_REACH_AVOID),
+        "safety_kernel": dp.build_kernel(*dp.node_operator(system, grid, reg), dp.MODE_SAFETY),
         "x0": np.array([0.8]),
     }
 
@@ -101,7 +101,7 @@ def identity():
         "system": system,
         "regions": reg,
         "grid": grid,
-        "reach_kernel": dp.build_kernel(system, grid, reg, dp.MODE_REACH_AVOID),
+        "reach_kernel": dp.build_kernel(*dp.node_operator(system, grid, reg), dp.MODE_REACH_AVOID),
         "x0": np.array([3.0]),
     }
 

@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
 from stochcert import certificate as cm
-from stochcert import dp, expr, model, regions
+from stochcert import cli, dp, expr, model, regions
 from stochcert.certificate import (
     KIND_LIVENESS_UPPER_DISCOUNTED,
     KIND_RA_LOWER_A1,
@@ -411,3 +413,103 @@ class TestConditionValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Condition("mystery", 0.1)
+
+
+_CHECKED = [*(Path(__file__).resolve().parent.parent / "scenarios" / f"{walk}.yaml"
+              for walk in ("symmetric_walk", "biased_walk", "invariant_contraction")),
+            Path(__file__).resolve().parent / "disc_walk_two_starts.yaml"]
+
+
+class TestStepOperator:
+    """E[v o f] of a grid function read from ``dp.step_operator`` equals the
+    per-atom reference, ``one_step_mean`` over ``eval_cert_batch``, bit for
+    bit: both sum the atoms in atom order."""
+
+    @staticmethod
+    def extracted(path) -> tuple:
+        """The scenario, every extracted function (the pair kind's w too), and
+        every fourth grid check point plus 30 random points inside the grid
+        box: the reference steps one point at a time."""
+        sc = cli.load_scenario(path)
+        r = cli.Run(sc)
+        fields = {**r.fields, "gamma": sc.gamma, "regions": sc.regions}
+        functions = {}
+        for kind in cm.ALL_KINDS:
+            cert = extract_certificate(fields, kind)
+            if kind in cm.PAIR_KINDS:
+                cert, functions[f"{kind} w"] = cert
+            functions[kind] = cert
+        inside = sc.grid.box.sample(30, np.random.default_rng(3))
+        return sc, functions, np.vstack([r.grid_check_points[0][::4], inside])
+
+    @staticmethod
+    def reference(system, fn, points) -> np.ndarray:
+        return np.array([one_step_mean(system, x, lambda y: eval_cert_batch(fn, y)[0])
+                         for x in points])
+
+    @pytest.mark.parametrize("path", _CHECKED, ids=lambda path: path.stem)
+    def test_every_extracted_function_matches_the_reference(self, path):
+        sc, functions, points = self.extracted(path)
+        op = dp.step_operator(sc.system, sc.grid, sc.regions, points, strict=False)
+        assert len(functions) == 7
+        for name, fn in functions.items():
+            got = op.mean(fn.fld.values, fn.fld.outside_default, fn.pins)
+            np.testing.assert_array_equal(got, self.reference(sc.system, fn, points), name)
+
+    def test_checks_read_no_per_atom_mean_for_grid_functions(self, monkeypatch, gambler):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-atom mean of a grid function")
+
+        fields = solved_fields(gambler)
+        v, w = extract_certificate(fields, KIND_RA_LOWER_PAIR)
+        monkeypatch.setattr(cm, "expectation", refuse)
+        report = check_condition(gambler["system"], gambler["regions"], v,
+                                 Condition(KIND_RA_LOWER_PAIR, 0.0, w=w), [3.0],
+                                 check_points(gambler))
+        assert report.passed
+
+    @pytest.mark.parametrize("pins", ["none", "other"])
+    def test_function_off_the_scenario_pins(self, monkeypatch, gambler, pins):
+        # a file with no region pins, or with pins that are not the scenario's
+        # regions, is read on its own pins (the scenario's where it has none)
+        fld = solved_fields(gambler)["reach_avoid"]
+        other = regions.RegionSpec(safe=gambler["regions"].safe,
+                                   target=expr.parse_predicate("x1 >= 8 && x1 < 11", 1))
+        cert = (GridCert(ValueField(fld.values, fld.grid, 0.0)) if pins == "none" else
+                GridCert(ValueField(fld.values, fld.grid, 0.0), regions=other,
+                         target_value=1.0, unsafe_value=0.0))
+        system, points = gambler["system"], check_points(gambler, interior=True)
+        own_pins = cert.regions or gambler["regions"]
+        own = dp.step_operator(system, fld.grid, own_pins, points, strict=False)
+        np.testing.assert_array_equal(own.mean(fld.values, 0.0, cert.pins),
+                                      self.reference(system, cert, points))
+        built, step = [], dp.step_operator
+        monkeypatch.setattr(dp, "step_operator",
+                            lambda *args, **kwargs: built.append(args[2]) or step(*args, **kwargs))
+        cond = Condition(KIND_RA_LOWER_A1, 0.0)
+        report = check_condition(system, gambler["regions"], cert, cond, [3.0], points)
+        assert built == [own_pins]
+        given = check_condition(system, gambler["regions"], cert, cond, [3.0], points,
+                                operator=own)
+        assert [c.min_slack for c in report.clauses] == [c.min_slack for c in given.clauses]
+
+    def test_failed_image_reads_nan_and_fails_its_clause(self):
+        # every image of x = 5 divides by zero
+        system = model.SystemModel(
+            n=1, m=1, dynamics=(expr.parse_expr("x1 + th1 + 0 * (1 / (x1 - 5))", 1, 1),),
+            dist=model.DisturbanceDist(atoms=[[-1.0], [1.0]], probs=[0.5, 0.5]))
+        reg = regions.RegionSpec(safe=expr.parse_predicate("x1 > 0 && x1 < 11", 1),
+                                 target=expr.parse_predicate("x1 >= 10 && x1 < 11", 1))
+        grid = dp.Grid([-0.5], [11.5], [12])
+        cert = GridCert(ValueField(np.zeros(12), grid, 0.0), regions=reg,
+                        target_value=1.0, unsafe_value=0.0)
+        points = grid.nodes()
+        op = dp.step_operator(system, grid, reg, points, strict=False)
+        mean = op.mean(cert.fld.values, 0.0, cert.pins)
+        assert np.isnan(mean).tolist() == (points[:, 0] == 5.0).tolist()
+        assert (op.classes[5] == -1).all() and not op.inside[5].any()
+        report = check_condition(system, reg, cert, Condition(KIND_RA_LOWER_A1, 0.0), [3.0],
+                                 points)
+        clause = report.clauses[1]
+        assert not report.passed and clause.min_slack == -np.inf
+        assert clause.worst_point.tolist() == [5.0]

@@ -683,19 +683,21 @@ class TestStages:
     """Each command computes each stage it reads once, and no stage it
     does not read."""
 
-    COUNTED = ((dp, "build_kernel"), (dp, "check_assumption1"), (regions, "compute_omega"),
-               (certificate, "build_check_points"), (mc, "start_estimate"))
+    COUNTED = ((dp, "step_operator"), (dp, "build_kernel"), (dp, "check_assumption1"),
+               (regions, "compute_omega"), (certificate, "build_check_points"),
+               (mc, "start_estimate"))
     # calls of each counted function on the symmetric walk from two initial
-    # states: one Monte Carlo pass per state
+    # states: one Monte Carlo pass per state, and one step operator at the
+    # nodes, from which both kernels are cut, and one at the grid check points
     CALLS = {
-        "simulate": (0, 0, 0, 0, 0),
-        "solve": (2, 0, 0, 0, 0),
-        "estimate": (0, 0, 0, 0, 2),
-        "verify": (0, 0, 1, 1, 0),
-        "extract": (2, 1, 1, 1, 0),
-        "synthesize": (0, 0, 1, 1, 0),
-        "assumption1": (1, 1, 0, 0, 0),
-        "report-all": (2, 1, 1, 2, 2),
+        "simulate": (0, 0, 0, 0, 0, 0),
+        "solve": (1, 2, 0, 0, 0, 0),
+        "estimate": (0, 0, 0, 0, 0, 2),
+        "verify": (1, 0, 0, 1, 1, 0),
+        "extract": (2, 2, 1, 1, 1, 0),
+        "synthesize": (0, 0, 0, 1, 1, 0),
+        "assumption1": (1, 1, 1, 0, 0, 0),
+        "report-all": (2, 2, 1, 1, 2, 2),
     }
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
@@ -730,14 +732,18 @@ class TestReportAllOverlap:
                 events.append("fork")
             return pid
 
-        def recording_build(*args):
-            events.append("build_kernel")
-            return build_kernel(*args)
+        def recording(name, fn):
+            def call(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return call
 
         monkeypatch.setattr(mc, "MIN_BLOCK", 1)
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(mc.os, "fork", recording_fork)
-        monkeypatch.setattr(dp, "build_kernel", recording_build)
+        # the DP stage starts with the step operator at the nodes
+        monkeypatch.setattr(dp, "step_operator", recording("step_operator", dp.step_operator))
+        monkeypatch.setattr(dp, "build_kernel", recording("build_kernel", build_kernel))
         return events
 
     def test_blocks_fork_before_the_dp_stage(self, monkeypatch):
@@ -745,7 +751,7 @@ class TestReportAllOverlap:
         sc = load_scenario(SCENARIOS / "symmetric_walk.yaml").replace(mc_trials=200,
                                                                       mc_horizon=50)
         report = run("report-all", sc)
-        assert events[:3] == ["fork", "fork", "build_kernel"]
+        assert events[:4] == ["fork", "fork", "step_operator", "build_kernel"]
         assert events.count("fork") == 2
         assert report.sections["dp_vs_mc"][0]["reach_avoid"]["agree"]
         with pytest.raises(ChildProcessError):
@@ -760,7 +766,7 @@ class TestReportAllOverlap:
                      "--command", "report-all", "--quiet"])
         assert code == EXIT_NUMERIC
         assert "error: safe image left the grid box" in capsys.readouterr().err
-        assert events == ["fork", "fork", "build_kernel"]
+        assert events == ["fork", "fork", "step_operator", "build_kernel"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -1060,3 +1066,39 @@ def test_outputs_independent_of_blas_threads_and_cpus(tmp_path):
     assert one[("solve", "exit")] == 0 and len(one) == len(two)
     for key in one:
         assert one[key] == two[key], key
+
+
+class TestAbsorbingStart:
+    """A start state in an absorbing class reads each field's fixed value
+    there, as the kernel and the extracted certificates do: reach-avoid 1 on
+    the target and 0 off X, exit 1 off X, and no truncation slack."""
+
+    @pytest.mark.parametrize("path, x0, reach", [
+        (SCENARIOS / "symmetric_walk.yaml", [10.5], 1.0),  # in the target
+        (TWO_STARTS_DISC, [0.99, 0.2], 0.0),  # unsafe
+        (TWO_STARTS_DISC, [0.1, 0.12], 1.0),  # in the target
+    ])
+    def test_report_all_reads_the_fixed_value(self, path, x0, reach):
+        sc = load_scenario(path).replace(x0s=np.array([x0]), mc_trials=2000, mc_horizon=50)
+        report = run("report-all", sc)
+        row = report.sections["dp_vs_mc"][0]
+        assert row["reach_avoid"]["dp"] == reach == row["reach_avoid"]["mc"]
+        assert row["reach_avoid"]["truncation_slack"] == 0.0 and row["reach_avoid"]["agree"]
+        if not reach:
+            assert row["liveness"]["dp"] == 0.0 == row["liveness"]["truncation_slack"]
+        checks = report.sections["certificates"]
+        assert len(checks) == 6 and {entry["check"] for entry in checks.values()} == {"pass"}
+
+
+def test_verify_on_a_finer_grid_keeps_its_verdicts(tmp_path):
+    # a file is checked on its own 12-cell grid and pins, whatever the grid
+    # of the scenario it is verified against
+    assert main(["--scenario", str(SCENARIOS / "symmetric_walk.yaml"), "--command", "extract",
+                 "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+    doc = _walk_doc()
+    doc["grid"]["cells"] = [24]
+    finer = _write(tmp_path, doc, "finer.yaml")
+    codes = {kind: main(["--scenario", str(finer), "--command", "verify", "--quiet",
+                         "--certificate", str(tmp_path / f"certificate_{kind}.yaml")])
+             for kind in ("ra_lower_a1", "safety_lower")}
+    assert codes == {"ra_lower_a1": EXIT_REJECTED, "safety_lower": EXIT_OK}

@@ -12,6 +12,7 @@ from stochcert.dp import (
     build_kernel,
     check_assumption1,
     eval_field_batch,
+    node_operator,
     solve_discounted,
     solve_exact_small,
     solve_reach_avoid,
@@ -82,7 +83,7 @@ def _walk_2d():
 def _kernel_2d():
     """Reach-avoid kernel of ``_walk_2d``."""
     system, reg, grid = _walk_2d()
-    return build_kernel(system, grid, reg, dp.MODE_REACH_AVOID)
+    return build_kernel(*node_operator(system, grid, reg), dp.MODE_REACH_AVOID)
 
 
 class TestKernel:
@@ -117,7 +118,7 @@ class TestKernel:
         # that weight joins one_mass, and P keeps the transient block only
         # (test_mass_conserved_2d checks that each row still sums to one)
         system, reg, grid = _walk_2d()
-        k = build_kernel(system, grid, reg, dp.MODE_REACH_AVOID)
+        k = build_kernel(*node_operator(system, grid, reg), dp.MODE_REACH_AVOID)
         assert k.P.shape == (k.n_transient, k.n_transient)
         xs = grid.nodes()[k.transient]
         direct = np.zeros(k.n_transient)
@@ -161,7 +162,7 @@ class TestKernel:
         interp = dp._interp_weights
         monkeypatch.setattr(dp, "_interp_weights",
                             lambda *args: calls.append(args) or interp(*args))
-        k = build_kernel(system, grid, reg, mode)
+        k = build_kernel(*node_operator(system, grid, reg), mode)
         assert len(calls) == 1
         assert np.array_equal(k.transient, transient)
         assert np.array_equal(k.one_mass, one_mass)
@@ -204,14 +205,15 @@ class TestKernel:
             target=expr.parse_predicate("x1 >= 10 && x1 < 11", 1),
         )
         grid = Grid([0.5], [9.5], [9])  # nodes 1..9, image 10 is target, 0 unsafe-> fine
-        build_kernel(system, grid, reg, dp.MODE_REACH_AVOID)
+        build_kernel(*node_operator(system, grid, reg), dp.MODE_REACH_AVOID)
         tight = Grid([0.5], [8.5], [8])  # node 8 maps to 9, safe but off the box
         with pytest.raises(GridTooSmallError, match="outside the grid box"):
-            build_kernel(system, tight, reg, dp.MODE_REACH_AVOID)
+            build_kernel(*node_operator(system, tight, reg), dp.MODE_REACH_AVOID)
 
     def test_mode_validation(self, gambler):
         with pytest.raises(ValueError):
-            build_kernel(gambler["system"], gambler["grid"], gambler["regions"], "nope")
+            build_kernel(*node_operator(gambler["system"], gambler["grid"], gambler["regions"]),
+                         "nope")
         with pytest.raises(ValueError):
             solve_reach_avoid(gambler["safety_kernel"])
         with pytest.raises(ValueError):
@@ -312,7 +314,7 @@ class TestLongChain:
             target=expr.parse_predicate(f"x1 >= {self.N} && x1 < {self.N + 1}", 1),
         )
         grid = Grid([-0.5], [self.N + 1.5], [self.N + 2])  # nodes 0..201
-        return build_kernel(make_walk(0.5), grid, reg, dp.MODE_REACH_AVOID)
+        return build_kernel(*node_operator(make_walk(0.5), grid, reg), dp.MODE_REACH_AVOID)
 
     def test_reach_avoid_matches_closed_form_within_bound(self, kernel):
         tol = 1e-9
@@ -372,7 +374,7 @@ class TestExactSolve:
         k = gambler["reach_kernel"]
         big = Grid([-0.5], [11.5], [12000])
         with pytest.raises(ValueError, match="dense-solve"):
-            solve_exact_small(build_kernel(gambler["system"], big, gambler["regions"]))
+            solve_exact_small(build_kernel(*node_operator(gambler["system"], big, gambler["regions"])))
         del k
 
 
@@ -395,7 +397,7 @@ class TestAssumption1:
         system = model.SystemModel(1, 1, (expr.parse_expr("x1", 1, 1),), dist)
         pred = expr.parse_predicate("x1 > 0 && x1 < 1", 1)
         reg = regions.RegionSpec(safe=pred, target=pred)
-        k = build_kernel(system, Grid([0.0], [1.0], [4]), reg)
+        k = build_kernel(*node_operator(system, Grid([0.0], [1.0], [4]), reg))
         res = check_assumption1(k)
         assert res.holds and res.sup_stay_prob == 0.0
 
@@ -442,7 +444,8 @@ class TestStayProbability:
     def test_period_two_walk(self):
         # the +-1 walk on integer nodes has period 2: single-step ratios never
         # meet, so the sweeps stop only once the mass itself is below 1e-12
-        kernel = build_kernel(make_walk(0.5), walk_grid(), walk_regions(), dp.MODE_SAFETY)
+        kernel = build_kernel(*node_operator(make_walk(0.5), walk_grid(), walk_regions()),
+                              dp.MODE_SAFETY)
         fld = _assert_stay_bracket(kernel, 2000)
         assert 0 < fld.iterations < 2000
 
@@ -538,7 +541,7 @@ def lattice():
         safe=expr.parse_predicate("x1 > 0 && x1 < 8 && x2 > 0 && x2 < 8", 2),
         target=expr.parse_predicate("x1 >= 7 && x1 < 8 && x2 > 0 && x2 < 8", 2))
     grid = Grid([-0.5, -0.5], [8.5, 8.5], [9, 9])
-    kernel = build_kernel(system, grid, reg, dp.MODE_REACH_AVOID)
+    kernel = build_kernel(*node_operator(system, grid, reg), dp.MODE_REACH_AVOID)
     return system, reg, kernel
 
 

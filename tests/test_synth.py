@@ -192,7 +192,8 @@ def _cli_points(sc, kind):
     run = cli.Run(sc)
     points = run.omega[0][kind].sample(max(sc.extra_points, 200),
                                        np.random.default_rng(sc.point_seed + 1))
-    return points, run.check_points[kind]
+    checks, in_omega = run.check_points
+    return points, checks[in_omega[kind]]
 
 
 class TestSimplexAgainstHighs:
