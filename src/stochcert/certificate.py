@@ -367,9 +367,9 @@ def check_condition(
 
     ``x0`` may be a single state or a list of states (initial-set variant:
     the threshold clause must hold at each).  One-step expectations are exact
-    finite sums over the disturbance atoms.  A grid function reads its own
-    from ``operator``, the step operator at ``points`` on its grid and pins,
-    else from one built here.
+    finite sums over the disturbance atoms, read only in X.  A grid function
+    reads its own from ``operator``, the step operator at the points in X on
+    its grid and pins, else from one built here.
     """
     x0s = np.atleast_2d(np.asarray(x0, dtype=float))
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -377,6 +377,8 @@ def check_condition(
     spec = KINDS[cond.kind]
     codes = classify_batch(regions, points)
     classes, rows = point_classes(points, codes), point_classes(np.arange(len(points)), codes)
+    # each point's row among those in X, where alone a clause reads a mean
+    x_rows = point_classes(np.cumsum(codes != int(StateClass.UNSAFE)) - 1, codes)
     classes["x0"] = x0s
     form = spec["initial"]
     clauses = (("initial: " + form, "x0", *_INITIAL_SIDES[form]),) + spec["clauses"]
@@ -385,17 +387,19 @@ def check_condition(
     whole = {}  # (name, mean) -> a grid function, or its mean, at every point
 
     def reading(name: str, mean: bool, cls: str) -> np.ndarray:
+        """Function ``name``, or its one-step mean, at the points of ``cls``."""
         f, pts = fns[name], classes[cls]
         if not isinstance(f, GridCert) or cls == "x0":
             fn = functools.partial(eval_cert_batch, f)
             return expectation(system, fn, pts) if mean else fn(pts)
-        if (name, mean) not in whole and mean:
-            op = operator or dp_mod.step_operator(system, f.fld.grid, f.regions or regions,
-                                                  points, strict=False)
-            whole[name, mean] = op.mean(f.fld.values, f.fld.outside_default, f.pins)
-        elif (name, mean) not in whole:
-            whole[name, mean] = eval_cert_batch(f, points)
-        return whole[name, mean][rows[cls]]
+        if (name, mean) not in whole:
+            if mean:
+                op = operator or dp_mod.step_operator(system, f.fld.grid, f.regions or regions,
+                                                      classes["in_x"], strict=False)
+                whole[name, mean] = op.mean(f.fld.values, f.fld.outside_default, f.pins)
+            else:
+                whole[name, mean] = eval_cert_batch(f, points)
+        return whole[name, mean][(x_rows if mean else rows)[cls]]
 
     def side(term, cls):
         pts = classes[cls]

@@ -433,6 +433,10 @@ def _extract_and_check(r: Run) -> tuple[dict, list[str]]:
     if unmet.get(r.condition):
         raise CertificateError(unmet[r.condition])
     points, in_omega = r.grid_check_points
+    in_x = regions_mod.classify_batch(sc.regions, points) != int(StateClass.UNSAFE)
+    # one step operator at the grid check points in X, the only ones where a
+    # clause reads a one-step mean, for every kind
+    op = dp.step_operator(sc.system, sc.grid, sc.regions, points[in_x], strict=False)
     results = {}
     for kind in (kind for kind, reason in unmet.items() if not reason):
         # the value function meets its condition with equality, so its values
@@ -447,7 +451,7 @@ def _extract_and_check(r: Run) -> tuple[dict, list[str]]:
         cond = Condition(kind, tight, gamma=gamma, w=w)
         rep = cert_mod.check_condition(sc.system, sc.regions, cert, cond, sc.x0s,
                                        points[in_omega[kind]], sc.tolerance,
-                                       r.check_operator.rows(in_omega[kind]))
+                                       op.rows(in_omega[kind][in_x]))
         path = None
         if r.out_dir:
             path = r.out_dir / f"certificate_{kind}.yaml"
@@ -476,12 +480,21 @@ def _synthesize(r: Run) -> tuple:
     )
 
 
+def _kernel(r: Run, mode: str, other: str) -> dp.TransitionKernel:
+    """The kernel of ``mode``, cut from the step operator at the nodes, which
+    is let go once the ``other`` kernel is cut too."""
+    kernel = dp.build_kernel(*r.chain, mode)
+    if other in vars(r):
+        del r.__dict__["chain"]
+    return kernel
+
+
 # stage -> its function of the scenario and the stages before it
 _STAGES = {
-    # one step operator at the nodes in X, from which both kernels are cut
+    # the step operator at the nodes in X, from which both kernels are cut
     "chain": lambda r: dp.node_operator(r.sc.system, r.sc.grid, r.sc.regions),
-    "reach_kernel": lambda r: dp.build_kernel(*r.chain, dp.MODE_REACH_AVOID),
-    "safety_kernel": lambda r: dp.build_kernel(*r.chain, dp.MODE_SAFETY),
+    "reach_kernel": lambda r: _kernel(r, dp.MODE_REACH_AVOID, "safety_kernel"),
+    "safety_kernel": lambda r: _kernel(r, dp.MODE_SAFETY, "reach_kernel"),
     "assumption1": lambda r: dp.check_assumption1(r.reach_kernel),
     "fields": lambda r: {
         "reach_avoid": dp.solve_reach_avoid(r.reach_kernel),
@@ -495,9 +508,6 @@ _STAGES = {
                          for name, fld in r.fields.items()},
     "omega": _omega,
     "grid_check_points": lambda r: _check_points(r, grid_form=True),
-    # the step operator at the grid check points, shared by every extracted kind
-    "check_operator": lambda r: dp.step_operator(r.sc.system, r.sc.grid, r.sc.regions,
-                                                 r.grid_check_points[0], strict=False),
     "check_points": lambda r: _check_points(r, grid_form=False),
     "first_trials": lambda r: _estimate(r, r.sc.x0s[0], start=True),
     "estimates": _estimate_each,

@@ -143,19 +143,18 @@ def _interp_weights(grid: Grid, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     n, cells = grid.n, grid.cells
-    ends, weights = [], []  # per dimension: (lower, upper) node offset and weight
+    ends, fracs = [], []  # per dimension: the lower and upper node's offset, the fraction
     for d in range(n):
         t = np.clip((ys[:, d] - grid.lower[d]) / grid.spacing[d] - 0.5, 0.0, float(cells[d] - 1))
         base = np.minimum(np.floor(t).astype(np.int64), max(cells[d] - 2, 0))
-        frac = t - base
+        fracs.append(t - base)
         stride = int(np.prod(cells[d + 1:]))
         ends.append((base * stride, np.minimum(base + 1, cells[d] - 1) * stride))
-        weights.append((1.0 - frac, frac))
     idx = np.empty((ys.shape[0], 1 << n), dtype=np.int64)
     w = np.empty((ys.shape[0], 1 << n))
     for c, combo in enumerate(itertools.product((0, 1), repeat=n)):
         idx[:, c] = sum(end[bit] for end, bit in zip(ends, combo))
-        w[:, c] = math.prod(wt[bit] for wt, bit in zip(weights, combo))
+        w[:, c] = math.prod(frac if bit else 1.0 - frac for frac, bit in zip(fracs, combo))
     return idx, w
 
 
@@ -295,17 +294,18 @@ def step_operator(system: SystemModel, grid: Grid, regions: RegionSpec, xs: np.n
     classified atom by atom, so an EvalError names the row of one atom's
     batch; without ``strict`` a failed image gets class -1 instead."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    images = model_mod.successors(system, xs, strict=strict)
-    ok = [np.isfinite(ys).all(axis=1) for ys in images]
-    images = [np.where(good[:, None], ys, 0.0) for ys, good in zip(images, ok)]
+    atoms = system.dist.atoms.shape[0]
+    # row i * atoms + a: point i under atom a
+    ys = np.stack(model_mod.successors(system, xs, strict=strict), axis=1).reshape(-1, grid.n)
+    ok = np.isfinite(ys).all(axis=1)
+    ys[~ok] = 0.0
     classify = classify_batch if strict else classify_lenient
-    classes = np.stack([np.where(good, classify(regions, ys), -1)
-                        for ys, good in zip(images, ok)], axis=1)
-    ys = np.stack(images, axis=1).reshape(-1, grid.n)  # row i * atoms + a: point i under atom a
-    inside = grid.box.contains(ys) & np.stack(ok, axis=1).ravel()
+    classes = np.stack([classify(regions, ys[a::atoms]) for a in range(atoms)], axis=1)
+    classes[~ok.reshape(classes.shape)] = -1
+    inside = grid.box.contains(ys) & ok
     idx, w = _interp_weights(grid, ys)
     w[~inside] = 0.0
-    slots = len(images) << grid.n  # slot a * 2^n + c: corner c of the image under atom a
+    slots = atoms << grid.n  # slot a * 2^n + c: corner c of the image under atom a
     return StepOperator(system, grid, classes, inside.reshape(classes.shape),
                         SlotMatrix(idx.reshape(-1, slots), w.reshape(-1, slots), grid.n_nodes))
 

@@ -479,10 +479,12 @@ class TestStepOperator:
                 GridCert(ValueField(fld.values, fld.grid, 0.0), regions=other,
                          target_value=1.0, unsafe_value=0.0))
         system, points = gambler["system"], check_points(gambler, interior=True)
+        # the checks read one-step means in X only
+        in_x = points[regions.classify_batch(gambler["regions"], points) != 2]
         own_pins = cert.regions or gambler["regions"]
-        own = dp.step_operator(system, fld.grid, own_pins, points, strict=False)
+        own = dp.step_operator(system, fld.grid, own_pins, in_x, strict=False)
         np.testing.assert_array_equal(own.mean(fld.values, 0.0, cert.pins),
-                                      self.reference(system, cert, points))
+                                      self.reference(system, cert, in_x))
         built, step = [], dp.step_operator
         monkeypatch.setattr(dp, "step_operator",
                             lambda *args, **kwargs: built.append(args[2]) or step(*args, **kwargs))
