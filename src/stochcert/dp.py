@@ -7,10 +7,10 @@ multilinear interpolation (Kushner & Dupuis, Numerical Methods for Stochastic
 Control Problems in Continuous Time, 2001).  A kernel is that operator at the
 nodes, built once for both modes: images in an absorbing class (target or
 unsafe, by mode) absorb their mass.  Grid-certificate checks read the same
-operator at their check points.  The chain is stored in its canonical form (Kemeny & Snell, Finite Markov
-Chains, ch. III): the transient-to-transient block P, with the interpolation
-weight that lands on absorbing nodes folded into the absorbed masses.  Three
-value problems share one fixed point:
+operator at their check points.  The chain is stored in its canonical form
+(Kemeny & Snell, Finite Markov Chains, ch. III): the transient-to-transient
+block P, with the interpolation weight that lands on absorbing nodes folded
+into the absorbed masses.  Three value problems share one fixed point:
 
     v = gamma * (b + P v)   on transient nodes,
 
@@ -263,6 +263,13 @@ class StepOperator(Record):
         return self.replace(classes=self.classes[rows], inside=self.inside[rows],
                             M=SlotMatrix(self.M.idx[rows], self.M.w[rows], self.M.shape[1]))
 
+    def mass(self, code: int) -> np.ndarray:
+        """The probability that each point's image has class ``code``."""
+        out = np.zeros(len(self.classes))
+        for p, cls in zip(self.system.dist.probs, self.classes.T):
+            out[cls == code] += p
+        return out
+
     def mean(self, values: np.ndarray, outside: float, pins: dict) -> np.ndarray:
         """E[g(f(x, th))] at each point, g being ``values`` interpolated on the
         grid, ``outside`` off the grid box and ``pins[c]`` on class c, and NaN
@@ -316,7 +323,8 @@ def node_operator(system: SystemModel, grid: Grid,
     ``build_kernel`` cuts the kernel of either mode, and every node's class."""
     nodes = grid.nodes()
     node_class = classify_batch(regions, nodes)
-    return step_operator(system, grid, regions, nodes[node_class != int(StateClass.UNSAFE)]), node_class
+    in_x = nodes[node_class != int(StateClass.UNSAFE)]
+    return step_operator(system, grid, regions, in_x), node_class
 
 
 class TransitionKernel(Record):
@@ -391,14 +399,10 @@ def build_kernel(op: StepOperator, node_class: np.ndarray,
             f"grid too small: node {x.tolist()} maps to safe point {y.tolist()} "
             f"outside the grid box under atom {atom.tolist()}"
         )
-    one_mass, zero_mass = np.zeros(n_tr), np.zeros(n_tr)
-    for p, cls in zip(probs, op.classes.T):
-        one_mass[cls == one_cls] += p
-        zero_mass[cls == zero_cls] += p
     w = op.M.w * np.repeat(np.where(mix, probs, 0.0), 1 << grid.n, axis=1)
     P = SlotMatrix(op.M.idx, w, grid.n_nodes)
-    one_mass = one_mass + P.dot(one_mask.astype(float))
-    zero_mass = zero_mass + P.dot(zero_mask.astype(float))
+    one_mass = op.mass(one_cls) + P.dot(one_mask.astype(float))
+    zero_mass = op.mass(zero_cls) + P.dot(zero_mask.astype(float))
     P = P.block(slice(None), transient)
     total = one_mass + zero_mass + P.dot(np.ones(n_tr))
     if np.abs(total - 1.0).max(initial=0.0) > _MASS_TOL:

@@ -480,7 +480,8 @@ class TestStepOperator:
                          target_value=1.0, unsafe_value=0.0))
         system, points = gambler["system"], check_points(gambler, interior=True)
         # the checks read one-step means in X only
-        in_x = points[regions.classify_batch(gambler["regions"], points) != 2]
+        in_x = points[regions.classify_batch(gambler["regions"], points)
+                      != regions.StateClass.UNSAFE]
         own_pins = cert.regions or gambler["regions"]
         own = dp.step_operator(system, fld.grid, own_pins, in_x, strict=False)
         np.testing.assert_array_equal(own.mean(fld.values, 0.0, cert.pins),

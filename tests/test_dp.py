@@ -374,7 +374,8 @@ class TestExactSolve:
         k = gambler["reach_kernel"]
         big = Grid([-0.5], [11.5], [12000])
         with pytest.raises(ValueError, match="dense-solve"):
-            solve_exact_small(build_kernel(*node_operator(gambler["system"], big, gambler["regions"])))
+            solve_exact_small(build_kernel(*node_operator(gambler["system"], big,
+                                                          gambler["regions"])))
         del k
 
 
