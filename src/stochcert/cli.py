@@ -481,8 +481,9 @@ def _synthesize(r: Run) -> tuple:
 
 
 def _kernel(r: Run, mode: str, other: str) -> dp.TransitionKernel:
-    """The kernel of ``mode``, cut from the step operator at the nodes, which
-    is let go once the ``other`` kernel is cut too."""
+    """The kernel of ``mode``, cut from the step operator at the nodes; the
+    operator is dropped once the ``other`` kernel is cut too, so that it does
+    not add to the peak memory of the stages after."""
     kernel = dp.build_kernel(*r.chain, mode)
     if other in vars(r):
         del r.__dict__["chain"]
