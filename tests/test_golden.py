@@ -7,8 +7,9 @@ bundled scenario, plus verify of every certificate that extract writes and
 synthesize of every condition kind (the pair kind is rejected, exit 2).
 On ``tests/disc_walk_two_starts.yaml`` (``perfbench/discwalk.py --seed 1
 --cells 20`` started from two states) it runs solve, estimate, extract,
-verify of every certificate that extract writes, and report-all, which fails
-the DP/MC gate there (exit 4).  On
+synthesize of every condition kind, verify of every certificate that
+extract and synthesize write, and report-all, which fails the DP/MC gate
+there (exit 4).  On
 ``tests/stuck_walk.yaml``, where the finite-time-exit assumption fails, it
 runs extract, report-all and synthesize of the undiscounted reach-avoid
 kind, then verify of every certificate file those three wrote.
@@ -17,7 +18,7 @@ compared byte for byte, floats included, with the files under
 ``tests/golden/<scenario>/<invocation>/``.  The temporary output directory
 and the scenario directory are replaced by fixed tokens first.  Files over
 8 KB are kept as digests, and stdout is kept only where it is not the
-written ``report.txt``, which holds the golden files to about 180 KB.
+written ``report.txt``, which holds the golden files to about 280 KB.
 
 Rewrite the golden files after an intended output change with
 
@@ -42,7 +43,8 @@ SCENARIOS = ROOT / "scenarios"
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
 # verify runs once per certificate file that the invocations before it wrote,
-# and synthesize_<kind> runs synthesize --condition <kind>
+# synthesize_<kind> runs synthesize --condition <kind>, and synthesize is
+# followed by synthesize_<kind> of every condition kind
 COMMANDS = ("simulate", "solve", "estimate", "assumption1", "extract", "verify",
             "synthesize", "report-all")
 # pass name -> (scenario file, commands run on it)
@@ -50,7 +52,8 @@ PASSES = {
     **{walk: (SCENARIOS / f"{walk}.yaml", COMMANDS)
        for walk in ("symmetric_walk", "biased_walk", "invariant_contraction")},
     "disc_walk_two_starts": (TESTS / "disc_walk_two_starts.yaml",
-                             ("solve", "estimate", "extract", "verify", "report-all")),
+                             ("solve", "estimate", "extract", "synthesize", "verify",
+                              "report-all")),
     "stuck_walk": (TESTS / "stuck_walk.yaml",
                    ("extract", "report-all", "synthesize_ra_lower_a1", "verify")),
 }
@@ -77,9 +80,14 @@ def run_pass(walk: str, work: Path) -> dict[str, dict[str, str]]:
     def neutral(text: str) -> str:
         return text.replace(str(work), "<OUT>").replace(str(scenario.parent), "<SCENARIOS>")
 
+    # synthesize runs as is, then once per condition kind
+    names = [run for name in commands
+             for run in ([name, *(f"synthesize_{kind}" for kind in ALL_KINDS)]
+                         if name == "synthesize" else [name])]
+
     def runs():  # a generator: verify reads the files written just before
         done = []
-        for name in commands:
+        for name in names:
             if name != "verify":
                 command, _, kind = name.partition("_")
                 yield name, command, ["--condition", kind] if kind else []
@@ -90,8 +98,6 @@ def run_pass(walk: str, work: Path) -> dict[str, dict[str, str]]:
                 for cert in sorted((work / writer).glob("*.yaml")):
                     yield (prefix + cert.stem.removeprefix("certificate_"), name,
                            ["--certificate", str(cert)])
-        for kind in ALL_KINDS if "synthesize" in commands else ():
-            yield f"synthesize_{kind}", "synthesize", ["--condition", kind]
 
     results = {}
     for name, command, extra in runs():
