@@ -78,8 +78,8 @@ INIT_COMPLEMENT = "v(x0) <= 1 - eps"
 # One entry per condition kind, read by checking, extraction and synthesis:
 #   initial  the initial-state clause, one of the forms above;
 #   gamma    whether the clauses read the discount gamma;
-#   source   the extraction source: (value field, outside-box default, value
-#            pinned on the target, value pinned off X), None pinning nothing;
+#   source   the extraction source: (value field, outside-box default); the
+#            field's kernel pins its absorbed classes (dp.ValueField.absorbed);
 #   clauses  (name, point class, lhs, rhs), each meaning lhs <= rhs on that
 #            class.  A class is "tgt", "saf", "uns", "in_x" (tgt or saf) or
 #            "all"; a side is a constant, "v", "E[v o f]", "gamma E[v o f]"
@@ -94,7 +94,7 @@ KINDS = {
     KIND_SAFETY_LOWER: {
         "initial": INIT_COMPLEMENT,
         "gamma": False,
-        "source": ("safety_exit", 1.0, None, 1.0),
+        "source": ("safety_exit", 1.0),
         "clauses": (
             ("on X: E[v o f] <= v", "in_x", "E[v o f]", "v"),
             ("off X: v >= 1", "uns", 1.0, "v"),
@@ -104,7 +104,7 @@ KINDS = {
     KIND_UNSAFE_REACH_UPPER: {
         "initial": INIT_UPPER,
         "gamma": False,
-        "source": ("reach_avoid", 1.0, 1.0, 0.0),
+        "source": ("reach_avoid", 1.0),
         "clauses": (
             ("on X\\Xr: E[v o f] <= v", "saf", "E[v o f]", "v"),
             ("on Xr: v >= 1", "tgt", 1.0, "v"),
@@ -114,7 +114,7 @@ KINDS = {
     KIND_RA_LOWER_A1: {
         "initial": INIT_LOWER,
         "gamma": False,
-        "source": ("reach_avoid", 0.0, 1.0, 0.0),
+        "source": ("reach_avoid", 0.0),
         "clauses": (
             ("on X\\Xr: v <= E[v o f]", "saf", "v", "E[v o f]"),
             ("on Xr: v <= 1", "tgt", "v", 1.0),
@@ -128,7 +128,7 @@ KINDS = {
     KIND_RA_LOWER_DISCOUNTED: {
         "initial": INIT_LOWER,
         "gamma": True,
-        "source": ("discounted", 0.0, 1.0, 0.0),
+        "source": ("discounted", 0.0),
         "clauses": (
             ("on X\\Xr: v <= gamma E[v o f]", "saf", "v", "gamma E[v o f]"),
             ("on Xr: v <= 1", "tgt", "v", 1.0),
@@ -143,7 +143,7 @@ KINDS = {
     KIND_LIVENESS_UPPER_DISCOUNTED: {
         "initial": INIT_LOWER,
         "gamma": True,
-        "source": ("discounted_exit", 1.0, None, 1.0),
+        "source": ("discounted_exit", 1.0),
         "clauses": (
             ("on X: v <= gamma E[v o f]", "in_x", "v", "gamma E[v o f]"),
             ("off X: v <= 1", "uns", "v", 1.0),
@@ -152,7 +152,7 @@ KINDS = {
     KIND_RA_LOWER_PAIR: {
         "initial": INIT_LOWER,
         "gamma": False,
-        "source": ("discounted", 0.0, 1.0, 0.0),
+        "source": ("discounted", 0.0),
         "clauses": (
             ("on X\\Xr: v <= E[v o f]", "saf", "v", "E[v o f]"),
             ("on X\\Xr: v <= E[w o f] - w", "saf", "v", "E[w o f] - w"),
@@ -201,29 +201,25 @@ class CertificateError(NumericError, RuntimeError):
 
 
 class GridCert(Record, frozen=True):
-    """Grid-interpolated certificate function.
+    """Grid-interpolated certificate function: its field read at states
+    classified by ``regions``, or unclassified, so pinning nothing, without.
 
-    Extracted certificates additionally pin the indicator regions of their
-    source Bellman equation (``target_value`` on X_r, ``unsafe_value`` off X):
-    the value functions satisfy those identities exactly, and rendering them
-    through plain interpolation would corrupt the function near region
+    An extracted certificate's field keeps its source kernel's absorbed
+    classes pinned (``ValueField.absorbed``): the value function meets those
+    identities exactly, and plain interpolation would corrupt it near region
     boundaries that do not align with the node lattice.
     """
 
     fld: ValueField
     regions: RegionSpec | None = None
-    target_value: float | None = None
-    unsafe_value: float | None = None
+
+    def __post_init__(self):
+        if self.regions is None and self.fld.absorbed:
+            object.__setattr__(self, "fld", self.fld.replace(absorbed=()))
 
     @property
     def n(self) -> int:
         return self.fld.grid.n
-
-    @property
-    def pins(self) -> dict:
-        """Class code -> the value pinned on that class; empty without regions."""
-        pairs = ((StateClass.TARGET, self.target_value), (StateClass.UNSAFE, self.unsafe_value))
-        return {int(code): val for code, val in pairs if val is not None and self.regions}
 
 
 class PolyCert(Record, frozen=True):
@@ -261,15 +257,12 @@ CertFunction = GridCert | PolyCert | ConstCert
 def eval_cert_batch(cert: CertFunction, xs: np.ndarray) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if isinstance(cert, GridCert):
-        out = eval_field_batch(cert.fld, xs)
-        if cert.regions is not None:
-            # a row that cannot be classified reads NaN, as a failed image
-            # does, so a clause there fails instead of ending the run
-            codes = classify_lenient(cert.regions, xs)
-            out[codes < 0] = np.nan
-            for code, value in cert.pins.items():
-                out[codes == code] = value
-        return out
+        if cert.regions is None:
+            return eval_field_batch(cert.fld, xs)
+        # a row that cannot be classified reads NaN, as a failed image does,
+        # so a clause there fails instead of ending the run
+        codes = classify_lenient(cert.regions, xs)
+        return np.where(codes < 0, np.nan, eval_field_batch(cert.fld, xs, codes))
     if isinstance(cert, ConstCert):
         return np.full(xs.shape[0], cert.value)
     if isinstance(cert, PolyCert):
@@ -369,7 +362,7 @@ def check_condition(
     the threshold clause must hold at each).  One-step expectations are exact
     finite sums over the disturbance atoms, read only in X.  A grid function
     reads its own from ``operator``, the step operator at the points in X on
-    its grid and pins, else from one built here.
+    its grid and regions, else from one built here.
     """
     x0s = np.atleast_2d(np.asarray(x0, dtype=float))
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -396,7 +389,7 @@ def check_condition(
             if mean:
                 op = operator or dp_mod.step_operator(system, f.fld.grid, f.regions or regions,
                                                       classes["in_x"], strict=False)
-                whole[name, mean] = op.mean(f.fld.values, f.fld.outside_default, f.pins)
+                whole[name, mean] = op.mean(f.fld)
             else:
                 whole[name, mean] = eval_cert_batch(f, points)
         return whole[name, mean][(x_rows if mean else rows)[cls]]
@@ -445,25 +438,25 @@ def extract_certificate(fields: dict, kind: str):
     a kind in PAIR_KINDS.  A kind's ``assumption1`` prerequisite is the
     caller's to decide.
 
-    The grid certificates pin the source equation's indicator regions (value
-    1 on the target / off X as appropriate, 0 off X for the reach-style
-    bounds) and use the matching outside-box default, so they render the
-    solved value function exactly wherever it is determined by an indicator.
+    The grid certificates keep the classes the source field's kernel absorbs,
+    pinned to their fixed values, and use the kind's outside-box default, so
+    they render the solved value function exactly wherever it is determined
+    by an indicator.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown condition kind {kind!r}")
-    name, outside_default, target_value, unsafe_value = KINDS[kind]["source"]
+    name, outside_default = KINDS[kind]["source"]
     fld, regions = fields[name], fields["regions"]
-    v = GridCert(ValueField(fld.values.copy(), fld.grid, outside_default),
-                 regions=regions, target_value=target_value, unsafe_value=unsafe_value)
+    v = GridCert(ValueField(fld.values.copy(), fld.grid, outside_default, absorbed=fld.absorbed),
+                 regions)
     if kind not in PAIR_KINDS:
         return v
     gamma0 = float(fields["gamma"])
     if not 0.0 < gamma0 < 1.0:
         raise CertificateError("pair extraction needs gamma in (0, 1)")
     gamma1 = gamma0 / (1.0 - gamma0)  # gamma1/(1+gamma1) equals gamma0
-    w = GridCert(ValueField(gamma1 * fld.values, fld.grid, 0.0),
-                 regions=regions, target_value=gamma1, unsafe_value=0.0)
+    pins = tuple((code, gamma1 * value) for code, value in fld.absorbed)
+    w = GridCert(ValueField(gamma1 * fld.values, fld.grid, 0.0, absorbed=pins), regions)
     return v, w
 
 
@@ -500,6 +493,9 @@ def build_check_points(
 
 # serialization --------------------------------------------------------
 
+# region_pins key of the value pinned on each class, null where none is
+_PIN_KEYS = ((int(StateClass.TARGET), "target_value"), (int(StateClass.UNSAFE), "unsafe_value"))
+
 
 def _cert_to_dict(cert: CertFunction) -> dict:
     if isinstance(cert, GridCert):
@@ -515,8 +511,7 @@ def _cert_to_dict(cert: CertFunction) -> dict:
             doc["region_pins"] = {
                 "safe": expr_mod.pretty(cert.regions.safe),
                 "target": expr_mod.pretty(cert.regions.target),
-                "target_value": cert.target_value,
-                "unsafe_value": cert.unsafe_value,
+                **{key: dict(cert.fld.absorbed).get(code) for code, key in _PIN_KEYS},
             }
         return doc
     if isinstance(cert, PolyCert):
@@ -536,20 +531,14 @@ def _cert_from_dict(data: dict) -> CertFunction:
     rep = data.get("representation")
     if rep == "grid":
         grid = Grid(data["lower"], data["upper"], data["cells"])
-        fld = ValueField(np.asarray(data["values"], dtype=float), grid,
-                         float(data.get("outside_default", 0.0)))
-        pins = data.get("region_pins")
-        if pins:
-            regions = RegionSpec(
-                safe=expr_mod.parse_predicate(pins["safe"], grid.n),
-                target=expr_mod.parse_predicate(pins["target"], grid.n),
-            )
-            tv = pins.get("target_value")
-            uv = pins.get("unsafe_value")
-            return GridCert(fld, regions=regions,
-                            target_value=None if tv is None else float(tv),
-                            unsafe_value=None if uv is None else float(uv))
-        return GridCert(fld)
+        pins = data.get("region_pins") or {}
+        regions = RegionSpec(expr_mod.parse_predicate(pins["safe"], grid.n),
+                             expr_mod.parse_predicate(pins["target"], grid.n)) if pins else None
+        absorbed = tuple((code, float(pins[key])) for code, key in _PIN_KEYS
+                         if pins.get(key) is not None)
+        return GridCert(ValueField(np.asarray(data["values"], dtype=float), grid,
+                                   float(data.get("outside_default", 0.0)), absorbed=absorbed),
+                        regions)
     if rep == "polynomial":
         return PolyCert(tuple(tuple(e) for e in data["exponents"]),
                         tuple(data["coefficients"]))

@@ -18,7 +18,10 @@ where b is the per-node mass absorbed into the value-one class.  The value
 function is the least fixed point.  One solver finds it for all three: a graph
 pass sets nodes that cannot reach the value-one class to 0 (Baier & Katoen,
 Principles of Model Checking, 10.1), BiCGSTAB solves the nonsingular rest, and
-an a-posteriori bound on the sup-norm error comes with every field.
+an a-posteriori bound on the sup-norm error comes with every field.  A field
+pins each class its kernel absorbs to that class's fixed value
+(``ValueField.absorbed``); ``_read`` applies the pins wherever a field is read
+at classified states, by ``eval_field_batch`` and ``StepOperator.mean`` alike.
 
 The kernel matrix is a numpy ELLPACK matrix (``SlotMatrix``): a row holds at
 most atoms * 2^n entries, so fixed slots need no sparse-matrix library.
@@ -186,19 +189,25 @@ class ValueField(Record):
             raise ValueError("values length must equal the node count")
 
 
-def eval_field_batch(fld: ValueField, xs: np.ndarray, codes=None) -> np.ndarray:
-    """The field at a (B, n) batch, interpolated in the grid box; given the
-    batch's class codes, a state in a class the chain absorbs reads its fixed
-    value, and one with code -1 (not classified) the interpolant."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    out = np.full(xs.shape[0], fld.outside_default)
-    inside = fld.grid.box.contains(xs)
-    if inside.any():
-        idx, w = _interp_weights(fld.grid, xs[inside])
-        out[inside] = _interpolate(fld.values, idx, w)
+def _read(fld: ValueField, g: np.ndarray, inside: np.ndarray, codes) -> np.ndarray:
+    """``g``, the interpolant of ``fld`` at states where ``inside`` (in the grid
+    box), read as the field: the outside-box default off the box and, given the
+    states' class codes, each absorbed class's fixed value on that class."""
+    g[~inside] = fld.outside_default
     for code, value in fld.absorbed if codes is not None else ():
-        out[codes == code] = value
-    return out
+        g[codes == code] = value
+    return g
+
+
+def eval_field_batch(fld: ValueField, xs: np.ndarray, codes=None) -> np.ndarray:
+    """The field at a (B, n) batch, read by ``_read`` given the batch's class
+    codes or none; a state with code -1 (not classified) reads the interpolant."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    out = np.empty(xs.shape[0])
+    inside = fld.grid.box.contains(xs)
+    idx, w = _interp_weights(fld.grid, xs[inside])
+    out[inside] = _interpolate(fld.values, idx, w)
+    return _read(fld, out, inside, codes)
 
 
 def field_to_csv(fld: ValueField, path) -> None:
@@ -270,15 +279,13 @@ class StepOperator(Record):
             out[cls == code] += p
         return out
 
-    def mean(self, values: np.ndarray, outside: float, pins: dict) -> np.ndarray:
-        """E[g(f(x, th))] at each point, g being ``values`` interpolated on the
-        grid, ``outside`` off the grid box and ``pins[c]`` on class c, and NaN
-        where an image failed; summed over the atoms in atom order."""
+    def mean(self, fld: ValueField) -> np.ndarray:
+        """E[fld(f(x, th))] at each point, ``fld`` on the operator's grid read
+        at the images as ``_read`` reads classified states, and NaN where an
+        image failed; summed over the atoms in atom order."""
         shape = (*self.classes.shape, 1 << self.grid.n)
-        g = _interpolate(values, self.M.idx.reshape(shape), self.M.w.reshape(shape))
-        g[~self.inside] = outside
-        for code, value in pins.items():
-            g[self.classes == code] = value
+        g = _interpolate(fld.values, self.M.idx.reshape(shape), self.M.w.reshape(shape))
+        _read(fld, g, self.inside, self.classes)
         g[self.classes < 0] = np.nan
         total = 0.0
         for p, col in zip(self.system.dist.probs, g.T):

@@ -28,6 +28,9 @@ from stochcert.dp import ValueField, eval_field_batch, solve_discounted, solve_e
 
 from conftest import make_identity, one_step_mean, ruin_probability
 
+# the pins of a reach-avoid field: one on the target, zero off X
+REACH_PINS = ((int(regions.StateClass.TARGET), 1.0), (int(regions.StateClass.UNSAFE), 0.0))
+
 
 def solved_fields(fix, gamma=0.5):
     return {
@@ -68,9 +71,8 @@ class TestEvalCert:
         assert eval_cert_batch(GridCert(fld), [5.0])[0] == 5.0
 
     def test_region_pins_override_interpolation(self, gambler):
-        fld = ValueField(np.zeros(12), gambler["grid"], outside_default=0.0)
-        cert = GridCert(fld, regions=gambler["regions"], target_value=1.0,
-                        unsafe_value=0.0)
+        fld = ValueField(np.zeros(12), gambler["grid"], outside_default=0.0, absorbed=REACH_PINS)
+        cert = GridCert(fld, regions=gambler["regions"])
         assert eval_cert_batch(cert, [10.7])[0] == 1.0  # inside the target, off the lattice
         assert eval_cert_batch(cert, [5.0])[0] == 0.0
 
@@ -365,8 +367,8 @@ class TestSerialization:
         grid2 = dp.Grid([-1.0, -2.0], [1.0, 2.0], [5, 6])
         disc = regions.RegionSpec(expr.parse_predicate("x1^2 + x2^2 < 1.0", 2),
                                   expr.parse_predicate("x1^2 + x2^2 < 0.04", 2))
-        cert2 = GridCert(ValueField(values, grid2, outside_default=-0.0), regions=disc,
-                         target_value=1.0, unsafe_value=0.0)
+        cert2 = GridCert(ValueField(values, grid2, outside_default=-0.0, absorbed=REACH_PINS),
+                         regions=disc)
         w2 = GridCert(ValueField(values[::-1].copy(), grid2))
         saved.append((Condition(KIND_RA_LOWER_A1, 0.2), cert2))
         saved.append((Condition(KIND_RA_LOWER_PAIR, 0.0, gamma=0.5, w=w2), cert2))
@@ -453,7 +455,7 @@ class TestStepOperator:
         op = dp.step_operator(sc.system, sc.grid, sc.regions, points, strict=False)
         assert len(functions) == 7
         for name, fn in functions.items():
-            got = op.mean(fn.fld.values, fn.fld.outside_default, fn.pins)
+            got = op.mean(fn.fld)
             np.testing.assert_array_equal(got, self.reference(sc.system, fn, points), name)
 
     def test_checks_read_no_per_atom_mean_for_grid_functions(self, monkeypatch, gambler):
@@ -476,15 +478,14 @@ class TestStepOperator:
         other = regions.RegionSpec(safe=gambler["regions"].safe,
                                    target=expr.parse_predicate("x1 >= 8 && x1 < 11", 1))
         cert = (GridCert(ValueField(fld.values, fld.grid, 0.0)) if pins == "none" else
-                GridCert(ValueField(fld.values, fld.grid, 0.0), regions=other,
-                         target_value=1.0, unsafe_value=0.0))
+                GridCert(ValueField(fld.values, fld.grid, 0.0, absorbed=REACH_PINS), regions=other))
         system, points = gambler["system"], check_points(gambler, interior=True)
         # the checks read one-step means in X only
         in_x = points[regions.classify_batch(gambler["regions"], points)
                       != regions.StateClass.UNSAFE]
         own_pins = cert.regions or gambler["regions"]
         own = dp.step_operator(system, fld.grid, own_pins, in_x, strict=False)
-        np.testing.assert_array_equal(own.mean(fld.values, 0.0, cert.pins),
+        np.testing.assert_array_equal(own.mean(cert.fld),
                                       self.reference(system, cert, in_x))
         built, step = [], dp.step_operator
         monkeypatch.setattr(dp, "step_operator",
@@ -504,11 +505,10 @@ class TestStepOperator:
         reg = regions.RegionSpec(safe=expr.parse_predicate("x1 > 0 && x1 < 11", 1),
                                  target=expr.parse_predicate("x1 >= 10 && x1 < 11", 1))
         grid = dp.Grid([-0.5], [11.5], [12])
-        cert = GridCert(ValueField(np.zeros(12), grid, 0.0), regions=reg,
-                        target_value=1.0, unsafe_value=0.0)
+        cert = GridCert(ValueField(np.zeros(12), grid, 0.0, absorbed=REACH_PINS), regions=reg)
         points = grid.nodes()
         op = dp.step_operator(system, grid, reg, points, strict=False)
-        mean = op.mean(cert.fld.values, 0.0, cert.pins)
+        mean = op.mean(cert.fld)
         assert np.isnan(mean).tolist() == (points[:, 0] == 5.0).tolist()
         assert (op.classes[5] == -1).all() and not op.inside[5].any()
         report = check_condition(system, reg, cert, Condition(KIND_RA_LOWER_A1, 0.0), [3.0],
@@ -516,3 +516,99 @@ class TestStepOperator:
         clause = report.clauses[1]
         assert not report.passed and clause.min_slack == -np.inf
         assert clause.worst_point.tolist() == [5.0]
+
+
+# the source field -> the (target_value, unsafe_value) its certificates' files hold
+SOURCE_PINS = {"reach_avoid": (1.0, 0.0), "discounted": (1.0, 0.0),
+               "safety_exit": (None, 1.0), "discounted_exit": (None, 1.0)}
+
+# a grid certificate file as save_certificate writes it, its target not pinned
+HAND_WRITTEN = """\
+kind: safety_lower
+epsilon: 0.5
+gamma: null
+function:
+  representation: grid
+  lower:
+  - -0.5
+  upper:
+  - 11.5
+  cells:
+  - 3
+  outside_default: 1.0
+  values:
+  - 0.25
+  - 0.5
+  - 0.75
+  region_pins:
+    safe: x1 > 0.0 && x1 < 11.0
+    target: x1 >= 10.0 && x1 < 11.0
+    target_value: null
+    unsafe_value: 1.0
+"""
+
+
+class TestPins:
+    """A grid function's pins are its field's ``absorbed`` classes, written
+    to a file's ``region_pins`` and read back from it."""
+
+    @staticmethod
+    def resaved(tmp_path, text: str) -> tuple[str, GridCert]:
+        """The file ``text`` loaded and saved again, and its function."""
+        first, second = tmp_path / "first.yaml", tmp_path / "second.yaml"
+        first.write_text(text)
+        cond, cert = load_certificate(first)
+        save_certificate(second, cond, cert)
+        return second.read_text(), cert
+
+    @pytest.mark.parametrize("path", _CHECKED, ids=lambda path: path.stem)
+    def test_extracted_files_round_trip(self, tmp_path, path):
+        sc = cli.load_scenario(path)
+        fields = {**cli.Run(sc).fields, "gamma": sc.gamma, "regions": sc.regions}
+        gamma1 = sc.gamma / (1.0 - sc.gamma)
+        for kind in cm.ALL_KINDS:
+            cert, w = extract_certificate(fields, kind), None
+            if kind in cm.PAIR_KINDS:
+                cert, w = cert
+                assert w.fld.absorbed == tuple((c, gamma1 * v) for c, v in cert.fld.absorbed)
+            source = cm.KINDS[kind]["source"][0]
+            assert cert.fld.absorbed == fields[source].absorbed
+            cond = Condition(kind, 0.0, gamma=sc.gamma if cm.KINDS[kind]["gamma"] else None, w=w)
+            save_certificate(tmp_path / "extracted.yaml", cond, cert)
+            text = (tmp_path / "extracted.yaml").read_text()
+            pins = yaml.safe_load(text)["function"]["region_pins"]
+            assert (pins["target_value"], pins["unsafe_value"]) == SOURCE_PINS[source], kind
+            again, loaded = self.resaved(tmp_path, text)
+            assert again == text, kind
+            assert dict(loaded.fld.absorbed) == dict(cert.fld.absorbed)
+
+    def test_hand_written_file_with_one_null_pin(self, tmp_path):
+        again, cert = self.resaved(tmp_path, HAND_WRITTEN)
+        assert again == HAND_WRITTEN
+        assert cert.fld.absorbed == ((int(regions.StateClass.UNSAFE), 1.0),)
+        # 0 is off X, pinned to 1; 10.5 is in the unpinned target and reads
+        # the interpolant, clamped to the last node
+        assert eval_cert_batch(cert, [[0.0], [10.5]]).tolist() == [1.0, 0.75]
+
+    def test_hand_written_file_without_region_pins(self, tmp_path):
+        text = HAND_WRITTEN[:HAND_WRITTEN.index("  region_pins:")]
+        again, cert = self.resaved(tmp_path, text)
+        assert again == text
+        assert cert.regions is None and cert.fld.absorbed == ()
+        assert eval_cert_batch(cert, [[0.0], [10.5]]).tolist() == [0.25, 0.75]
+
+    def test_solved_field_without_regions_pins_nothing(self, gambler):
+        fld = solved_fields(gambler)["reach_avoid"]
+        cert = GridCert(fld)
+        assert fld.absorbed and cert.fld.absorbed == ()
+        # 10.5 lies in the target, off the lattice: between node 10 (1) and
+        # node 11 (0, off X) the bare field reads 0.5
+        points = np.array([[10.5], [9.5]])
+        assert eval_cert_batch(cert, points).tolist() == [0.5, 0.95]
+        # so does the image 10.5 of 9.5, which the pinned field reads as 1
+        op = dp.step_operator(gambler["system"], fld.grid, gambler["regions"], points,
+                              strict=False)
+        np.testing.assert_array_equal(op.mean(cert.fld),
+                                      TestStepOperator.reference(gambler["system"], cert, points))
+        assert op.mean(cert.fld)[1] == pytest.approx(0.675)
+        assert op.mean(fld)[1] == pytest.approx(0.925)
