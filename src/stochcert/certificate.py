@@ -201,8 +201,8 @@ class CertificateError(NumericError, RuntimeError):
 
 
 class GridCert(Record, frozen=True):
-    """Grid-interpolated certificate function: its field read at states
-    classified by ``regions``, or unclassified, so pinning nothing, without.
+    """Grid-interpolated certificate function: its field, read at states
+    classified by ``regions``; without regions nothing is classified or pinned.
 
     An extracted certificate's field keeps its source kernel's absorbed
     classes pinned (``ValueField.absorbed``): the value function meets those
