@@ -80,7 +80,6 @@ def run_pass(walk: str, work: Path) -> dict[str, dict[str, str]]:
     def neutral(text: str) -> str:
         return text.replace(str(work), "<OUT>").replace(str(scenario.parent), "<SCENARIOS>")
 
-    # synthesize runs as is, then once per condition kind
     names = [run for name in commands
              for run in ([name, *(f"synthesize_{kind}" for kind in ALL_KINDS)]
                          if name == "synthesize" else [name])]
