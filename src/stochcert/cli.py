@@ -193,7 +193,7 @@ _FIELDS = (
     ("grid", "cells", "cells", _NUMS, None, _COUNT),
     ("thresholds", "epsilon1", "epsilon1", _NUM, 0.0, _interval("[0, 1]")),
     ("thresholds", "epsilon2", "epsilon2", _NUM, 0.0, _interval("[0, 1]")),
-    ("", "gamma", "gamma", _NUM, 0.5, _interval("[0, 1)")),
+    ("", "gamma", "gamma", _NUM, 0.5, _interval("(0, 1)")),
     ("mc", "horizon", "mc_horizon", _INT, None, _COUNT),
     ("mc", "trials", "mc_trials", _INT, None, _COUNT),
     ("mc", "delta", "mc_delta", _NUM, 0.05, _interval("(0, 1)")),

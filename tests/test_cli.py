@@ -160,7 +160,7 @@ class TestLoading:
         ("check", "point_seed", 2 ** 64, "check.point_seed must lie in [0, 2^64)"),
         ("system", "disturbance", [[-1.0], [1.0]], "system.disturbance must be a mapping"),
         ("grid", "cells", [12.5], "grid: cells must be integers"),
-        (None, "gamma", 2.0, "gamma must lie in [0, 1)"),
+        (None, "gamma", 2.0, "gamma must lie in (0, 1)"),
         ("grid", "upper", ["x"], "grid.upper must be a list of numbers"),
         ("system", "disturbance", {"kind": "finite", "atoms": [["a"], [1.0]], "probs": [0.5, 0.5]},
          "system.disturbance.atoms must be a list of numbers"),
@@ -170,6 +170,7 @@ class TestLoading:
         ("system", "n", True, "system.n must be an integer"),
         (None, "initial_state", [True], "initial_state must give"),
         (None, "check", 0, "malformed block: check"),
+        (None, "gamma", 0.0, "gamma must lie in (0, 1)"),
     ])
     def test_malformed_value_exits_with_validation_error(self, tmp_path, capsys,
                                                          block, key, value, message):
