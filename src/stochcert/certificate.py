@@ -359,60 +359,60 @@ def check_condition(
     ``cert`` on the classified point set plus the initial state(s).
 
     ``x0`` may be a single state or a list of states (initial-set variant:
-    the threshold clause must hold at each).  One-step expectations are exact
-    finite sums over the disturbance atoms, read only in X.  A grid function
-    reads its own from ``operator``, the step operator at the points in X on
-    its grid and regions, else from one built here.
+    the threshold clause must hold at each).  Each function is read once:
+    its values at every point, and its one-step mean, an exact finite sum
+    over the disturbance atoms, at every point in X, where alone a clause
+    reads one.  A grid function reads its mean from ``operator``, the step
+    operator at the points in X on its grid and regions, else from one built
+    here; any other function from ``expectation``.
     """
     x0s = np.atleast_2d(np.asarray(x0, dtype=float))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     caveats = [f"validated on {points.shape[0]} points plus {x0s.shape[0]} initial state(s)"]
     spec = KINDS[cond.kind]
     codes = classify_batch(regions, points)
-    classes, rows = point_classes(points, codes), point_classes(np.arange(len(points)), codes)
-    # each point's row among those in X, where alone a clause reads a mean
-    x_rows = point_classes(np.cumsum(codes != int(StateClass.UNSAFE)) - 1, codes)
-    classes["x0"] = x0s
+    rows = point_classes(np.arange(len(points)), codes)
+    in_x = points[rows["in_x"]]
     form = spec["initial"]
     clauses = (("initial: " + form, "x0", *_INITIAL_SIDES[form]),) + spec["clauses"]
 
     fns = {"v": cert, "w": cond.w}
-    whole = {}  # (name, mean) -> a grid function, or its mean, at every point
 
-    def reading(name: str, mean: bool, cls: str) -> np.ndarray:
-        """Function ``name``, or its one-step mean, at the points of ``cls``."""
-        f, pts = fns[name], classes[cls]
-        if not isinstance(f, GridCert) or cls == "x0":
-            fn = functools.partial(eval_cert_batch, f)
-            return expectation(system, fn, pts) if mean else fn(pts)
-        if (name, mean) not in whole:
-            if mean:
-                op = operator or dp_mod.step_operator(system, f.fld.grid, f.regions or regions,
-                                                      classes["in_x"], strict=False)
-                whole[name, mean] = op.mean(f.fld)
-            else:
-                whole[name, mean] = eval_cert_batch(f, points)
-        return whole[name, mean][(x_rows if mean else rows)[cls]]
+    @functools.cache
+    def whole(name: str, mean: bool) -> np.ndarray:
+        """Function ``name``, or its one-step mean (NaN off X), at every point."""
+        f = fns[name]
+        if not mean:
+            return eval_cert_batch(f, points)
+        out = np.full(len(points), np.nan)
+        if isinstance(f, GridCert):
+            op = operator or dp_mod.step_operator(system, f.fld.grid, f.regions or regions,
+                                                  in_x, strict=False)
+            out[rows["in_x"]] = op.mean(f.fld)
+        else:
+            out[rows["in_x"]] = expectation(system, functools.partial(eval_cert_batch, f), in_x)
+        return out
 
-    def side(term, cls):
-        pts = classes[cls]
+    def side(term, cls, n: int):
         if not isinstance(term, str):
-            return np.full(len(pts), term)
+            return np.full(n, term)
         if term == "eps":
-            return np.full(len(pts), cond.epsilon)
+            return np.full(n, cond.epsilon)
         if term == "1 - eps":
-            return np.full(len(pts), 1.0 - cond.epsilon)
-        return clause_side(term, functools.partial(reading, mean=False, cls=cls),
-                           functools.partial(reading, mean=True, cls=cls), cond.gamma)
+            return np.full(n, 1.0 - cond.epsilon)
+        if cls == "x0":  # the initial clause's function side is v
+            return eval_cert_batch(cert, x0s)
+        return clause_side(term, lambda name: whole(name, False)[rows[cls]],
+                           lambda name: whole(name, True)[rows[cls]], cond.gamma)
 
     results, witnesses = [], []
     for name, cls, lhs_term, rhs_term in clauses:
-        pts = classes[cls]
+        pts = x0s if cls == "x0" else points[rows[cls]]
         if pts.shape[0] == 0:
             results.append(ClauseResult(name, 0, float("inf"), None))
             continue
         # a non-finite side is an evaluation error at that point: a violation
-        lhs, rhs = side(lhs_term, cls), side(rhs_term, cls)
+        lhs, rhs = side(lhs_term, cls, len(pts)), side(rhs_term, cls, len(pts))
         slack = rhs - lhs
         slack = np.where(np.isfinite(slack), slack, -np.inf)
         order = np.argsort(slack)
@@ -465,30 +465,27 @@ def build_check_points(
     omega: Box,
     n_random: int,
     seed: int,
-    interior_random: bool = True,
-) -> np.ndarray:
-    """The check points inside ``omega``: the grid nodes it holds plus
-    ``n_random`` uniform samples of it.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The check points inside ``omega``, the grid nodes it holds, then
+    ``n_random`` uniform samples of it; and the node-form mask, which selects
+    the nodes plus the samples off the open grid box.
 
-    With ``interior_random=False`` random points strictly inside the grid box
-    are dropped, for grid-form certificates, while the exterior samples
-    exercise the outside-default clauses.  Between the nodes the multilinear
-    interpolant of a grid chain's value meets its Bellman equation only
-    approximately: with the interior points added, 5 of the 6 extracted kinds
-    fail on the 50^2 disc walk, with slacks down to -1.83.  So a passing grid
-    certificate certifies the grid chain at the nodes, not the system.
+    Grid-form certificates are checked on the node-form rows, where the
+    exterior samples exercise the outside-default clauses.  Between the nodes
+    the multilinear interpolant of a grid chain's value meets its Bellman
+    equation only approximately: with the interior points added, 5 of the 6
+    extracted kinds fail on the 50^2 disc walk, with slacks down to -1.83.
+    So a passing grid certificate certifies the grid chain at the nodes, not
+    the system.
     """
     nodes = grid.nodes()
-    parts = [nodes[omega.contains(nodes)]]
-    if n_random > 0:
-        cand = omega.sample(n_random, np.random.default_rng(seed))
-        if not interior_random:
-            strictly_inside = np.all(
-                (cand > grid.lower) & (cand < grid.upper), axis=1
-            )
-            cand = cand[~strictly_inside]
-        parts.append(cand)
-    return np.vstack(parts)
+    nodes = nodes[omega.contains(nodes)]
+    samples = omega.sample(n_random, np.random.default_rng(seed))
+    strictly_inside = np.all(
+        (samples > grid.lower) & (samples < grid.upper), axis=1
+    )
+    return np.vstack([nodes, samples]), np.concatenate([np.ones(len(nodes), bool),
+                                                        ~strictly_inside])
 
 
 # serialization --------------------------------------------------------

@@ -395,14 +395,14 @@ def _omega(r: Run) -> tuple[dict, Box]:
             else over_x for kind, spec in KINDS.items()}, over_x
 
 
-def _check_points(r: Run, grid_form: bool) -> tuple[np.ndarray, dict]:
-    """The check points of one build_check_points call over the box from X,
-    and kind -> the mask of those in its box.  ``grid_form`` leaves out the
-    random points inside the grid box, for grid certificates."""
+def _check_points(r: Run) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The check points of the one build_check_points call over the box from
+    X, their node-form mask, which grid certificates are checked on, and
+    kind -> the mask of those in its box."""
     sc, (omega, over_x) = r.sc, r.omega
-    points = cert_mod.build_check_points(sc.grid, over_x, sc.extra_points, sc.point_seed,
-                                         interior_random=not grid_form)
-    return points, {kind: box.contains(points) for kind, box in omega.items()}
+    points, node_form = cert_mod.build_check_points(sc.grid, over_x, sc.extra_points,
+                                                    sc.point_seed)
+    return points, node_form, {kind: box.contains(points) for kind, box in omega.items()}
 
 
 def _estimate(r: Run, x0, start: bool = False):
@@ -432,10 +432,11 @@ def _extract_and_check(r: Run) -> tuple[dict, list[str]]:
     unmet = {kind: r.unmet(kind) for kind in ([r.condition] if r.condition else ALL_KINDS)}
     if unmet.get(r.condition):
         raise CertificateError(unmet[r.condition])
-    points, in_omega = r.grid_check_points
+    points, node_form, in_omega = r.check_points
+    points = points[node_form]  # the grid certificates' rows
     in_x = regions_mod.classify_batch(sc.regions, points) != int(StateClass.UNSAFE)
-    # one step operator at the grid check points in X, the only ones where a
-    # clause reads a one-step mean, for every kind
+    # one step operator at the node-form check points in X, the only ones
+    # where a clause reads a one-step mean, for every kind
     op = dp.step_operator(sc.system, sc.grid, sc.regions, points[in_x], strict=False)
     results = {}
     for kind in (kind for kind, reason in unmet.items() if not reason):
@@ -449,9 +450,9 @@ def _extract_and_check(r: Run) -> tuple[dict, list[str]]:
                                              "regions": sc.regions}, kind)
         cert, w = cert if kind in cert_mod.PAIR_KINDS else (cert, None)
         cond = Condition(kind, tight, gamma=gamma, w=w)
+        rows = in_omega[kind][node_form]
         rep = cert_mod.check_condition(sc.system, sc.regions, cert, cond, sc.x0s,
-                                       points[in_omega[kind]], sc.tolerance,
-                                       op.rows(in_omega[kind][in_x]))
+                                       points[rows], sc.tolerance, op.rows(rows[in_x]))
         path = None
         if r.out_dir:
             path = r.out_dir / f"certificate_{kind}.yaml"
@@ -473,7 +474,7 @@ def _synthesize(r: Run) -> tuple:
     cond = Condition(kind, 0.0, gamma=sc.gamma if KINDS[kind]["gamma"] else None)
     rng = np.random.default_rng(sc.point_seed + 1)
     points = r.omega[0][kind].sample(max(sc.extra_points, 200), rng)
-    checks, in_omega = r.check_points
+    checks, _, in_omega = r.check_points
     return cond, template, points, synth.synthesize(
         sc.system, sc.regions, kind, template, points, sc.x0s, checks[in_omega[kind]],
         tolerance=sc.tolerance, gamma=cond.gamma, margin=0.01,
@@ -508,8 +509,7 @@ _STAGES = {
     "at_x0s": lambda r: {name: dp.eval_field_batch(fld, r.sc.x0s, r.x0_class)
                          for name, fld in r.fields.items()},
     "omega": _omega,
-    "grid_check_points": lambda r: _check_points(r, grid_form=True),
-    "check_points": lambda r: _check_points(r, grid_form=False),
+    "check_points": _check_points,
     "first_trials": lambda r: _estimate(r, r.sc.x0s[0], start=True),
     "estimates": _estimate_each,
     "extracted": _extract_and_check,
@@ -668,9 +668,11 @@ def _verify(r: Run):
                                  f"but the scenario has system.n = {sc.system.n}")
     except (OSError, yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError([f"certificate {r.certificate}: {exc}"]) from exc
-    points, in_omega = r.grid_check_points if isinstance(cert, GridCert) else r.check_points
+    points, node_form, in_omega = r.check_points
+    # a grid certificate takes the node-form rows, as extract checks it
+    rows = in_omega[cond.kind] & (node_form if isinstance(cert, GridCert) else True)
     report = cert_mod.check_condition(sc.system, sc.regions, cert, cond, sc.x0s,
-                                      points[in_omega[cond.kind]], sc.tolerance)
+                                      points[rows], sc.tolerance)
     section = {
         "kind": cond.kind,
         "threshold": cond.epsilon,

@@ -281,7 +281,7 @@ def test_criterion_9_synthesis(gambler):
     result = synth.synthesize(
         gambler["system"], gambler["regions"], KIND_RA_LOWER_A1,
         synth.Template(n=1, degree=1), points, [3.0],
-        cm.build_check_points(gambler["grid"], omega, 300, 92), margin=0.01,
+        cm.build_check_points(gambler["grid"], omega, 300, 92)[0], margin=0.01,
     )
     synth_ok = result.threshold >= 0.25 and result.status == "validated"
 

@@ -49,7 +49,8 @@ def check_points(fix, interior=False, n_random=200, seed=7):
         fix["grid"].box.sample(2000, np.random.default_rng(seed)),
     ])
     omega, _ = regions.compute_omega(fix["system"], fix["regions"], samples)
-    return build_check_points(fix["grid"], omega, n_random, seed, interior_random=interior)
+    points, node_form = build_check_points(fix["grid"], omega, n_random, seed)
+    return points if interior else points[node_form]
 
 
 class TestEvalCert:
@@ -442,7 +443,8 @@ class TestStepOperator:
                 cert, functions[f"{kind} w"] = cert
             functions[kind] = cert
         inside = sc.grid.box.sample(30, np.random.default_rng(3))
-        return sc, functions, np.vstack([r.grid_check_points[0][::4], inside])
+        points, node_form, _ = r.check_points
+        return sc, functions, np.vstack([points[node_form][::4], inside])
 
     @staticmethod
     def reference(system, fn, points) -> np.ndarray:
@@ -516,6 +518,82 @@ class TestStepOperator:
         clause = report.clauses[1]
         assert not report.passed and clause.min_slack == -np.inf
         assert clause.worst_point.tolist() == [5.0]
+
+
+@pytest.mark.parametrize("path", _CHECKED, ids=lambda path: path.stem)
+def test_node_form_rows_are_the_nodes_and_the_samples_off_the_grid_box(path):
+    # the same draw as build_check_points: the nodes in Omega, then the samples
+    sc = cli.load_scenario(path)
+    r = cli.Run(sc)
+    points, node_form, _ = r.check_points
+    over_x, grid = r.omega[1], sc.grid
+    nodes = grid.nodes()[over_x.contains(grid.nodes())]
+    samples = over_x.sample(sc.extra_points, np.random.default_rng(sc.point_seed))
+    inside = np.all((samples > grid.lower) & (samples < grid.upper), axis=1)
+    np.testing.assert_array_equal(points, np.vstack([nodes, samples]))
+    np.testing.assert_array_equal(points[node_form], np.vstack([nodes, samples[~inside]]))
+
+
+class TestReadOnce:
+    """One ``check_condition`` call computes each function's values at the
+    points at most once, and its one-step mean at most once, whatever the
+    number of clauses or classes that read them."""
+
+    @staticmethod
+    def counted(monkeypatch) -> tuple[list, list]:
+        """The functions evaluated at points that are no images, and the
+        functions (a grid function's field) whose one-step mean is taken."""
+        values, means, stepping = [], [], []
+        evaluate, expectation, mean = cm.eval_cert_batch, cm.expectation, dp.StepOperator.mean
+
+        def counting_eval(cert, xs):
+            if not stepping:
+                values.append((cert, np.atleast_2d(xs)))
+            return evaluate(cert, xs)
+
+        def counting_expectation(system, fn, xs, strict=False):
+            means.append(fn.args[0])
+            stepping.append(fn)
+            try:
+                return expectation(system, fn, xs, strict)
+            finally:
+                stepping.pop()
+
+        def counting_mean(op, fld):
+            means.append(fld)
+            return mean(op, fld)
+
+        monkeypatch.setattr(cm, "eval_cert_batch", counting_eval)
+        monkeypatch.setattr(cm, "expectation", counting_expectation)
+        monkeypatch.setattr(dp.StepOperator, "mean", counting_mean)
+        return values, means
+
+    @pytest.mark.parametrize("form", ["polynomial", "constant", "grid"])
+    def test_each_function_is_read_once(self, monkeypatch, gambler, form):
+        fields = solved_fields(gambler)
+        x0s = np.array([[3.0], [5.0]])
+        points = check_points(gambler, interior=form != "grid")
+        values, means = self.counted(monkeypatch)
+        for kind in cm.ALL_KINDS:
+            if form == "polynomial":
+                v, w = PolyCert(((0,), (1,)), (0.0, 0.05)), PolyCert(((1,),), (0.5,))
+            elif form == "constant":
+                v, w = ConstCert(0.0), ConstCert(0.25)
+            else:
+                v = extract_certificate(fields, kind)
+                v, w = v if kind in cm.PAIR_KINDS else (v, None)
+            w = w if kind in cm.PAIR_KINDS else None
+            values.clear()
+            means.clear()
+            check_condition(gambler["system"], gambler["regions"], v,
+                            Condition(kind, 0.0, gamma=0.5, w=w), x0s, points)
+            for f in filter(None, (v, w)):
+                at_points = [xs for g, xs in values
+                             if g is f and not np.array_equal(xs, x0s)]
+                assert len(at_points) <= 1, (kind, f)
+                key = f.fld if isinstance(f, GridCert) else f
+                assert sum(m is key for m in means) <= 1, (kind, f)
+            assert [xs for g, xs in values if g is v and np.array_equal(xs, x0s)], kind
 
 
 # the source field -> the (target_value, unsafe_value) its certificates' files hold

@@ -192,7 +192,7 @@ def _cli_points(sc, kind):
     run = cli.Run(sc)
     points = run.omega[0][kind].sample(max(sc.extra_points, 200),
                                        np.random.default_rng(sc.point_seed + 1))
-    checks, in_omega = run.check_points
+    checks, _, in_omega = run.check_points
     return points, checks[in_omega[kind]]
 
 
@@ -436,7 +436,7 @@ def _synth_points(fix, seed=8, count=300):
     ])
     _, omega = regions.compute_omega(fix["system"], fix["regions"], samples)
     return (omega.sample(count, np.random.default_rng(seed + 1)),
-            cm.build_check_points(fix["grid"], omega, count, seed + 2))
+            cm.build_check_points(fix["grid"], omega, count, seed + 2)[0])
 
 
 class TestSynthesize:
