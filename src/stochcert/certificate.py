@@ -379,7 +379,7 @@ def check_condition(
     fns = {"v": cert, "w": cond.w}
 
     @functools.cache
-    def whole(name: str, mean: bool) -> np.ndarray:
+    def at_points(name: str, mean: bool) -> np.ndarray:
         """Function ``name``, or its one-step mean (NaN off X), at every point."""
         f = fns[name]
         if not mean:
@@ -402,8 +402,8 @@ def check_condition(
             return np.full(n, 1.0 - cond.epsilon)
         if cls == "x0":  # the initial clause's function side is v
             return eval_cert_batch(cert, x0s)
-        return clause_side(term, lambda name: whole(name, False)[rows[cls]],
-                           lambda name: whole(name, True)[rows[cls]], cond.gamma)
+        return clause_side(term, lambda name: at_points(name, False)[rows[cls]],
+                           lambda name: at_points(name, True)[rows[cls]], cond.gamma)
 
     results, witnesses = [], []
     for name, cls, lhs_term, rhs_term in clauses:
