@@ -15,9 +15,10 @@ monotone in K for a fixed seed).
 All trials advance in lockstep, one ``model.step_batch`` and one
 ``regions.classify_batch`` call per step over the live trials only, and one
 pass records each trial's liveness and reach-avoid outcomes.  Live states
-are kept column-contiguous and compacted when trials stop; each trial picks
-its atom from its own uniform by an exact guide-table inversion of the
-cumulative probabilities.  Neither changes a draw or an outcome.
+are kept column-contiguous and compacted when trials stop; each trial's
+atom is ``DisturbanceDist.draw`` of its own uniform, the one map from
+uniforms to atoms, which ``model.simulate`` reads too.  Neither changes a
+draw or an outcome.
 
 On Linux the trials run as contiguous blocks, one per available CPU and
 none under ``MIN_BLOCK`` trials, each in a forked child that writes its
@@ -91,31 +92,6 @@ def _step_uniforms(seed: int, sweep: int, count: int, first: int = 0) -> np.ndar
     return gen.random(count)
 
 
-def _atom_picker(cum: np.ndarray):
-    """The function u -> ``np.searchsorted(cum, u, side="right")`` for u in
-    [0, 1), computed exactly by a guide table (Chen & Asau 1974).
-
-    [0, 1) is cut into G equal buckets, G the least power of two >= K, so
-    u * G is exact and bucket b = floor(u G) holds b/G <= u < (b+1)/G.
-    ``guide[b]`` counts the thresholds <= b/G, a lower bound on the answer;
-    each fix-up step moves past one more threshold <= u, and as many steps
-    run as the most thresholds any bucket holds strictly inside it.  The
-    thresholds <= u form a prefix of ``cum`` because ``cum[-1] = 1 > u``.
-    """
-    n_buckets = 1 << (cum.size - 1).bit_length()
-    edges = np.arange(n_buckets + 1) / n_buckets
-    guide = np.searchsorted(cum, edges[:-1], side="right")
-    fixups = int((np.searchsorted(cum, edges[1:], side="left") - guide).max())
-
-    def pick(u: np.ndarray) -> np.ndarray:
-        k = np.take(guide, (u * n_buckets).astype(np.intp))
-        for _ in range(fixups):
-            k += np.take(cum, k) <= u
-        return k
-
-    return pick
-
-
 def _run_trials(system: SystemModel, regions: RegionSpec, x0, horizon: int,
                 n_trials: int, seed: int, first: int = 0):
     """Advance trials ``first ... first + n_trials - 1`` in lockstep sweeps
@@ -166,13 +142,12 @@ def _run_trials(system: SystemModel, regions: RegionSpec, x0, horizon: int,
         reach_steps[:] = 0
         open_ = None
 
-    pick = _atom_picker(system.dist.cum_probs)
     live = np.arange(n_trials)  # indices of the live trials, increasing
     states = np.repeat(x0[:, None], n_trials, axis=1).T  # (live, n), column-contiguous
     t = 0
     while t < horizon:
         u = np.take(_step_uniforms(seed, t, n_trials, first), live)
-        ths = np.take(system.dist.atoms, pick(u), axis=0)
+        ths = system.dist.draw(u)
         try:
             nxt = model_mod.step_batch(system, states, ths, strict=True)
             cls = classify_batch(regions, nxt)

@@ -2,8 +2,10 @@
 
 Disturbances have finite support, so one-step expectations are exact finite
 sums; continuous disturbances must be quantized up front (``quantize_uniform``
-and ``quantize_gaussian``).  Models and distributions are immutable; simulation
-takes an explicit seed.
+and ``quantize_gaussian``).  ``DisturbanceDist.draw`` is the one map from
+uniforms to atoms: the Monte Carlo oracle and ``simulate`` both draw through
+it.  Models and distributions are immutable; simulation takes an explicit
+seed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "Trajectory",
     "step_batch",
     "successors",
-    "sample_disturbance",
     "simulate",
     "quantize_uniform",
     "quantize_gaussian",
@@ -31,7 +32,12 @@ _PROB_TOL = 1e-12
 
 
 class DisturbanceDist(Record, frozen=True):
-    """Finite-support disturbance distribution: atom k drawn with probs[k]."""
+    """Finite-support disturbance distribution: atom k drawn with probs[k].
+
+    ``draw`` maps uniforms to atoms by a guide table (Chen & Asau 1974),
+    built once per law and kept outside the fields, so equality and
+    ``repr`` read the atoms and probabilities alone.
+    """
 
     atoms: np.ndarray  # (K, m)
     probs: np.ndarray  # (K,)
@@ -50,6 +56,20 @@ class DisturbanceDist(Record, frozen=True):
         seen = {tuple(a) for a in atoms}
         if len(seen) != atoms.shape[0]:
             raise ValueError("atoms must be pairwise distinct")
+        # [0, 1) is cut into G equal buckets, G the least power of two >= K,
+        # so u * G is exact and bucket b = floor(u G) holds b/G <= u < (b+1)/G.
+        # guide[b] counts the thresholds <= b/G, a lower bound on the atom's
+        # index; each fix-up step moves past one more threshold <= u, and as
+        # many steps run as the most thresholds any bucket holds strictly
+        # inside it.  The thresholds <= u form a prefix of cum because
+        # cum[-1] = 1 > u.
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0
+        n_buckets = 1 << (cum.size - 1).bit_length()
+        edges = np.arange(n_buckets + 1) / n_buckets
+        guide = np.searchsorted(cum, edges[:-1], side="right")
+        fixups = int((np.searchsorted(cum, edges[1:], side="left") - guide).max())
+        object.__setattr__(self, "_table", (cum, n_buckets, guide, fixups))
 
     @property
     def m(self) -> int:
@@ -57,9 +77,16 @@ class DisturbanceDist(Record, frozen=True):
 
     @property
     def cum_probs(self) -> np.ndarray:
-        cum = np.cumsum(self.probs)
-        cum[-1] = 1.0
-        return cum
+        return self._table[0].copy()
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """The atoms at uniforms u in [0, 1), one row per entry of u: the
+        atom ``np.searchsorted(self.cum_probs, u, side="right")``, exactly."""
+        cum, n_buckets, guide, fixups = self._table
+        k = np.take(guide, (u * n_buckets).astype(np.intp))
+        for _ in range(fixups):
+            k += np.take(cum, k) <= u
+        return np.take(self.atoms, k, axis=0)
 
 
 class SystemModel(Record, frozen=True):
@@ -103,12 +130,6 @@ def successors(model: SystemModel, xs: np.ndarray, strict: bool = True) -> list[
             for atom in model.dist.atoms]
 
 
-def sample_disturbance(dist: DisturbanceDist, rng: np.random.Generator) -> np.ndarray:
-    """Draw one atom; rng is any seeded numpy Generator."""
-    k = int(np.searchsorted(dist.cum_probs, rng.random(), side="right"))
-    return dist.atoms[k].copy()
-
-
 def simulate(model: SystemModel, x0, horizon: int, seed: int) -> Trajectory:
     """Simulate ``horizon`` steps from x0, deterministic for a fixed seed.
 
@@ -116,9 +137,7 @@ def simulate(model: SystemModel, x0, horizon: int, seed: int) -> Trajectory:
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    # one vector draw is the same stream as ``horizon`` sample_disturbance calls
-    u = np.random.default_rng(seed).random(horizon)
-    draws = model.dist.atoms[np.searchsorted(model.dist.cum_probs, u, side="right")]
+    draws = model.dist.draw(np.random.default_rng(seed).random(horizon))
     states = [np.asarray(x0, dtype=float)]
     for t in range(horizon):
         try:

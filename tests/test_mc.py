@@ -7,7 +7,7 @@ import pytest
 
 from stochcert import expr, mc, model, regions
 from stochcert.cli import load_scenario
-from stochcert.mc import (ACTIVE, EXITED, REACHED, _atom_picker, _run_trials, _start_split,
+from stochcert.mc import (ACTIVE, EXITED, REACHED, _run_trials, _start_split,
                           _step_uniforms, estimate)
 
 from conftest import make_contraction, make_walk, ruin_probability, walk_regions
@@ -422,29 +422,35 @@ def test_trials_match_one_at_a_time_reference(case, monkeypatch):
                 assert np.array_equal(steps, want_steps)
 
 
-def _cum(probs) -> np.ndarray:
+def _law(probs) -> model.DisturbanceDist:
     probs = np.asarray(probs, dtype=float)
     return model.DisturbanceDist(np.arange(probs.size, dtype=float).reshape(-1, 1),
-                                 probs / probs.sum()).cum_probs
+                                 probs / probs.sum())
 
 
-@pytest.mark.parametrize("cum", [
-    _cum([1.0]),
-    _cum([0.5, 0.5]),
-    _cum([0.4, 0.6]),
-    _cum(np.full(9, 1.0 / 9.0)),
-    _cum(np.full(400, 1.0 / 400.0)),
-    _cum(np.random.default_rng(1).dirichlet(np.full(400, 0.05))),  # skewed: crowded buckets
-    _cum([1e-6, 1e-6, 1e-6] + [1.0] * 6),
-], ids=["K1", "K2", "K2-biased", "K9", "K400", "K400-skewed", "K9-tiny-atoms"])
-def test_atom_picker_equals_searchsorted(cum):
+@pytest.mark.parametrize("dist", [
+    _law([1.0]),
+    _law([0.5, 0.5]),
+    _law([0.4, 0.6]),
+    _law(np.full(9, 1.0 / 9.0)),
+    _law(np.full(400, 1.0 / 400.0)),
+    _law(np.random.default_rng(1).dirichlet(np.full(400, 0.05))),  # skewed: crowded buckets
+    _law([1e-6, 1e-6, 1e-6] + [1.0] * 6),
+    model.quantize_uniform(-1.0, 1.0, 7),
+    model.quantize_gaussian(0.0, 1.0, 33),
+], ids=["K1", "K2", "K2-biased", "K9", "K400", "K400-skewed", "K9-tiny-atoms",
+        "uniform-K7", "gaussian-K33"])
+def test_atom_picker_equals_searchsorted(dist):
+    """``DisturbanceDist.draw``, the guide-table atom picker, is the atom at
+    ``np.searchsorted(cum_probs, u, side="right")`` for every uniform u."""
+    cum = dist.cum_probs
     below_one = np.nextafter(1.0, 0.0)  # 1 - 2^-53, the largest uniform
     edges = np.concatenate([np.arange(g) / g for g in 2 ** np.arange(11)])  # every bucket edge
     marks = np.concatenate([cum, edges])
     u = np.concatenate([[0.0, below_one], marks, np.nextafter(marks, 0.0),
                         np.nextafter(marks, 1.0), np.random.default_rng(2).random(10_000)])
     u = u[(u >= 0.0) & (u < 1.0)]
-    assert np.array_equal(_atom_picker(cum)(u), np.searchsorted(cum, u, side="right"))
+    assert np.array_equal(dist.draw(u), dist.atoms[np.searchsorted(cum, u, side="right")])
 
 
 def test_estimate_compiles_each_tree_once(monkeypatch):

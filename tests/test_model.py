@@ -93,25 +93,21 @@ class TestSampling:
         dist = DisturbanceDist(atoms=[[0.0]], probs=[1.0])
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert model.sample_disturbance(dist, rng).tolist() == [0.0]
+            assert dist.draw(rng.random(1)).tolist() == [[0.0]]
 
     def test_reproducible_and_frequency(self):
         dist = DisturbanceDist(atoms=[[-1.0], [1.0]], probs=[0.5, 0.5])
-        draws1 = [model.sample_disturbance(dist, np.random.default_rng(99))[0]
-                  for _ in range(1)]
-        draws2 = [model.sample_disturbance(dist, np.random.default_rng(99))[0]
-                  for _ in range(1)]
+        draws1 = dist.draw(np.random.default_rng(99).random(1))[:, 0].tolist()
+        draws2 = dist.draw(np.random.default_rng(99).random(1))[:, 0].tolist()
         assert draws1 == draws2
-        rng = np.random.default_rng(1234)
         n = 100_000
-        ups = sum(model.sample_disturbance(dist, rng)[0] == 1.0 for _ in range(n))
+        ups = np.count_nonzero(dist.draw(np.random.default_rng(1234).random(n))[:, 0] == 1.0)
         assert 0.49 <= ups / n <= 0.51
 
     def test_biased_frequency_within_hoeffding_band(self):
         dist = DisturbanceDist(atoms=[[0.0], [1.0]], probs=[0.3, 0.7])
-        rng = np.random.default_rng(7)
         n = 100_000
-        hits = sum(model.sample_disturbance(dist, rng)[0] == 0.0 for _ in range(n))
+        hits = np.count_nonzero(dist.draw(np.random.default_rng(7).random(n))[:, 0] == 0.0)
         band = math.sqrt(math.log(2 / 1e-3) / (2 * n))
         assert abs(hits / n - 0.3) <= band
 
@@ -150,8 +146,7 @@ class TestSimulate:
         dist = DisturbanceDist(atoms=[[-1.0], [0.0], [1.0]], probs=[0.5, 0.2, 0.3])
         walk = SystemModel(1, 1, (expr.parse_expr(dynamics, 1, 1),), dist)
         traj = model.simulate(walk, [1.0], 1000, seed=17)
-        rng = np.random.default_rng(17)
-        ref = np.array([model.sample_disturbance(dist, rng) for _ in range(1000)])
+        ref = dist.draw(np.random.default_rng(17).random(1000))
         assert traj.disturbances.shape == (steps, 1)
         assert traj.states.shape == (steps + 1, 1)
         assert np.array_equal(traj.disturbances, ref[:steps])
