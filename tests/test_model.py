@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from stochcert import expr, model
+from stochcert import dp, expr, model
 from stochcert.expr import EvalError
 from stochcert.model import DisturbanceDist, SystemModel
 
@@ -86,6 +86,35 @@ class TestStep:
         dist = DisturbanceDist(atoms=[[0.0]], probs=[1.0])
         with pytest.raises(ValueError, match="dynamics"):
             SystemModel(2, 1, (expr.parse_expr("x1", 2, 1),), dist)
+
+
+class TestRecordEquality:
+    """Records with array fields compare by value and hash alike when equal."""
+
+    def test_equal_laws_compare_and_hash_alike(self):
+        a = DisturbanceDist([[0.0], [1.0]], [0.5, 0.5])
+        b = DisturbanceDist([[0.0], [1.0]], [0.5, 0.5])
+        assert a == b and hash(a) == hash(b)
+        assert a != DisturbanceDist([[0.0], [2.0]], [0.5, 0.5])
+        assert a != DisturbanceDist([[0.0], [1.0]], [0.25, 0.75])
+        assert {a: 1}[b] == 1
+
+    def test_signed_zero_hashes_alike(self):
+        a = DisturbanceDist([[-0.0], [1.0]], [0.5, 0.5])
+        b = DisturbanceDist([[0.0], [1.0]], [0.5, 0.5])
+        assert a == b and hash(a) == hash(b)
+        lo, hi = dp.Grid([-0.0], [1.0], [4]), dp.Grid([0.0], [1.0], [4])
+        assert lo == hi and hash(lo) == hash(hi)
+
+    def test_shape_is_compared(self):
+        assert dp.Grid([0.0], [1.0], [4]) != dp.Grid([0.0, 0.0], [1.0, 1.0], [4, 4])
+
+    def test_grids_and_models_hash(self):
+        assert hash(dp.Grid([0.0], [1.0], [4])) == hash(dp.Grid([0.0], [1.0], [4]))
+        assert dp.Grid([0.0], [1.0], [4]) != dp.Grid([0.0], [1.0], [5])
+        a, b = make_walk(0.6), make_walk(0.6)
+        assert a == b and hash(a) == hash(b)
+        assert a != make_walk(0.5)
 
 
 class TestSampling:
