@@ -405,22 +405,14 @@ def _check_points(r: Run) -> tuple[np.ndarray, np.ndarray, dict]:
     return points, node_form, {kind: box.contains(points) for kind, box in omega.items()}
 
 
-def _estimate(r: Run, x0, start: bool = False):
-    """``mc.estimate``'s (liveness, reach-avoid) pair at ``x0``, or with
-    ``start``, ``mc.start_estimate``'s collector of the forked trials."""
+def _start_estimate(r: Run, x0):
+    """``mc.start_estimate``'s collector of the (liveness, reach-avoid) pair
+    at ``x0``."""
     from . import mc
 
     sc = r.sc
-    return (mc.start_estimate if start else mc.estimate)(
-        sc.system, sc.regions, x0, sc.mc_horizon, sc.mc_trials, sc.mc_delta, sc.mc_seed)
-
-
-def _estimate_each(r: Run) -> list:
-    """The estimates at each initial state, one after another, so no more
-    blocks are alive at once than CPUs; the first state's from the trials
-    that report-all forks before its other stages, where it did."""
-    first = vars(r).get("first_trials")
-    return [first() if first and i == 0 else _estimate(r, x0) for i, x0 in enumerate(r.sc.x0s)]
+    return mc.start_estimate(sc.system, sc.regions, x0, sc.mc_horizon, sc.mc_trials,
+                             sc.mc_delta, sc.mc_seed)
 
 
 def _extract_and_check(r: Run) -> tuple[dict, list[str]]:
@@ -510,8 +502,13 @@ _STAGES = {
                          for name, fld in r.fields.items()},
     "omega": _omega,
     "check_points": _check_points,
-    "first_trials": lambda r: _estimate(r, r.sc.x0s[0], start=True),
-    "estimates": _estimate_each,
+    # the first initial state's trials, which report-all starts before its
+    # other stages
+    "first_trials": lambda r: _start_estimate(r, r.sc.x0s[0]),
+    # the estimates at each initial state, one after another, so no more
+    # blocks are alive at once than CPUs
+    "estimates": lambda r: [r.first_trials()] + [_start_estimate(r, x0)()
+                                                 for x0 in r.sc.x0s[1:]],
     "extracted": _extract_and_check,
     "synthesized": _synthesize,
 }
