@@ -106,12 +106,10 @@ class TestRecordEquality:
         lo, hi = dp.Grid([-0.0], [1.0], [4]), dp.Grid([0.0], [1.0], [4])
         assert lo == hi and hash(lo) == hash(hi)
 
-    def test_shape_is_compared(self):
-        assert dp.Grid([0.0], [1.0], [4]) != dp.Grid([0.0, 0.0], [1.0, 1.0], [4, 4])
-
     def test_grids_and_models_hash(self):
         assert hash(dp.Grid([0.0], [1.0], [4])) == hash(dp.Grid([0.0], [1.0], [4]))
         assert dp.Grid([0.0], [1.0], [4]) != dp.Grid([0.0], [1.0], [5])
+        assert dp.Grid([0.0], [1.0], [4]) != dp.Grid([0.0, 0.0], [1.0, 1.0], [4, 4])
         a, b = make_walk(0.6), make_walk(0.6)
         assert a == b and hash(a) == hash(b)
         assert a != make_walk(0.5)
